@@ -6,10 +6,14 @@ wherever it is determined: the last meridian over an orientable base, the
 last crosscap (via a square-root table) over a nonorientable one. Tuples
 are counted raw and up to simultaneous conjugation; the canonical class
 form is the exact minimum of the concatenated image sequences over all
-relabelings of the sheets.
+relabelings of the sheets. That minimum is searched only over the
+relabelings sending the first image to the least member of its
+conjugacy class, a coset of its centraliser; no other relabeling can
+reach it.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,7 +97,12 @@ class GroupTable:
     """Dense multiplication/inversion/conjugation tables for S_d.
 
     Elements are indexed by the lexicographic rank of their image tuple,
-    so index 0 is the identity. All products read left to right.
+    so index 0 is the identity. All products read left to right:
+    mult[i, j] is "i then j" and conj[t, x] is inv[t]·x·t. Only the rows
+    of the adjacent transpositions are ranked from image tuples; every
+    other row of mult is one gather away from a row already known, by
+    breadth-first search from the identity. class_min[x] is the least
+    index in x's conjugacy class.
     """
 
     def __init__(self, degree: int):
@@ -106,14 +115,39 @@ class GroupTable:
         lookup[(self.P.astype(np.int64) * weights).sum(axis=1)] = np.arange(
             self.order, dtype=np.int32
         )
-        Pi = self.P.astype(np.int64)
-        prods = Pi[np.arange(self.order)[None, :, None], Pi[:, None, :]]
-        self.mult = lookup[(prods * weights).sum(axis=2)]
-        self.inv = lookup[
-            (np.argsort(Pi, axis=1).astype(np.int64) * weights).sum(axis=1)
-        ]
-        half = self.mult[self.inv]
-        self.conj = self.mult[half, np.arange(self.order, dtype=np.int32)[:, None]]
+
+        def rank(images: np.ndarray) -> np.ndarray:
+            return lookup[(images.astype(np.int64) * weights).sum(axis=-1)]
+
+        # mult[a·s] = mult[a][mult[s]], so each row is one 1-D gather once
+        # the rows of the generators s are ranked directly.
+        self.mult = np.empty((self.order, self.order), dtype=np.int32)
+        self.mult[0] = np.arange(self.order, dtype=np.int32)
+        gens = []
+        for i in range(degree - 1):
+            s = np.arange(degree)
+            s[[i, i + 1]] = i + 1, i
+            g = int(rank(s))
+            self.mult[g] = rank(self.P[:, s])
+            gens.append(g)
+        filled = np.zeros(self.order, dtype=bool)
+        filled[0] = True
+        filled[gens] = True
+        queue = collections.deque([0, *gens])
+        while queue:
+            a = queue.popleft()
+            row = self.mult[a]
+            for g in gens:
+                c = row[g]
+                if not filled[c]:
+                    self.mult[c] = row[self.mult[g]]
+                    filled[c] = True
+                    queue.append(c)
+        self.inv = rank(np.argsort(self.P, axis=1))
+        self.conj = np.empty_like(self.mult)
+        for t in range(self.order):
+            self.conj[t] = self.mult[self.mult[self.inv[t]], t]
+        self.class_min = self.conj.min(axis=0)
         moved = (self.P != np.arange(degree, dtype=np.int8)).sum(axis=1)
         self.is_transposition = moved == 2
         self.transpositions = np.flatnonzero(self.is_transposition).astype(np.int32)
@@ -269,19 +303,34 @@ def _canonical_forms(T: GroupTable, A: np.ndarray):
     """Minimum of the conjugated index rows over all relabelings; exact.
 
     Index order equals lexicographic order on image tuples, so the row
-    minimum is the minimal concatenated image sequence.
+    minimum is the minimal concatenated image sequence. Its first entry
+    is class_min[x] for the row's first entry x, so only the conjugators
+    sending x there (a coset of x's centraliser) are searched, one group
+    of rows with a common first entry at a time.
     """
     n, k = A.shape
     if n == 0 or k == 0:
         return A
     words = (k + 5) // 6
+    forms = np.empty((n, k), dtype=np.int32)
+    by_first = np.argsort(A[:, 0], kind="stable")
+    starts = np.flatnonzero(np.diff(A[by_first, 0])) + 1
+    for rows in np.split(by_first, starts):
+        x = A[rows[0], 0]
+        coset = np.flatnonzero(T.conj[:, x] == T.class_min[x])
+        forms[rows] = _min_conjugate(T, A[rows], coset, words)
+    return forms
+
+
+def _min_conjugate(T: GroupTable, A: np.ndarray, conjugators, words: int):
+    n = len(A)
     best_codes = None
     best_forms = None
-    for t in range(T.order):
+    for t in conjugators:
         B = T.conj[t][A]
         codes = _pack(B, T.order, words)
         if best_codes is None:
-            best_codes, best_forms = codes, B.astype(np.int32)
+            best_codes, best_forms = codes, B
             continue
         less = np.zeros(n, dtype=bool)
         undecided = np.ones(n, dtype=bool)

@@ -5,7 +5,7 @@ sorted keys, two-space indent, a tool version, and a sha256 digest of
 the input (file bytes, or the canonical parameter encoding when the
 input comes from flags). Exit status is 0 on success and all-pass
 verification, 1 when a verification verdict is negative, 2 on usage or
-input errors.
+input errors and when the process runs out of memory.
 
 Cycle notation like "(0 1)(2 3)" is accepted only here, as a flag
 convenience; files always use image sequences.
@@ -605,6 +605,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.subcommand}", file=sys.stderr)
         return 2
     doc = {
         "format": "report",

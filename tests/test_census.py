@@ -1,12 +1,26 @@
 """Census enumeration: frozen small cells, oracle agreement, audits."""
 from __future__ import annotations
 
-import pytest
+import os
+import resource
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
 
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+
+import coverbench
 from coverbench.census import (
     AuditReport,
     CensusRow,
+    GroupTable,
     Limits,
+    _canonical_forms,
+    _group_table,
     classify_shard,
     enumerate_covers,
     enumerate_shard,
@@ -15,6 +29,7 @@ from coverbench.census import (
     universal_base_report_dim2,
 )
 from coverbench.errors import LimitExceeded
+from coverbench.perms import Perm, compose, compose_all, identity, inverse
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -185,3 +200,97 @@ def test_universal_report_limits():
         universal_base_report_dim2(7, 1)
     with pytest.raises(ValueError):
         universal_base_report_dim2(1, 1)
+
+
+# --- group tables and canonical forms ---
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_group_table_matches_perm_definitions(d):
+    T = GroupTable(d)
+    n = T.order
+    perms = [Perm(tuple(int(v) for v in row)) for row in T.P]
+    index = {p: i for i, p in enumerate(perms)}
+    assert n == factorial(d) == len(index)
+    assert [p.images for p in perms] == sorted(p.images for p in perms)
+    assert perms[0] == identity(d)
+    # whole tables in image terms: "i then j" sends y to P[j][P[i][y]],
+    # and conj[t, x] = t^-1 x t sends y to P[t][P[x][P[t]^-1[y]]]
+    P = T.P.astype(np.intp)
+    Pinv = np.argsort(P, axis=1)
+    rows = np.arange(n)
+    assert np.array_equal(T.P[T.mult], T.P[rows[None, :, None], P[:, None, :]])
+    inner = P[rows[None, :, None], Pinv[:, None, :]]
+    assert np.array_equal(T.P[T.conj], T.P[rows[:, None, None], inner])
+    # Perm composition on every pair up to d = 5, on a stride of rows at d = 6
+    for i in range(0, n, 1 if d <= 5 else 37):
+        p = perms[i]
+        for j, q in enumerate(perms):
+            assert T.mult[i, j] == index[compose(p, q)]
+            assert T.conj[i, j] == index[compose_all([inverse(p), q, p])]
+    assert [T.inv[i] for i in range(n)] == [index[inverse(p)] for p in perms]
+    first_of_type: dict[tuple[int, ...], int] = {}
+    for i, p in enumerate(perms):
+        first_of_type.setdefault(p.cycle_type(), i)
+    assert T.class_min.tolist() == [first_of_type[p.cycle_type()] for p in perms]
+    assert T.is_transposition.tolist() == [p.is_transposition() for p in perms]
+    assert T.transpositions.tolist() == [i for i, p in enumerate(perms) if p.is_transposition()]
+    assert T.nonidentity.tolist() == list(range(1, n))
+    roots: dict[int, list[int]] = {}
+    for i, p in enumerate(perms):
+        roots.setdefault(index[compose(p, p)], []).append(i)
+    for s in range(n):
+        got = T.sqrt_flat[T.sqrt_off[s] : T.sqrt_off[s] + T.nsqrt[s]]
+        assert T.nsqrt[s] == len(roots.get(s, []))
+        assert got.tolist() == roots.get(s, [])
+
+
+def _cap_address_space():
+    cap = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_group_table_7_peak_memory_under_1gb():
+    # mult and conj are two 5040 x 5040 int32 tables, about 200 MB; a
+    # (7!, 7!, 7) int64 intermediate would take the child past 2.9 GB,
+    # so the child runs under a 2 GiB address-space cap
+    src = str(Path(coverbench.__file__).resolve().parents[1])
+    code = (
+        "import resource\n"
+        "from coverbench.census import GroupTable\n"
+        "GroupTable(7)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_cap_address_space,
+    )
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) < 1 << 20  # ru_maxrss is in KiB on Linux
+
+
+@seed(20261017)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_forms_are_the_bruteforce_minimum(data):
+    d = data.draw(st.integers(2, 5), label="d")
+    k = data.draw(st.sampled_from([1, 2, 6, 7, 13]), label="k")
+    T = _group_table(d)
+    element = st.integers(0, T.order - 1)
+    # few distinct first entries, so several rows share a group
+    firsts = data.draw(st.lists(element, min_size=1, max_size=3), label="firsts")
+    row = st.tuples(st.sampled_from(firsts), *[element] * (k - 1))
+    rows = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
+    A = np.array(rows, dtype=np.int32)
+    forms = _canonical_forms(T, A)
+    brute = [
+        min(tuple(int(T.conj[t, x]) for x in r) for t in range(T.order))
+        for r in rows
+    ]
+    assert [tuple(f) for f in forms.tolist()] == brute
+    t = data.draw(element, label="conjugator")
+    assert np.array_equal(_canonical_forms(T, T.conj[t][A]), forms)

@@ -345,6 +345,18 @@ class TestCensusCommands:
         )
         assert rc == 2
 
+    def test_out_of_memory_exits_2_without_traceback(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("coverbench.cli.enumerate_covers", exhausted)
+        rc, out, err = run_cli(
+            ["enumerate", "--base", "s2", "--degree", "2", "--branch-points", "2"]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == "error: out of memory running enumerate\n"
+
     def test_universal_report(self):
         rc, out, _ = run_cli(["universal-report", "--degree", "3", "--genus-max", "2"])
         assert rc == 0
