@@ -10,6 +10,13 @@ relabelings of the sheets. That minimum is searched only over the
 relabelings sending the first image to the least member of its
 conjugacy class, a coset of its centraliser; no other relabeling can
 reach it.
+
+Classification is one array pass over all class forms of a cell, in
+group-table indices: the relation is rechecked column by column, the
+sheets' orbits come from min-label propagation, the Euler characteristic
+from the meridians' cycle counts (Riemann-Hurwitz), and orientability
+over a nonorientable base from the sign double cover, on which a
+crosscap swaps the two lifts of a sheet.
 """
 from __future__ import annotations
 
@@ -21,10 +28,13 @@ from math import factorial
 
 import numpy as np
 
-from .errors import LimitExceeded
-from .hurwitz import HurwitzData, is_connected, total_space
-from .perms import Perm
-from .surfaces import PROJECTIVE_PLANE, ClosedSurface
+from .errors import InvalidData, LimitExceeded
+from .surfaces import (
+    PROJECTIVE_PLANE,
+    ClosedSurface,
+    classify,
+    euler_characteristic,
+)
 
 # cross-join block sizing; tuned for memory, not observable in results
 _LEAD_CHUNK = 1 << 17
@@ -102,7 +112,8 @@ class GroupTable:
     of the adjacent transpositions are ranked from image tuples; every
     other row of mult is one gather away from a row already known, by
     breadth-first search from the identity. class_min[x] is the least
-    index in x's conjugacy class.
+    index in x's conjugacy class; ncycles[x] counts x's cycles, fixed
+    points included.
     """
 
     def __init__(self, degree: int):
@@ -148,6 +159,14 @@ class GroupTable:
         for t in range(self.order):
             self.conj[t] = self.mult[self.mult[self.inv[t]], t]
         self.class_min = self.conj.min(axis=0)
+        # a point starts its cycle when no later image is smaller
+        point = np.arange(degree, dtype=np.int8)
+        least = np.tile(point, (self.order, 1))
+        image = least.copy()
+        for _ in range(degree - 1):
+            image = np.take_along_axis(self.P, image, axis=1)
+            np.minimum(least, image, out=least)
+        self.ncycles = (least == point).sum(axis=1)
         moved = (self.P != np.arange(degree, dtype=np.int8)).sum(axis=1)
         self.is_transposition = moved == 2
         self.transpositions = np.flatnonzero(self.is_transposition).astype(np.int32)
@@ -394,46 +413,104 @@ def merge_shards(shards) -> CensusShard:
     return CensusShard(head.base, head.degree, head.branch_count, head.simple_only, merged)
 
 
-def _datum_from_indices(
-    T: GroupTable, base: ClosedSurface, d: int, idx: tuple[int, ...]
-) -> HurwitzData:
-    perms = [Perm(tuple(int(x) for x in T.P[i])) for i in idx]
-    if base.orientable:
-        g = base.genus
-        return HurwitzData(
-            base,
-            d,
-            handles=tuple((perms[2 * i], perms[2 * i + 1]) for i in range(g)),
-            meridians=tuple(perms[2 * g :]),
-        )
-    return HurwitzData(
-        base, d, crosscaps=tuple(perms[: base.genus]), meridians=tuple(perms[base.genus :])
-    )
-
-
 def _surface_sort_key(surface: ClosedSurface):
     return (not surface.orientable, surface.genus)
 
 
-def classify_shard(shard: CensusShard) -> CensusRow:
-    """Keep the transitive classes, classify one representative each."""
-    T = _group_table(shard.degree)
-    realized: dict[ClosedSurface, list[int]] = {}
-    for key in sorted(shard.counts):
-        datum = _datum_from_indices(T, shard.base, shard.degree, key)
-        if not is_connected(datum):
-            continue
-        surface = total_space(datum).components[0][0]
-        bucket = realized.setdefault(surface, [0, 0])
-        bucket[0] += shard.counts[key]
-        bucket[1] += 1
-    rows = tuple(
-        (s, raw, classes)
-        for s, (raw, classes) in sorted(
-            realized.items(), key=lambda kv: _surface_sort_key(kv[0])
+def _orbit_labels(images: np.ndarray) -> np.ndarray:
+    """Least point of every point's orbit, per row.
+
+    images[r, j] is generator j of row r as an image array on m points;
+    the result has shape (rows, m). Min-label propagation: a label
+    travels one generator step per round, and every point of an orbit is
+    reached from its least point in fewer than m steps.
+    """
+    rows, _, m = images.shape
+    labels = np.tile(np.arange(m, dtype=images.dtype), (rows, 1))
+    for _ in range(m):
+        before = labels.copy()
+        for j in range(images.shape[1]):
+            np.minimum(labels, np.take_along_axis(labels, images[:, j], axis=1), out=labels)
+        if np.array_equal(labels, before):
+            break
+    return labels
+
+
+def _classify_forms(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
+    """Connectivity, Euler characteristic and orientability of the total
+    space of every row of forms, a (classes, generators) index array in
+    datum order: handle pairs or crosscaps, then meridians.
+
+    Raises InvalidData unless every row closes the surface relation with
+    non-identity meridians. chi is the whole total space's (Riemann-
+    Hurwitz); orientable is that of the component over sheet 0, read
+    off the sign double cover on sheets (i, s) -> i + s*d, where a
+    crosscap c sends (i, s) to (c(i), 1 - s) and a meridian m to
+    (m(i), s): the component is orientable exactly when the two lifts
+    of sheet 0 lie in different orbits.
+    """
+    n = len(forms)
+    d = T.degree
+    r = 2 * base.genus if base.orientable else base.genus
+    if forms.size and (forms.min() < 0 or forms.max() >= T.order):
+        raise InvalidData(f"class forms index outside S_{d}")
+    relation = np.zeros(n, dtype=np.int32)
+    for i in range(base.genus):
+        if base.orientable:
+            a, b = forms[:, 2 * i], forms[:, 2 * i + 1]
+            word = (a, b, T.inv[a], T.inv[b])
+        else:
+            word = (forms[:, i], forms[:, i])
+        for g in word:
+            relation = T.mult[relation, g]
+    meridians = forms[:, r:]
+    relation = T.mult[relation, _word_product(T, meridians)]
+    bad = (relation != 0) | (meridians == 0).any(axis=1)
+    if bad.any():
+        raise InvalidData(
+            f"class form {forms[np.argmax(bad)].tolist()} fails the surface relation"
+            " or has an identity meridian"
         )
+    images = T.P[forms]
+    connected = (_orbit_labels(images) == 0).all(axis=1)
+    chi = d * euler_characteristic(base) - (d - T.ncycles[meridians]).sum(axis=1)
+    if base.orientable:
+        return connected, chi, np.ones(n, dtype=bool)
+    crosscaps, meridian_images = images[:, :r], images[:, r:]
+    lifts = np.concatenate(
+        [
+            np.concatenate([crosscaps + d, crosscaps], axis=2),
+            np.concatenate([meridian_images, meridian_images + d], axis=2),
+        ],
+        axis=1,
     )
-    return CensusRow(shard.base, shard.degree, shard.branch_count, rows)
+    labels = _orbit_labels(lifts)
+    return connected, chi, labels[:, 0] != labels[:, d]
+
+
+def classify_shard(shard: CensusShard) -> CensusRow:
+    """Keep the transitive classes and sum their raw and class counts
+    by total space, classifying all class forms in one array pass."""
+    T = _group_table(shard.degree)
+    base = shard.base
+    k = (2 * base.genus if base.orientable else base.genus) + shard.branch_count
+    n = len(shard.counts)
+    forms = np.array(list(shard.counts), dtype=np.int32).reshape(n, k)
+    counts = np.fromiter(shard.counts.values(), dtype=np.int64, count=n)
+    connected, chi, orientable = _classify_forms(T, base, forms)
+    pairs, which = np.unique(
+        np.column_stack([chi, orientable])[connected], axis=0, return_inverse=True
+    )
+    which = which.reshape(-1)
+    raw = np.zeros(len(pairs), dtype=np.int64)
+    np.add.at(raw, which, counts[connected])
+    classes = np.bincount(which, minlength=len(pairs))
+    realized = [
+        (classify(c, bool(o)), int(raw[i]), int(classes[i]))
+        for i, (c, o) in enumerate(pairs.tolist())
+    ]
+    realized.sort(key=lambda row: _surface_sort_key(row[0]))
+    return CensusRow(shard.base, shard.degree, shard.branch_count, tuple(realized))
 
 
 def enumerate_covers(
@@ -480,7 +557,7 @@ def universal_base_report_dim2(
     (hyperelliptic data padded by stabilization); over the projective
     plane crosscap parity blocks the targets with h not congruent to n,
     with an exhaustive empty cell as witness when limits allow."""
-    from .hurwitz import construct_hyperelliptic, stabilize
+    from .hurwitz import construct_hyperelliptic, stabilize, total_space
 
     limits = limits or DEFAULT_LIMITS
     if n < 2:

@@ -277,6 +277,8 @@ def _cmd_construct(args):
 
 
 def _cmd_stabilize(args):
+    if args.times < 0:
+        raise InvalidInput("--times cannot be negative")
     datum, digest = _hurwitz_input(args)
     for _ in range(args.times):
         datum = stabilize(datum)

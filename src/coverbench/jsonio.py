@@ -57,6 +57,21 @@ def _need(doc: dict, key: str, kind: type, where: str):
     return value
 
 
+def _optional(doc: dict, key: str, kind: type, where: str, default):
+    return _need(doc, key, kind, where) if key in doc else default
+
+
+def _ints(value, where: str) -> tuple[int, ...]:
+    # JSON integers decode as exact ints; bools are not ints here
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise InvalidInput(f"{where} must be a list of integers")
+    return tuple(value)
+
+
+def _int_lists(value: list, where: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_ints(x, f"{where}[{i}]") for i, x in enumerate(value))
+
+
 # --- permutations ---
 
 
@@ -65,12 +80,9 @@ def perm_to_json(p: Perm) -> list[int]:
 
 
 def perm_from_json(data, where: str = "perm") -> Perm:
-    if not isinstance(data, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in data
-    ):
-        raise InvalidInput(f"{where} must be a list of integers")
+    images = _ints(data, where)
     try:
-        return Perm(tuple(data))
+        return Perm(images)
     except ValueError as exc:
         raise InvalidInput(f"{where}: {exc}") from None
 
@@ -112,7 +124,7 @@ def hurwitz_from_json(doc: dict) -> HurwitzData:
     )
     degree = _need(doc, "degree", int, "hurwitz")
     handles = []
-    for i, pair in enumerate(doc.get("handles", [])):
+    for i, pair in enumerate(_optional(doc, "handles", list, "hurwitz", [])):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInput(f"hurwitz.handles[{i}] must be a pair")
         handles.append(
@@ -123,11 +135,11 @@ def hurwitz_from_json(doc: dict) -> HurwitzData:
         )
     crosscaps = [
         perm_from_json(c, f"crosscaps[{i}]")
-        for i, c in enumerate(doc.get("crosscaps", []))
+        for i, c in enumerate(_optional(doc, "crosscaps", list, "hurwitz", []))
     ]
     meridians = [
         perm_from_json(m, f"meridians[{i}]")
-        for i, m in enumerate(doc.get("meridians", []))
+        for i, m in enumerate(_optional(doc, "meridians", list, "hurwitz", []))
     ]
     return HurwitzData(base, degree, tuple(handles), tuple(crosscaps), tuple(meridians))
 
@@ -170,9 +182,9 @@ def exhaustion_from_json(doc: dict) -> ExhaustionGraph:
                 _need(pd, "id", str, where),
                 _need(pd, "level", int, where),
                 _need(pd, "genus", int, where),
-                tuple(_need(pd, "inner", list, where)),
-                tuple(_need(pd, "outer", list, where)),
-                pd.get("orientable", True),
+                _ints(_need(pd, "inner", list, where), f"{where}.inner"),
+                _ints(_need(pd, "outer", list, where), f"{where}.outer"),
+                _optional(pd, "orientable", bool, where, True),
             )
         )
     if "stable_depth" in doc:
@@ -225,22 +237,28 @@ def layered_from_json(doc: dict) -> LayeredCover:
         inbound = bd.get("inbound")
         outbound = []
         for j, entry in enumerate(_need(bd, "outbound", list, where)):
-            if not isinstance(entry, list) or len(entry) != 2:
+            if not isinstance(entry, list) or len(entry) != 2 or type(entry[0]) is not int:
                 raise InvalidInput(f"{where}.outbound[{j}] must be [circle, cycle]")
-            outbound.append((entry[0], tuple(entry[1])))
+            outbound.append((entry[0], _ints(entry[1], f"{where}.outbound[{j}][1]")))
+        parent = bd.get("parent")
+        if parent is not None and not isinstance(parent, str):
+            raise InvalidInput(f"{where}.parent must be str or null")
+        parent_circle = bd.get("parent_circle")
+        if parent_circle is not None and type(parent_circle) is not int:
+            raise InvalidInput(f"{where}.parent_circle must be int or null")
         blocks.append(
             Block(
                 piece=_need(bd, "piece", str, where),
                 level=_need(bd, "level", int, where),
                 kind=_need(bd, "kind", str, where),
-                sheets=tuple(_need(bd, "sheets", list, where)),
-                caps=tuple(_need(bd, "caps", list, where)),
-                inbound=None if inbound is None else tuple(inbound),
-                meridians=tuple(tuple(m) for m in _need(bd, "meridians", list, where)),
-                labels=tuple(tuple(lab) for lab in _need(bd, "labels", list, where)),
+                sheets=_ints(_need(bd, "sheets", list, where), f"{where}.sheets"),
+                caps=_ints(_need(bd, "caps", list, where), f"{where}.caps"),
+                inbound=None if inbound is None else _ints(inbound, f"{where}.inbound"),
+                meridians=_int_lists(_need(bd, "meridians", list, where), f"{where}.meridians"),
+                labels=_int_lists(_need(bd, "labels", list, where), f"{where}.labels"),
                 outbound=tuple(outbound),
-                parent=bd.get("parent"),
-                parent_circle=bd.get("parent_circle"),
+                parent=parent,
+                parent_circle=parent_circle,
             )
         )
     return LayeredCover(

@@ -101,9 +101,12 @@ def _word_perm(
     sheets: tuple[int, ...],
     inbound: tuple[int, ...] | None,
     meridians: tuple[tuple[int, int], ...],
-) -> dict[int, int]:
+) -> dict[int, int] | None:
     """Boundary product of a block: inbound cycle first, then the
-    meridian transpositions left to right."""
+    meridian transpositions left to right. None when the inbound cycle
+    repeats a sheet or it or a meridian leaves the block's sheets."""
+    if not _within(sheets, inbound, meridians):
+        return None
     perm = {s: s for s in sheets}
     if inbound:
         for a, b in zip(inbound, inbound[1:] + (inbound[0],)):
@@ -113,6 +116,13 @@ def _word_perm(
             v = perm[s]
             perm[s] = b if v == a else a if v == b else v
     return perm
+
+
+def _within(sheets, inbound, meridians) -> bool:
+    own = set(sheets)
+    if inbound and (len(set(inbound)) != len(inbound) or not own.issuperset(inbound)):
+        return False
+    return all(len(t) == 2 and own.issuperset(t) for t in meridians)
 
 
 def _perm_cycles(perm: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -365,10 +375,11 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
     rel: list[str] = []
     for b in c.blocks:
         perm = _word_perm(b.sheets, b.inbound, b.meridians)
-        got = set(_perm_cycles(perm))
         want = {cyc for _, cyc in b.outbound}
         covered = {s for cyc in want for s in cyc}
-        if got != want:
+        if perm is None:
+            rel.append(f"block {b.piece!r} inbound cycle or a meridian is not a cycle on its sheets")
+        elif set(_perm_cycles(perm)) != want:
             rel.append(f"block {b.piece!r} boundary product disagrees with outbound cycles")
         elif covered != set(b.sheets):
             rel.append(f"block {b.piece!r} outbound cycles miss some sheets")
@@ -390,6 +401,9 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
     trans: list[str] = []
     for b in c.blocks:
         if b.kind != "pants":
+            continue
+        if not _within(b.sheets, None, b.meridians):
+            trans.append(f"pants block {b.piece!r} meridians leave its sheets")
             continue
         part = {s: s for s in b.sheets}
 
@@ -464,7 +478,7 @@ def restriction_compatibility(c: LayeredCover, i: int) -> bool:
             return False
         perm = _word_perm(b.sheets, b.inbound, b.meridians)
         want = {cc for _, cc in b.outbound}
-        if set(_perm_cycles(perm)) != want:
+        if perm is None or set(_perm_cycles(perm)) != want:
             return False
         if {s for cyc2 in want for s in cyc2} != set(b.sheets):
             return False

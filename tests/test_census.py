@@ -20,6 +20,7 @@ from coverbench.census import (
     GroupTable,
     Limits,
     _canonical_forms,
+    _classify_forms,
     _group_table,
     classify_shard,
     enumerate_covers,
@@ -28,7 +29,8 @@ from coverbench.census import (
     parity_audit,
     universal_base_report_dim2,
 )
-from coverbench.errors import LimitExceeded
+from coverbench.errors import InvalidData, LimitExceeded
+from coverbench.hurwitz import HurwitzData, is_connected, total_space
 from coverbench.perms import Perm, compose, compose_all, identity, inverse
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
@@ -36,6 +38,7 @@ from coverbench.surfaces import (
     SPHERE,
     TORUS,
     ClosedSurface,
+    classify,
     euler_characteristic,
 )
 
@@ -229,6 +232,7 @@ def test_group_table_matches_perm_definitions(d):
             assert T.mult[i, j] == index[compose(p, q)]
             assert T.conj[i, j] == index[compose_all([inverse(p), q, p])]
     assert [T.inv[i] for i in range(n)] == [index[inverse(p)] for p in perms]
+    assert T.ncycles.tolist() == [p.num_cycles() for p in perms]
     first_of_type: dict[tuple[int, ...], int] = {}
     for i, p in enumerate(perms):
         first_of_type.setdefault(p.cycle_type(), i)
@@ -294,3 +298,88 @@ def test_canonical_forms_are_the_bruteforce_minimum(data):
     assert [tuple(f) for f in forms.tolist()] == brute
     t = data.draw(element, label="conjugator")
     assert np.array_equal(_canonical_forms(T, T.conj[t][A]), forms)
+
+
+# --- array classification against the per-class hurwitz route ---
+
+
+def _datum(T: GroupTable, base: ClosedSurface, form) -> HurwitzData:
+    perms = [Perm(tuple(int(v) for v in T.P[i])) for i in form]
+    r = 2 * base.genus if base.orientable else base.genus
+    if base.orientable:
+        handles = tuple(zip(perms[0:r:2], perms[1:r:2]))
+        return HurwitzData(base, T.degree, handles=handles, meridians=tuple(perms[r:]))
+    return HurwitzData(base, T.degree, crosscaps=tuple(perms[:r]), meridians=tuple(perms[r:]))
+
+
+O2 = ClosedSurface(True, 2)
+N3 = ClosedSurface(False, 3)
+
+
+@pytest.mark.parametrize(
+    "base,d,b,simple",
+    [
+        (SPHERE, 1, 0, True),
+        (SPHERE, 2, 1, True),  # empty: no tuple closes the relation
+        (SPHERE, 3, 4, True),
+        (SPHERE, 3, 2, False),
+        (TORUS, 2, 2, False),
+        (TORUS, 3, 2, False),
+        (O2, 3, 0, True),
+        (PROJECTIVE_PLANE, 1, 0, True),
+        (PROJECTIVE_PLANE, 2, 0, True),
+        (PROJECTIVE_PLANE, 4, 4, True),
+        (PROJECTIVE_PLANE, 3, 2, False),
+        (KLEIN_BOTTLE, 3, 2, False),
+        (N3, 3, 2, True),
+    ],
+)
+def test_array_classification_matches_total_space(base, d, b, simple):
+    shard = enumerate_shard(base, d, b, simple)
+    T = _group_table(d)
+    k = (2 * base.genus if base.orientable else base.genus) + b
+    forms = np.array(sorted(shard.counts), dtype=np.int32).reshape(len(shard.counts), k)
+    connected, chi, orientable = _classify_forms(T, base, forms)
+    realized: dict[ClosedSurface, list[int]] = {}
+    for i, form in enumerate(forms.tolist()):
+        datum = _datum(T, base, form)
+        components = total_space(datum).components
+        assert bool(connected[i]) == is_connected(datum)
+        # chi of the whole total space, orientability of sheet 0's component
+        assert chi[i] == sum(euler_characteristic(s) for s, _ in components)
+        assert bool(orientable[i]) == components[0][0].orientable
+        if connected[i]:
+            assert classify(int(chi[i]), bool(orientable[i])) == components[0][0]
+            bucket = realized.setdefault(components[0][0], [0, 0])
+            bucket[0] += shard.counts[tuple(form)]
+            bucket[1] += 1
+    row = classify_shard(shard)
+    assert dict((s, [raw, n]) for s, raw, n in row.realized) == realized
+    assert [s for s, _, _ in row.realized] == sorted(
+        realized, key=lambda s: (not s.orientable, s.genus)
+    )
+
+
+def test_classify_forms_rejects_broken_relations():
+    T = _group_table(3)
+    swap = int(T.transpositions[0])
+    with pytest.raises(InvalidData):
+        _classify_forms(T, SPHERE, np.array([[swap, 0]], dtype=np.int32))
+    with pytest.raises(InvalidData):
+        _classify_forms(T, SPHERE, np.array([[swap, int(T.transpositions[1])]], dtype=np.int32))
+
+
+@pytest.mark.parametrize(
+    "base,d,b,simple,totals",
+    [
+        (SPHERE, 4, 8, True, (131040, 5460)),
+        (ClosedSurface(True, 2), 3, 4, True, (34944, 5824)),
+        (PROJECTIVE_PLANE, 4, 4, False, (277110, 11856)),
+        (PROJECTIVE_PLANE, 4, 6, True, (87504, 3662)),
+        (TORUS, 4, 4, True, (58752, 2496)),
+        (SPHERE, 4, 6, True, (2880, 120)),
+    ],
+)
+def test_recorded_cell_totals(base, d, b, simple, totals):
+    row = enumerate_covers(base, d, b, simple)
+    assert (sum(raw for _, raw, _ in row.realized), sum(n for _, _, n in row.realized)) == totals

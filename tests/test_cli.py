@@ -462,3 +462,68 @@ class TestExhaustionCommands:
         rc, out, _ = run_cli(["validate", "--input", path])
         assert rc == 0
         assert report_of(out)["result"]["kind"] == "exhaustion"
+
+
+# --- malformed documents end in a report or a one-line error ---
+
+
+def _hurwitz_doc(**changes):
+    return {**jsonio.hurwitz_to_json(construct_hyperelliptic(1)), **changes}
+
+
+def _exhaustion_doc(piece_changes):
+    doc = jsonio.exhaustion_to_json(sample_graph())
+    doc["pieces"][1].update(piece_changes)
+    return doc
+
+
+def _layered_doc(piece, **changes):
+    doc = jsonio.layered_to_json(staircase(4))
+    for block in doc["blocks"]:
+        if block["piece"] == piece:
+            block.update(changes)
+    return doc
+
+
+MALFORMED = {
+    "handles-not-a-list": (_hurwitz_doc(handles=5), ["total-space", "validate", "stabilize"], 2),
+    "crosscaps-not-a-list": (_hurwitz_doc(crosscaps={}), ["compose-double"], 2),
+    "outer-not-ints": (_exhaustion_doc({"outer": [[1]]}), ["validate", "normalize"], 2),
+    "inner-not-a-list": (_exhaustion_doc({"inner": 2}), ["validate"], 2),
+    "orientable-not-a-bool": (_exhaustion_doc({"orientable": "no"}), ["validate"], 2),
+    "outbound-cycle-not-a-list": (_layered_doc("s2", outbound=[[1, 5]]), ["verify"], 2),
+    "label-not-ints": (_layered_doc("s2", labels=[[[2], 1]]), ["verify"], 2),
+    "meridian-off-the-sheets": (
+        _layered_doc("s3", meridians=[[0, 7]]),
+        ["verify", "verify --restrictions"],
+        1,
+    ),
+    "inbound-repeats-a-sheet": (
+        _layered_doc("s3", inbound=[0, 2, 0]),
+        ["verify --restrictions"],
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_exit_cleanly(tmp_path, name):
+    doc, commands, want = MALFORMED[name]
+    path = write_doc(tmp_path, "doc.json", doc)
+    for command in commands:
+        words = command.split()
+        rc, out, err = run_cli([words[0], "--input", path, *words[1:]])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err
+        if rc == 1:
+            assert report_of(out)["result"]["ok"] is False
+        if rc == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert rc == want, (command, err)
+
+
+def test_stabilize_rejects_negative_times(tmp_path):
+    path = write_doc(tmp_path, "h.json", _hurwitz_doc())
+    rc, out, err = run_cli(["stabilize", "--input", path, "--times", "-3"])
+    assert rc == 2 and out == ""
+    assert err == "error: --times cannot be negative\n"
