@@ -9,6 +9,9 @@ input errors and when the process runs out of memory.
 
 Cycle notation like "(0 1)(2 3)" is accepted only here, as a flag
 convenience; files always use image sequences.
+
+The census (and with it numpy) is imported only by the subcommands
+that enumerate, so the others start without it.
 """
 from __future__ import annotations
 
@@ -21,12 +24,6 @@ import re
 import sys
 
 from . import __version__, jsonio
-from .census import (
-    Limits,
-    enumerate_covers,
-    parity_audit,
-    universal_base_report_dim2,
-)
 from .errors import InvalidInput, WorkbenchError
 from .exhaustion import (
     ConstantSupplier,
@@ -130,7 +127,9 @@ def parse_base(token: str) -> ClosedSurface:
     )
 
 
-def _env_limits() -> Limits | None:
+def _env_limits():
+    from .census import Limits
+
     raw = os.environ.get("WORKBENCH_LIMITS")
     if not raw:
         return None
@@ -292,7 +291,15 @@ def _cmd_compose_double(args):
     return _datum_payload(compose_orientation_double(datum)), 0, digest
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvalidInput(f"--workers must be at least 1, got {workers}")
+
+
 def _cmd_enumerate(args):
+    from .census import enumerate_covers
+
+    _check_workers(args.workers)
     base = parse_base(args.base)
     simple_only = not args.all
     row = enumerate_covers(
@@ -332,6 +339,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_parity_audit(args):
+    from .census import parity_audit
+
+    _check_workers(args.workers)
     report = parity_audit(args.dmax, args.bmax, _env_limits(), args.workers)
     violations = [
         {"degree": d, "branch_points": b, "crosscaps": h}
@@ -355,6 +365,8 @@ def _cmd_parity_audit(args):
 
 
 def _cmd_universal_report(args):
+    from .census import universal_base_report_dim2
+
     report = universal_base_report_dim2(args.degree, args.genus_max, _env_limits())
     payload = {
         "degree": report.n,

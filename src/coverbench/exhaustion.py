@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 from .errors import InvalidInput, NotNormalized, ValidationReport
@@ -88,8 +89,16 @@ class ExhaustionGraph:
     def depth(self) -> int:
         return max((p.level for p in self.pieces), default=0)
 
+    @cached_property
+    def levels(self) -> dict[int, tuple[Piece, ...]]:
+        """The pieces of each level, in (level, id) order; built once."""
+        out: dict[int, list[Piece]] = {}
+        for p in self.pieces:
+            out.setdefault(p.level, []).append(p)
+        return {j: tuple(ps) for j, ps in out.items()}
+
     def at_level(self, j: int) -> tuple[Piece, ...]:
-        return tuple(p for p in self.pieces if p.level == j)
+        return self.levels.get(j, ())
 
 
 @dataclass(frozen=True)

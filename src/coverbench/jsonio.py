@@ -261,8 +261,13 @@ def layered_from_json(doc: dict) -> LayeredCover:
                 parent_circle=parent_circle,
             )
         )
+    depth = _need(doc, "depth", int, "layered")
+    # every level holds a block, so no verifiable cover is deeper than its
+    # block count; refusing here keeps verify's work bounded by the document
+    if depth > len(blocks):
+        raise InvalidInput(f"layered.depth {depth} exceeds the {len(blocks)} blocks")
     return LayeredCover(
-        depth=_need(doc, "depth", int, "layered"),
+        depth=depth,
         degree=_need(doc, "degree", int, "layered"),
         blocks=tuple(blocks),
     )

@@ -14,11 +14,20 @@ level, one branch point per level, fiber count growing without bound.
 All invariants checked here are combinatorial consequences of counting
 lifted cells, so verify_layered re-derives them from the raw block
 data rather than trusting the constructors.
+
+Both checkers read one level index, built on first use and cached on
+the cover: the blocks of each level in document order, the first level
+at which each sheet appears, and each block's relation verdict (whether
+the boundary product of its inbound cycle and meridians is exactly its
+outbound cycles, covering all its sheets). verify_layered is then
+linear in the size of the cover, and restriction_compatibility(c, i)
+touches only levels i and i + 1, so a sweep over every level is linear
+as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DepthExceeded,
@@ -53,13 +62,47 @@ class Block:
 
 
 @dataclass(frozen=True)
+class LevelIndex:
+    levels: dict[int, tuple[int, ...]]
+    """Positions in LayeredCover.blocks of each level's blocks, in order."""
+    first_level: dict[int, int]
+    """Lowest level from 1 up whose blocks list each sheet."""
+    sunk_sheets: frozenset[int]
+    """Sheets of blocks below level 1 (malformed covers only): they lie
+    under every level."""
+    relations: tuple[str | None, ...]
+    """Per block: why its boundary product fails, or None when it holds."""
+
+
+@dataclass(frozen=True)
 class LayeredCover:
     depth: int
     degree: int
     blocks: tuple[Block, ...]
 
+    @cached_property
+    def index(self) -> LevelIndex:
+        levels: dict[int, list[int]] = {}
+        for k, b in enumerate(self.blocks):
+            levels.setdefault(b.level, []).append(k)
+        first_level: dict[int, int] = {}
+        sunk: set[int] = set()
+        # deepest level first, so the lowest level writes last
+        for j in sorted(levels, reverse=True):
+            for k in levels[j]:
+                if j >= 1:
+                    first_level.update(dict.fromkeys(self.blocks[k].sheets, j))
+                else:
+                    sunk.update(self.blocks[k].sheets)
+        return LevelIndex(
+            {j: tuple(ks) for j, ks in levels.items()},
+            first_level,
+            frozenset(sunk),
+            tuple(_relation_problem(b) for b in self.blocks),
+        )
+
     def at_level(self, j: int) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.level == j)
+        return tuple(self.blocks[k] for k in self.index.levels.get(j, ()))
 
     @property
     def pants_count(self) -> int:
@@ -107,14 +150,16 @@ def _word_perm(
     repeats a sheet or it or a meridian leaves the block's sheets."""
     if not _within(sheets, inbound, meridians):
         return None
-    perm = {s: s for s in sheets}
+    perm = dict(zip(sheets, sheets))
     if inbound:
-        for a, b in zip(inbound, inbound[1:] + (inbound[0],)):
-            perm[a] = b
+        perm.update(zip(inbound, inbound[1:] + inbound[:1]))
+    # following the product with (a b) swaps the images of a's and b's
+    # preimages, so each meridian costs O(1)
+    pre = dict(zip(perm.values(), perm))
     for a, b in meridians:
-        for s in sheets:
-            v = perm[s]
-            perm[s] = b if v == a else a if v == b else v
+        x, y = pre[a], pre[b]
+        perm[x], perm[y] = b, a
+        pre[a], pre[b] = y, x
     return perm
 
 
@@ -123,6 +168,18 @@ def _within(sheets, inbound, meridians) -> bool:
     if inbound and (len(set(inbound)) != len(inbound) or not own.issuperset(inbound)):
         return False
     return all(len(t) == 2 and own.issuperset(t) for t in meridians)
+
+
+def _relation_problem(b: Block) -> str | None:
+    perm = _word_perm(b.sheets, b.inbound, b.meridians)
+    want = {cyc for _, cyc in b.outbound}
+    if perm is None:
+        return "inbound cycle or a meridian is not a cycle on its sheets"
+    if set(_perm_cycles(perm)) != want:
+        return "boundary product disagrees with outbound cycles"
+    if set().union(*want) != set(b.sheets):
+        return "outbound cycles miss some sheets"
+    return None
 
 
 def _perm_cycles(perm: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -303,11 +360,12 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append((name, passed, detail))
 
+    index = c.index
     problems: list[str] = []
     if not c.blocks:
         problems.append("no blocks")
-    levels = {b.level for b in c.blocks}
-    if levels and levels != set(range(1, c.depth + 1)):
+    levels = index.levels.keys()
+    if levels and not (min(levels) == 1 and max(levels) == len(levels) == c.depth):
         problems.append("levels not contiguous from 1")
     if c.depth != max(levels, default=0):
         problems.append("depth field disagrees with deepest block")
@@ -363,26 +421,17 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
             for circle, _ in b.outbound:
                 if circle not in consumed:
                     glue.append(f"circle {circle} of block {b.piece!r} feeds nothing")
-    lower_sheets: set[int] = set()
-    for j in range(1, c.depth + 1):
+    for j in sorted(j for j in levels if 1 <= j <= c.depth):
         for b in c.at_level(j):
-            if set(b.caps) & lower_sheets:
+            if any(index.first_level.get(s, j) < j for s in b.caps):
                 glue.append(f"block {b.piece!r} caps reuse lower sheets")
-        for b in c.at_level(j):
-            lower_sheets |= set(b.sheets)
     add("gluing", not glue, "; ".join(glue) or "inbound cycles match parent gluings")
 
-    rel: list[str] = []
-    for b in c.blocks:
-        perm = _word_perm(b.sheets, b.inbound, b.meridians)
-        want = {cyc for _, cyc in b.outbound}
-        covered = {s for cyc in want for s in cyc}
-        if perm is None:
-            rel.append(f"block {b.piece!r} inbound cycle or a meridian is not a cycle on its sheets")
-        elif set(_perm_cycles(perm)) != want:
-            rel.append(f"block {b.piece!r} boundary product disagrees with outbound cycles")
-        elif covered != set(b.sheets):
-            rel.append(f"block {b.piece!r} outbound cycles miss some sheets")
+    rel = [
+        f"block {b.piece!r} {problem}"
+        for b, problem in zip(c.blocks, index.relations)
+        if problem is not None
+    ]
     add("relations", not rel, "; ".join(rel) or "boundary products match outbound cycles")
 
     simple: list[str] = []
@@ -419,11 +468,16 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
             trans.append(f"pants block {b.piece!r} meridians not transitive")
     add("pants-transitivity", not trans, "; ".join(trans) or "pants meridians transitive")
 
+    # the fiber over stage j is the sheets of level j plus the caps of
+    # every deeper block: a suffix sum over the levels, deepest first
     fiber: list[str] = []
-    for j in range(1, c.depth + 1):
-        count = sum(len(b.sheets) for b in c.at_level(j)) + sum(
-            len(b.caps) for b in c.blocks if b.level > j
-        )
+    caps_above = sum(len(b.caps) for b in c.blocks if b.level > c.depth)
+    counts = []
+    for j in range(c.depth, 0, -1):
+        level = c.at_level(j)
+        counts.append((j, sum(len(b.sheets) for b in level) + caps_above))
+        caps_above += sum(len(b.caps) for b in level)
+    for j, count in reversed(counts):
         if count != c.degree:
             fiber.append(f"fiber count over stage {j} is {count}, not {c.degree}")
     add("fiber-count", not fiber, "; ".join(fiber) or f"fiber count {c.degree} at every stage")
@@ -462,25 +516,25 @@ def restriction_compatibility(c: LayeredCover, i: int) -> bool:
         raise ValueError(f"need i >= 1, got {i}")
     if c.depth < i + 1:
         raise DepthExceeded(f"cover truncated at depth {c.depth}, level {i + 1} missing")
+    index = c.index
     out_map: dict[int, tuple[Block, tuple[int, ...]]] = {}
     for b in c.at_level(i):
         for circle, cyc in b.outbound:
             out_map[circle] = (b, cyc)
-    lower_sheets = {s for b in c.blocks if b.level <= i for s in b.sheets}
     claimed: list[int] = []
-    for b in c.at_level(i + 1):
+    for k in index.levels.get(i + 1, ()):
+        b = c.blocks[k]
         if b.parent_circle not in out_map:
             return False
         owner, cyc = out_map[b.parent_circle]
         if b.parent != owner.piece or b.inbound != cyc:
             return False
-        if set(b.caps) & lower_sheets:
+        if any(
+            s in index.sunk_sheets or index.first_level.get(s, i + 1) <= i
+            for s in b.caps
+        ):
             return False
-        perm = _word_perm(b.sheets, b.inbound, b.meridians)
-        want = {cc for _, cc in b.outbound}
-        if perm is None or set(_perm_cycles(perm)) != want:
-            return False
-        if {s for cyc2 in want for s in cyc2} != set(b.sheets):
+        if index.relations[k] is not None:
             return False
         claimed.append(b.parent_circle)
     return sorted(claimed) == sorted(out_map)

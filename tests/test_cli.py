@@ -4,6 +4,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -349,13 +353,30 @@ class TestCensusCommands:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr("coverbench.cli.enumerate_covers", exhausted)
+        monkeypatch.setattr("coverbench.census.enumerate_covers", exhausted)
         rc, out, err = run_cli(
             ["enumerate", "--base", "s2", "--degree", "2", "--branch-points", "2"]
         )
         assert rc == 2
         assert out == ""
         assert err == "error: out of memory running enumerate\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_enumerate_rejects_workers_below_one(self, workers):
+        rc, out, err = run_cli(
+            ["enumerate", "--base", "s2", "--degree", "2",
+             "--branch-points", "2", "--workers", workers]
+        )
+        assert rc == 2 and out == ""
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_parity_audit_rejects_workers_below_one(self, workers):
+        rc, out, err = run_cli(
+            ["parity-audit", "--dmax", "2", "--bmax", "2", "--workers", workers]
+        )
+        assert rc == 2 and out == ""
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
 
     def test_universal_report(self):
         rc, out, _ = run_cli(["universal-report", "--degree", "3", "--genus-max", "2"])
@@ -498,6 +519,11 @@ MALFORMED = {
         ["verify", "verify --restrictions"],
         1,
     ),
+    "sheets-repeat": (
+        _layered_doc("s3", sheets=[0, 1, 2, 2, 3], meridians=[[2, 3]]),
+        ["verify", "verify --restrictions"],
+        1,
+    ),
     "inbound-repeats-a-sheet": (
         _layered_doc("s3", inbound=[0, 2, 0]),
         ["verify --restrictions"],
@@ -527,3 +553,31 @@ def test_stabilize_rejects_negative_times(tmp_path):
     rc, out, err = run_cli(["stabilize", "--input", path, "--times", "-3"])
     assert rc == 2 and out == ""
     assert err == "error: --times cannot be negative\n"
+
+
+def test_depth_beyond_the_block_count_exits_2_quickly(tmp_path):
+    doc = jsonio.layered_to_json(staircase(4))
+    doc["depth"] = 200000
+    path = write_doc(tmp_path, "deep.json", doc)
+    start = time.perf_counter()
+    rc, out, err = run_cli(["verify", "--input", path, "--restrictions"])
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err == "error: layered.depth 200000 exceeds the 4 blocks\n"
+
+
+def test_plane_commands_do_not_import_numpy(tmp_path):
+    path = write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(4)))
+    script = (
+        "import sys\n"
+        "from coverbench.cli import main\n"
+        "codes = [main(['classify', '--chi', '-2', '--orientable', 'true']),\n"
+        f"         main(['verify', '--input', {path!r}, '--restrictions'])]\n"
+        "assert codes == [0, 0], codes\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr

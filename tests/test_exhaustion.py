@@ -343,6 +343,15 @@ class TestRandomizedNormalization:
             g = random_exhaustion(random.Random(seed))
             assert validate_exhaustion(g).ok, seed
 
+    def test_level_index_matches_a_scan(self):
+        for seed in range(20):
+            g = random_exhaustion(random.Random(seed))
+            for graph in (g, normalize(g)):
+                for j in range(0, graph.depth + 2):
+                    scan = tuple(p for p in graph.pieces if p.level == j)
+                    assert graph.at_level(j) == scan, (seed, j)
+                assert graph.at_level(1) is graph.at_level(1)
+
     def test_normal_form_chi_ends_and_idempotence(self):
         for seed in range(50):
             rng = random.Random(10_000 + seed)

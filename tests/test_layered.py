@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed, settings
 
 from coverbench.errors import (
     DepthExceeded,
@@ -29,6 +32,7 @@ from coverbench.layered import (
     verify_layered,
 )
 
+from oracles import quadratic_restriction_compatibility, quadratic_verify_layered
 from test_exhaustion import random_exhaustion
 
 
@@ -342,3 +346,115 @@ class TestPipeline:
                 (len(b.sheets) - len(b.meridians)) if b.level == 1 else (len(b.caps) - len(b.meridians))
                 for b in c.blocks
             ), (seed, base)
+
+
+# --- the level index against the quadratic reference checkers ---
+
+
+def _lower_sheet(c, b, rng):
+    """A sheet of some block below b that b does not list, or None."""
+    lower = sorted({s for o in c.blocks if o.level < b.level for s in o.sheets} - set(b.sheets))
+    return rng.choice(lower) if lower else None
+
+
+def _mutate(c, rng):
+    """One structural corruption of the kinds a hand-edited document
+    carries. Never repeats a sheet inside one block."""
+    blocks = list(c.blocks)
+    kind = rng.choice(
+        ["cap", "cap-rename", "sheet", "drop", "duplicate", "shift", "inbound", "meridian", "depth"]
+    )
+    k = rng.randrange(len(blocks))
+    b = blocks[k]
+    if kind in ("cap", "cap-rename") and b.caps:
+        t = _lower_sheet(c, b, rng)
+        if t is not None:
+            s = rng.choice(b.caps)
+            if kind == "cap":
+                blocks[k] = replace(b, caps=tuple(t if x == s else x for x in b.caps))
+            else:
+                swap = {s: t}
+                blocks[k] = replace(
+                    b,
+                    sheets=tuple(swap.get(x, x) for x in b.sheets),
+                    caps=tuple(swap.get(x, x) for x in b.caps),
+                    meridians=tuple(tuple(swap.get(x, x) for x in m) for m in b.meridians),
+                    outbound=tuple(
+                        (circle, tuple(swap.get(x, x) for x in cyc)) for circle, cyc in b.outbound
+                    ),
+                )
+    elif kind == "sheet":
+        extra = max(b.sheets, default=0) + rng.randint(1, 3)
+        blocks[k] = replace(
+            b, sheets=b.sheets + (extra,), caps=b.caps + (extra,) * rng.randint(0, 1)
+        )
+    elif kind == "drop" and len(blocks) > 1:
+        del blocks[k]
+    elif kind == "duplicate":
+        copy = replace(b, level=b.level - rng.choice((0, 0, 1, 2, 3)))
+        blocks.insert(rng.randrange(len(blocks) + 1), copy)
+    elif kind == "shift":
+        blocks[k] = replace(b, level=b.level + rng.choice((-3, -2, -1, 1, 2)))
+    elif kind == "inbound":
+        if b.inbound is None or rng.random() < 0.2:
+            new = None if b.inbound is not None else (0, 1)
+        else:
+            new = list(b.inbound)
+            new[rng.randrange(len(new))] = rng.randrange(c.degree + 2)
+            rng.shuffle(new)
+            new = tuple(new)
+        blocks[k] = replace(b, inbound=new)
+    elif kind == "meridian" and b.meridians:
+        ms = list(b.meridians)
+        ms[rng.randrange(len(ms))] = (rng.randrange(c.degree + 2), rng.randrange(c.degree + 2))
+        blocks[k] = replace(b, meridians=tuple(ms))
+    elif kind == "depth":
+        return replace(c, depth=c.depth + rng.choice((-2, -1, 1, 2)))
+    return replace(c, blocks=tuple(blocks))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DepthExceeded, ValueError) as exc:
+        return type(exc)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_level_index_agrees_with_quadratic_reference(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    if data.draw(st.booleans(), label="staircase"):
+        c = staircase(data.draw(st.integers(1, 12), label="levels"))
+    else:
+        n = normalize(random_exhaustion(rng, max_levels=5, max_pieces=3))
+        c = build_cover(n, rng.randint(1, n.stable_depth))
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        c = _mutate(c, rng)
+    assert verify_layered(c).checks == quadratic_verify_layered(c)
+    for i in range(-1, c.depth + 3):
+        got = _outcome(restriction_compatibility, c, i)
+        assert got == _outcome(quadratic_restriction_compatibility, c, i), i
+
+
+def test_level_index_is_built_once_and_shared():
+    c = staircase(6)
+    assert verify_layered(c).ok
+    index = c.index
+    assert all(restriction_compatibility(c, i) for i in range(1, 6))
+    assert c.index is index
+    assert index.levels == {j: (j - 1,) for j in range(1, 7)}
+    assert index.first_level == {0: 1, 1: 1, **{s: s for s in range(2, 7)}}
+    assert index.relations == (None,) * 6
+    assert c.at_level(3) == (c.blocks[2],) and c.at_level(9) == ()
+
+
+def test_staircase_800_restriction_sweep_is_linear():
+    c = staircase(800)
+    assert verify_layered(c).ok
+    start = time.perf_counter()
+    assert all(restriction_compatibility(c, i) for i in range(1, 800))
+    # the sweep that rebuilt the lower sheets per level took about 2 s on
+    # a 2-core Xeon; over the level index it takes about 0.01 s
+    assert time.perf_counter() - start < 1.0
