@@ -13,6 +13,17 @@ piece with three or more outer circles sheds two of them into a fresh
 two-legged piece one level deeper. The result has the standard shape:
 a level-1 disk and, above it, pieces with one inner circle and one or
 two outer circles.
+
+The sweep keeps its working copy indexed: each circle's owner and
+referencer, and the pieces of each level (pieces point at their level,
+so inserting a level renumbers levels, not pieces). The circles of a
+level are grouped once by the component of the graph above the level
+that reaches them; that level's joins keep the grouping, and each
+finds its tube by a breadth-first search that stops at the goal. Each
+join removes one cycle of the gluing graph, so once there are fewer
+glued circles than pieces the graph is a tree and no level has a join
+left to find. A normalization costs its output's size plus, while cycles
+remain, one pass over the graph above each level and one search per join.
 """
 from __future__ import annotations
 
@@ -166,8 +177,10 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
             )
 
     depth = g.depth
+    # levels 1..depth exactly, tested without a depth-sized set: depth
+    # is read from the document
     populated = {p.level for p in g.pieces}
-    if populated and populated != set(range(1, depth + 1)):
+    if min(populated) != 1 or len(populated) != depth:
         problems.append("levels are not contiguous from 1")
 
     roots = g.at_level(1)
@@ -218,17 +231,32 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
 # --- normalization ---
 
 
+class _Level(dict):
+    """The pieces of one level during normalization, by id. Pieces point
+    at their level, so inserting a level renumbers levels, not pieces."""
+
+    __slots__ = ("number",)
+
+    def __init__(self, number: int):
+        super().__init__()
+        self.number = number
+
+
 class _Mut:
     """Mutable working copy of a piece during normalization."""
 
-    __slots__ = ("id", "level", "genus", "inner", "outer")
+    __slots__ = ("id", "home", "genus", "inner", "outer")
 
-    def __init__(self, p: Piece):
-        self.id = p.id
-        self.level = p.level
-        self.genus = p.genus
-        self.inner = list(p.inner)
-        self.outer = list(p.outer)
+    def __init__(self, id: str, home: _Level, genus: int, inner: list[int], outer: list[int]):
+        self.id = id
+        self.home = home
+        self.genus = genus
+        self.inner = inner
+        self.outer = outer
+
+    @property
+    def level(self) -> int:
+        return self.home.number
 
     def freeze(self) -> Piece:
         return Piece(
@@ -241,10 +269,19 @@ class _Mut:
 
 
 class _Normalizer:
+    """The sweep over a working copy of the graph. Every move keeps the
+    circle maps (owner: the piece with the circle on its outer list;
+    refer: the piece glued to it) and the per-level piece index up to
+    date, so it touches only the pieces and circles it changes."""
+
     def __init__(self, g: ExhaustionGraph):
-        self.pieces: dict[str, _Mut] = {p.id: _Mut(p) for p in g.pieces}
-        ids = [c for p in g.pieces for c in p.outer]
-        self.next_circle = max(ids, default=0) + 1
+        self.pieces: dict[str, _Mut] = {}
+        self.levels = [_Level(j) for j in range(g.depth + 1)]
+        self.owner: dict[int, _Mut] = {}
+        self.refer: dict[int, _Mut] = {}
+        for p in g.pieces:
+            self._add(_Mut(p.id, self.levels[p.level], p.genus, list(p.inner), list(p.outer)))
+        self.next_circle = max(self.owner, default=0) + 1
         self.next_name = 1
 
     def fresh_circle(self) -> int:
@@ -259,91 +296,77 @@ class _Normalizer:
             if name not in self.pieces:
                 return name
 
-    def depth(self) -> int:
-        return max(p.level for p in self.pieces.values())
+    def _add(self, p: _Mut) -> None:
+        self.pieces[p.id] = p
+        p.home[p.id] = p
+        for c in p.inner:
+            self.refer[c] = p
+        for c in p.outer:
+            self.owner[c] = p
 
-    def owner_of(self) -> dict[int, _Mut]:
-        return {c: p for p in self.pieces.values() for c in p.outer}
+    def _shift_above(self, j: int) -> None:
+        """Move every piece above level j one level deeper."""
+        self.levels.insert(j + 1, _Level(j + 1))
+        for k in range(j + 2, len(self.levels)):
+            self.levels[k].number = k
 
-    def referencer_of(self) -> dict[int, _Mut]:
-        return {c: p for p in self.pieces.values() for c in p.inner}
+    def _glued_above(self, p: _Mut, j: int) -> list[tuple[_Mut, int]]:
+        """The pieces above level j glued to p, each with its circle."""
+        out = [(q, c) for c in p.inner if (q := self.owner[c]).level > j]
+        out += [
+            (q, c) for c in p.outer if (q := self.refer.get(c)) is not None and q.level > j
+        ]
+        return out
 
     # -- level-1 disk --
 
     def ensure_disk(self) -> None:
-        root = min(
-            (p for p in self.pieces.values() if p.level == 1), key=lambda p: p.id
-        )
+        root = min(self.levels[1].values(), key=lambda p: p.id)
         if root.genus == 0 and len(root.outer) == 1 and not root.inner:
             return
-        for p in self.pieces.values():
-            p.level += 1
+        self._shift_above(0)
         c0 = self.fresh_circle()
-        disk = _Mut(Piece(self.fresh_id("d"), 1, 0, (), (c0,)))
+        self._add(_Mut(self.fresh_id("d"), self.levels[1], 0, [], [c0]))
         root.inner = [c0]
-        self.pieces[disk.id] = disk
+        self.refer[c0] = root
 
     # -- move (1): tube joins --
 
     def joins_at(self, j: int) -> None:
-        while True:
-            owner = self.owner_of()
-            refer = self.referencer_of()
-            parent: dict[str, str] = {
-                p.id: p.id for p in self.pieces.values() if p.level > j
-            }
+        # a join needs a cycle in the gluing graph (pieces joined by glued
+        # circles); that graph is connected, so with fewer glued circles
+        # than pieces it is a tree and no join is left
+        if len(self.refer) < len(self.pieces):
+            return
+        # a join merges pieces of one component and drops the larger of
+        # its two circles, so the grouping holds across the level's joins
+        for circles in sorted(cs for cs in self._circle_groups(j) if len(cs) >= 2):
+            while len(circles) >= 2:
+                c1, c2 = circles[0], circles.pop(1)
+                path, crossings = self._tube_path(j, self.refer[c1], self.refer[c2], c1, c2)
+                self._apply_join(j, path, crossings)
 
-            def find(x: str) -> str:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for p in self.pieces.values():
-                if p.level <= j + 1:
+    def _circle_groups(self, j: int) -> list[list[int]]:
+        """The glued outer circles of level j, grouped by the component of
+        the graph above level j that is glued to them; each group sorted."""
+        label: dict[str, int] = {}
+        groups: list[list[int]] = []
+        for q in self.levels[j].values():
+            for c in q.outer:
+                r = self.refer.get(c)
+                if r is None:
                     continue
-                for c in p.inner:
-                    q = owner[c]
-                    if q.level > j:
-                        ra, rb = find(p.id), find(q.id)
-                        if ra != rb:
-                            parent[ra] = rb
-
-            groups: dict[str, list[int]] = {}
-            for p in self.pieces.values():
-                if p.level != j:
-                    continue
-                for c in p.outer:
-                    r = refer.get(c)
-                    if r is not None:
-                        groups.setdefault(find(r.id), []).append(c)
-            multi = [sorted(cs) for cs in groups.values() if len(cs) >= 2]
-            if not multi:
-                return
-            chosen = min(multi, key=lambda cs: cs[0])
-            c1, c2 = chosen[0], chosen[1]
-            path, crossings = self._tube_path(j, refer[c1], refer[c2], c1, c2)
-            self._apply_join(j, path, crossings, owner, refer)
-
-    def _adjacency(self, j: int) -> dict[str, list[tuple[str, int]]]:
-        """Gluing adjacency among pieces strictly above level j, each
-        edge tagged by its circle; sorted for deterministic search."""
-        owner = self.owner_of()
-        refer = self.referencer_of()
-        adj: dict[str, list[tuple[str, int]]] = {
-            p.id: [] for p in self.pieces.values() if p.level > j
-        }
-        for p in self.pieces.values():
-            if p.level <= j:
-                continue
-            for c in p.inner:
-                q = owner[c]
-                if q.level > j:
-                    adj[p.id].append((q.id, c))
-                    adj[q.id].append((p.id, c))
-        for k in adj:
-            adj[k].sort()
-        return adj
+                if r.id not in label:
+                    label[r.id] = len(groups)
+                    stack = [r]
+                    while stack:
+                        for v, _ in self._glued_above(stack.pop(), j):
+                            if v.id not in label:
+                                label[v.id] = len(groups)
+                                stack.append(v)
+                    groups.append([])
+                groups[label[r.id]].append(c)
+        return [sorted(cs) for cs in groups]
 
     def _tube_path(
         self, j: int, start: _Mut, goal: _Mut, c1: int, c2: int
@@ -352,55 +375,54 @@ class _Normalizer:
         c2 among pieces above level j; ties resolved by least piece id,
         then least circle id. Returns the pieces and the crossed
         circles, bracketed by c1 and c2."""
-        if start.id == goal.id:
+        if start is goal:
             return [start], [c1, c2]
-        adj = self._adjacency(j)
         dist = {start.id: 0}
-        queue = deque([start.id])
-        while queue:
+        queue = deque([start])
+        while goal.id not in dist:
             u = queue.popleft()
-            for v, _ in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
+            for v, _ in self._glued_above(u, j):
+                if v.id not in dist:
+                    dist[v.id] = dist[u.id] + 1
                     queue.append(v)
-        ids = [goal.id]
+        # every piece nearer than the goal has its distance by now, and
+        # the walk back reads only those
+        path = [goal]
         circles: list[int] = []
-        while ids[-1] != start.id:
-            u = ids[-1]
-            best = min(
-                (v, c) for v, c in adj[u] if dist.get(v, -1) == dist[u] - 1
+        while path[-1] is not start:
+            u = path[-1]
+            v, c = min(
+                ((v, c) for v, c in self._glued_above(u, j) if dist.get(v.id) == dist[u.id] - 1),
+                key=lambda vc: (vc[0].id, vc[1]),
             )
-            ids.append(best[0])
-            circles.append(best[1])
-        ids.reverse()
+            path.append(v)
+            circles.append(c)
+        path.reverse()
         circles.reverse()
-        return [self.pieces[i] for i in ids], [c1] + circles + [c2]
+        return path, [c1] + circles + [c2]
 
-    def _merge_pieces(self, group: list[_Mut]) -> _Mut:
+    def _merge_pieces(self, group: list[_Mut]) -> None:
         group = sorted(group, key=lambda p: p.id)
         head = group[0]
         for p in group[1:]:
             head.genus += p.genus
             head.inner += p.inner
             head.outer += p.outer
+            for c in p.inner:
+                self.refer[c] = head
+            for c in p.outer:
+                self.owner[c] = head
             del self.pieces[p.id]
-        return head
+            del p.home[p.id]
 
     def _merge_circles(self, a: int, b: int) -> None:
-        keep, drop = min(a, b), max(a, b)
-        for p in self.pieces.values():
-            for attr in ("inner", "outer"):
-                lst = getattr(p, attr)
-                if drop in lst or keep in lst:
-                    out: list[int] = []
-                    for c in lst:
-                        c = keep if c == drop else c
-                        if c == keep and keep in out:
-                            continue
-                        out.append(c)
-                    setattr(p, attr, out)
+        """Drop the larger of two circles that the join left with one
+        owner and one referencer."""
+        drop = max(a, b)
+        self.owner.pop(drop).outer.remove(drop)
+        self.refer.pop(drop).inner.remove(drop)
 
-    def _apply_join(self, j, path, crossings, owner, refer) -> None:
+    def _apply_join(self, j: int, path: list[_Mut], crossings: list[int]) -> None:
         walk = [j] + [p.level for p in path] + [j]
         stack: list[int] = []
         pairs: list[tuple[int, int]] = []
@@ -411,23 +433,21 @@ class _Normalizer:
                 pairs.append((stack.pop(), circle))
 
         c1, c2 = crossings[0], crossings[-1]
-        x, y = owner[c1], owner[c2]
-        if x.id == y.id:
+        x, y = self.owner[c1], self.owner[c2]
+        if x is y:
             x.genus += 1
         else:
             self._merge_pieces([x, y])
 
-        top = max(p.level for p in path)
-        for level in range(j + 1, top + 1):
-            run: list[_Mut] = []
-            for p in path + [None]:
-                if p is not None and p.level >= level:
-                    if p.level == level:
-                        run.append(p)
-                else:
-                    if len(run) >= 2:
-                        self._merge_pieces(run)
-                    run = []
+        # the path's pieces of one level merge when no lower piece lies
+        # between them on the path
+        runs: dict[int, list[_Mut]] = {}
+        for p in path:
+            for level in [k for k in runs if k > p.level]:
+                self._merge_pieces(runs.pop(level))
+            runs.setdefault(p.level, []).append(p)
+        for run in runs.values():
+            self._merge_pieces(run)
 
         for a, b in pairs:
             self._merge_circles(a, b)
@@ -435,51 +455,41 @@ class _Normalizer:
     # -- move (2): pants splits --
 
     def splits_at(self, j: int) -> None:
+        level = self.levels[j]
         while True:
-            fat = [
-                p for p in self.pieces.values() if p.level == j and len(p.outer) >= 3
-            ]
+            fat = [p for p in level.values() if len(p.outer) >= 3]
             if not fat:
                 return
             x = min(fat, key=lambda p: p.id)
             ca, cb = sorted(x.outer)[:2]
-            refer = self.referencer_of()
             # the inserted ring pushes everything deeper by one level, so
             # every other circle of this stage needs a pass-through tube
             # to keep gluings strictly one level apart
-            ring = sorted(
-                c
-                for p in self.pieces.values()
-                if p.level == j
-                for c in p.outer
-                if c not in (ca, cb)
-            )
-            for p in self.pieces.values():
-                if p.level > j:
-                    p.level += 1
+            ring = sorted(c for p in level.values() for c in p.outer if c not in (ca, cb))
+            self._shift_above(j)
             cf = self.fresh_circle()
             x.outer = [c for c in x.outer if c not in (ca, cb)] + [cf]
-            pants = _Mut(Piece(self.fresh_id("p"), j + 1, 0, (cf,), (ca, cb)))
-            self.pieces[pants.id] = pants
+            self.owner[cf] = x
+            self._add(_Mut(self.fresh_id("p"), self.levels[j + 1], 0, [cf], [ca, cb]))
             for c in ring:
                 cc = self.fresh_circle()
-                ann = _Mut(Piece(self.fresh_id("a"), j + 1, 0, (c,), (cc,)))
-                self.pieces[ann.id] = ann
-                r = refer.get(c)
+                r = self.refer.get(c)
+                self._add(_Mut(self.fresh_id("a"), self.levels[j + 1], 0, [c], [cc]))
                 if r is not None:
                     r.inner = [cc if d == c else d for d in r.inner]
+                    self.refer[cc] = r
 
     def run(self) -> tuple[tuple[Piece, ...], int]:
         self.ensure_disk()
         j = 2
-        while j <= self.depth():
+        while j < len(self.levels):
             self.joins_at(j)
             self.splits_at(j)
             j += 1
         frozen = tuple(
-            p.freeze() for p in sorted(self.pieces.values(), key=lambda p: (p.level, p.id))
+            p.freeze() for level in self.levels for p in sorted(level.values(), key=lambda p: p.id)
         )
-        return frozen, self.depth()
+        return frozen, len(self.levels) - 1
 
 
 def normalize(g: ExhaustionGraph) -> NormalizedExhaustion:

@@ -8,9 +8,16 @@ with the library is what the randomized tests assert.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterable
 
-from coverbench.errors import DepthExceeded
+from coverbench.errors import DepthExceeded, InvalidInput
+from coverbench.exhaustion import (
+    ExhaustionGraph,
+    NormalizedExhaustion,
+    Piece,
+    validate_exhaustion,
+)
 from coverbench.hurwitz import HurwitzData
 from coverbench.layered import BLOCK_KINDS, Block, LayeredCover
 from coverbench.perms import Perm, compose_all, inverse
@@ -485,3 +492,284 @@ def quadratic_restriction_compatibility(c: LayeredCover, i: int) -> bool:
             return False
         claimed.append(b.parent_circle)
     return sorted(claimed) == sorted(out_map)
+
+
+# --- reference normalizer ---
+# The normalization sweep as first written: the owner and referencer
+# maps, a union-find over every piece above the level and the gluing
+# adjacency are rebuilt for each join, and each move scans all pieces.
+# Quadratic or worse, but independent of the live maps and the level
+# index in coverbench.exhaustion, so normalize must agree with it
+# exactly.
+
+
+class _QuadraticMut:
+    """Mutable working copy of a piece during normalization."""
+
+    __slots__ = ("id", "level", "genus", "inner", "outer")
+
+    def __init__(self, p: Piece):
+        self.id = p.id
+        self.level = p.level
+        self.genus = p.genus
+        self.inner = list(p.inner)
+        self.outer = list(p.outer)
+
+    def freeze(self) -> Piece:
+        return Piece(
+            self.id,
+            self.level,
+            self.genus,
+            tuple(sorted(self.inner)),
+            tuple(sorted(self.outer)),
+        )
+
+
+class _QuadraticNormalizer:
+    def __init__(self, g: ExhaustionGraph):
+        self.pieces: dict[str, _QuadraticMut] = {p.id: _QuadraticMut(p) for p in g.pieces}
+        ids = [c for p in g.pieces for c in p.outer]
+        self.next_circle = max(ids, default=0) + 1
+        self.next_name = 1
+
+    def fresh_circle(self) -> int:
+        c = self.next_circle
+        self.next_circle += 1
+        return c
+
+    def fresh_id(self, tag: str) -> str:
+        while True:
+            name = f"+{tag}{self.next_name}"
+            self.next_name += 1
+            if name not in self.pieces:
+                return name
+
+    def depth(self) -> int:
+        return max(p.level for p in self.pieces.values())
+
+    def owner_of(self) -> dict[int, _QuadraticMut]:
+        return {c: p for p in self.pieces.values() for c in p.outer}
+
+    def referencer_of(self) -> dict[int, _QuadraticMut]:
+        return {c: p for p in self.pieces.values() for c in p.inner}
+
+    # -- level-1 disk --
+
+    def ensure_disk(self) -> None:
+        root = min(
+            (p for p in self.pieces.values() if p.level == 1), key=lambda p: p.id
+        )
+        if root.genus == 0 and len(root.outer) == 1 and not root.inner:
+            return
+        for p in self.pieces.values():
+            p.level += 1
+        c0 = self.fresh_circle()
+        disk = _QuadraticMut(Piece(self.fresh_id("d"), 1, 0, (), (c0,)))
+        root.inner = [c0]
+        self.pieces[disk.id] = disk
+
+    # -- move (1): tube joins --
+
+    def joins_at(self, j: int) -> None:
+        while True:
+            owner = self.owner_of()
+            refer = self.referencer_of()
+            parent: dict[str, str] = {
+                p.id: p.id for p in self.pieces.values() if p.level > j
+            }
+
+            def find(x: str) -> str:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for p in self.pieces.values():
+                if p.level <= j + 1:
+                    continue
+                for c in p.inner:
+                    q = owner[c]
+                    if q.level > j:
+                        ra, rb = find(p.id), find(q.id)
+                        if ra != rb:
+                            parent[ra] = rb
+
+            groups: dict[str, list[int]] = {}
+            for p in self.pieces.values():
+                if p.level != j:
+                    continue
+                for c in p.outer:
+                    r = refer.get(c)
+                    if r is not None:
+                        groups.setdefault(find(r.id), []).append(c)
+            multi = [sorted(cs) for cs in groups.values() if len(cs) >= 2]
+            if not multi:
+                return
+            chosen = min(multi, key=lambda cs: cs[0])
+            c1, c2 = chosen[0], chosen[1]
+            path, crossings = self._tube_path(j, refer[c1], refer[c2], c1, c2)
+            self._apply_join(j, path, crossings, owner, refer)
+
+    def _adjacency(self, j: int) -> dict[str, list[tuple[str, int]]]:
+        """Gluing adjacency among pieces strictly above level j, each
+        edge tagged by its circle; sorted for deterministic search."""
+        owner = self.owner_of()
+        refer = self.referencer_of()
+        adj: dict[str, list[tuple[str, int]]] = {
+            p.id: [] for p in self.pieces.values() if p.level > j
+        }
+        for p in self.pieces.values():
+            if p.level <= j:
+                continue
+            for c in p.inner:
+                q = owner[c]
+                if q.level > j:
+                    adj[p.id].append((q.id, c))
+                    adj[q.id].append((p.id, c))
+        for k in adj:
+            adj[k].sort()
+        return adj
+
+    def _tube_path(
+        self, j: int, start: _QuadraticMut, goal: _QuadraticMut, c1: int, c2: int
+    ) -> tuple[list[_QuadraticMut], list[int]]:
+        """Shortest gluing path from the piece over c1 to the piece over
+        c2 among pieces above level j; ties resolved by least piece id,
+        then least circle id. Returns the pieces and the crossed
+        circles, bracketed by c1 and c2."""
+        if start.id == goal.id:
+            return [start], [c1, c2]
+        adj = self._adjacency(j)
+        dist = {start.id: 0}
+        queue = deque([start.id])
+        while queue:
+            u = queue.popleft()
+            for v, _ in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        ids = [goal.id]
+        circles: list[int] = []
+        while ids[-1] != start.id:
+            u = ids[-1]
+            best = min(
+                (v, c) for v, c in adj[u] if dist.get(v, -1) == dist[u] - 1
+            )
+            ids.append(best[0])
+            circles.append(best[1])
+        ids.reverse()
+        circles.reverse()
+        return [self.pieces[i] for i in ids], [c1] + circles + [c2]
+
+    def _merge_pieces(self, group: list[_QuadraticMut]) -> _QuadraticMut:
+        group = sorted(group, key=lambda p: p.id)
+        head = group[0]
+        for p in group[1:]:
+            head.genus += p.genus
+            head.inner += p.inner
+            head.outer += p.outer
+            del self.pieces[p.id]
+        return head
+
+    def _merge_circles(self, a: int, b: int) -> None:
+        keep, drop = min(a, b), max(a, b)
+        for p in self.pieces.values():
+            for attr in ("inner", "outer"):
+                lst = getattr(p, attr)
+                if drop in lst or keep in lst:
+                    out: list[int] = []
+                    for c in lst:
+                        c = keep if c == drop else c
+                        if c == keep and keep in out:
+                            continue
+                        out.append(c)
+                    setattr(p, attr, out)
+
+    def _apply_join(self, j, path, crossings, owner, refer) -> None:
+        walk = [j] + [p.level for p in path] + [j]
+        stack: list[int] = []
+        pairs: list[tuple[int, int]] = []
+        for i, circle in enumerate(crossings):
+            if walk[i + 1] > walk[i]:
+                stack.append(circle)
+            else:
+                pairs.append((stack.pop(), circle))
+
+        c1, c2 = crossings[0], crossings[-1]
+        x, y = owner[c1], owner[c2]
+        if x.id == y.id:
+            x.genus += 1
+        else:
+            self._merge_pieces([x, y])
+
+        top = max(p.level for p in path)
+        for level in range(j + 1, top + 1):
+            run: list[_QuadraticMut] = []
+            for p in path + [None]:
+                if p is not None and p.level >= level:
+                    if p.level == level:
+                        run.append(p)
+                else:
+                    if len(run) >= 2:
+                        self._merge_pieces(run)
+                    run = []
+
+        for a, b in pairs:
+            self._merge_circles(a, b)
+
+    # -- move (2): pants splits --
+
+    def splits_at(self, j: int) -> None:
+        while True:
+            fat = [
+                p for p in self.pieces.values() if p.level == j and len(p.outer) >= 3
+            ]
+            if not fat:
+                return
+            x = min(fat, key=lambda p: p.id)
+            ca, cb = sorted(x.outer)[:2]
+            refer = self.referencer_of()
+            # the inserted ring pushes everything deeper by one level, so
+            # every other circle of this stage needs a pass-through tube
+            # to keep gluings strictly one level apart
+            ring = sorted(
+                c
+                for p in self.pieces.values()
+                if p.level == j
+                for c in p.outer
+                if c not in (ca, cb)
+            )
+            for p in self.pieces.values():
+                if p.level > j:
+                    p.level += 1
+            cf = self.fresh_circle()
+            x.outer = [c for c in x.outer if c not in (ca, cb)] + [cf]
+            pants = _QuadraticMut(Piece(self.fresh_id("p"), j + 1, 0, (cf,), (ca, cb)))
+            self.pieces[pants.id] = pants
+            for c in ring:
+                cc = self.fresh_circle()
+                ann = _QuadraticMut(Piece(self.fresh_id("a"), j + 1, 0, (c,), (cc,)))
+                self.pieces[ann.id] = ann
+                r = refer.get(c)
+                if r is not None:
+                    r.inner = [cc if d == c else d for d in r.inner]
+
+    def run(self) -> tuple[tuple[Piece, ...], int]:
+        self.ensure_disk()
+        j = 2
+        while j <= self.depth():
+            self.joins_at(j)
+            self.splits_at(j)
+            j += 1
+        frozen = tuple(
+            p.freeze() for p in sorted(self.pieces.values(), key=lambda p: (p.level, p.id))
+        )
+        return frozen, self.depth()
+
+
+def quadratic_normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
+    report = validate_exhaustion(g)
+    if not report.ok:
+        raise InvalidInput("; ".join(report.problems))
+    pieces, depth = _QuadraticNormalizer(g).run()
+    return NormalizedExhaustion(pieces, supplier=g.supplier, stable_depth=depth)

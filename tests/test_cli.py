@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -564,6 +565,44 @@ def test_depth_beyond_the_block_count_exits_2_quickly(tmp_path):
     assert time.perf_counter() - start < 0.5
     assert rc == 2 and out == ""
     assert err == "error: layered.depth 200000 exceeds the 4 blocks\n"
+
+
+def _cap_address_space():
+    cap = 256 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_far_level_exits_cleanly_under_a_memory_cap(tmp_path):
+    # a two-piece document whose second level is 10^12: a check that
+    # built the set 1..level would need terabytes, so the children run
+    # under a 256 MiB address-space cap
+    far = 10**12
+    doc = jsonio.exhaustion_to_json(ExhaustionGraph((
+        Piece("r", 1, 0, (), (1,)),
+        Piece("x", far, 0, (1,), (2,)),
+    )))
+    path = write_doc(tmp_path, "far.json", doc)
+    problems = [
+        "levels are not contiguous from 1",
+        f"piece 'x' at level {far} references circle 1 at level 1",
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for command, want in (("validate", 1), ("normalize", 2), ("count-ends --levels 2", 2)):
+        words = command.split()
+        child = subprocess.run(
+            [sys.executable, "-m", "coverbench.cli", words[0], "--input", path, *words[1:]],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+            preexec_fn=_cap_address_space,
+        )
+        assert child.returncode == want, (command, child.stderr)
+        if want == 1:
+            assert report_of(child.stdout)["result"]["problems"] == problems
+        else:
+            assert child.stdout == ""
+            assert child.stderr == f"error: {'; '.join(problems)}\n"
 
 
 def test_plane_commands_do_not_import_numpy(tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 import hypothesis.strategies as st
 
 from coverbench.errors import (
@@ -239,6 +239,7 @@ def test_double_rejects_other_bases():
         compose_orientation_double(datum)
 
 
+@seed(20261019)
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_double_preserves_components_and_doubles_degrees(seed):
@@ -256,6 +257,7 @@ def test_double_preserves_components_and_doubles_degrees(seed):
 # --- randomized agreement with the oracles ---
 
 
+@seed(20261019)
 @given(seeds)
 @settings(max_examples=120, deadline=None)
 def test_chi_matches_lifted_cell_count(seed):
@@ -269,6 +271,7 @@ def test_chi_matches_lifted_cell_count(seed):
         assert euler_characteristic(surface) == lifted_cell_chi(datum, orbit)
 
 
+@seed(20261019)
 @given(seeds)
 @settings(max_examples=80, deadline=None)
 def test_orientability_matches_bruteforce(seed):
@@ -281,6 +284,7 @@ def test_orientability_matches_bruteforce(seed):
         assert surface.orientable == orientable_bruteforce(datum, orbit)
 
 
+@seed(20261019)
 @given(seeds)
 @settings(max_examples=80, deadline=None)
 def test_orientable_base_gives_orientable_components(seed):
@@ -292,6 +296,7 @@ def test_orientable_base_gives_orientable_components(seed):
         assert surface.orientable
 
 
+@seed(20261019)
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_stabilize_preserves_classification_over_sphere(seed):
@@ -316,6 +321,7 @@ def test_sphere_total_space_needs_sphere_base():
                 assert size * (2 - 2 * g) < 2
 
 
+@seed(20261019)
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_positive_genus_base_never_covered_by_sphere(seed):

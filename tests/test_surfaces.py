@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 import hypothesis.strategies as st
 
 from coverbench.errors import NotASurface
@@ -52,6 +52,7 @@ def test_names():
     assert "crosscaps" in ClosedSurface(False, 4).name
 
 
+@seed(20261019)
 @given(
     st.booleans().flatmap(
         lambda o: st.integers(min_value=0 if o else 1, max_value=30).map(
