@@ -457,9 +457,9 @@ def test_normalize_agrees_with_quadratic_reference(data):
 
 def test_normalize_scales_with_its_output():
     # the reference sweep, which rebuilds its circle maps and a union-find
-    # over every piece at each level and join, takes about 16-23 s on the
-    # fan and 5.5 s on the ladder on a 2-core Xeon; with live maps and the
-    # level index, about 0.7 s and 0.3 s
+    # over every piece at each level and join, takes about 15 s on the fan
+    # and 4.6 s on the ladder on a 2-core Xeon; with live maps and the
+    # level index, about 0.5 s and 0.2 s
     rng = random.Random(5)
     for g, pieces_out, bound in (
         (fan(rng, 320), 51041, 10.0),
