@@ -62,10 +62,10 @@ class CensusRow:
 
 @dataclass(frozen=True)
 class CensusShard:
-    """Partial census: canonical class form -> raw tuple count.
+    """Census counts of one cell: canonical class form -> raw tuple count.
 
-    Shards of one cell merge associatively; class identity is the
-    canonical form itself, so merging never double-counts classes.
+    Class identity is the canonical form itself, so merge_shards can sum
+    counts of one cell associatively without double-counting classes.
     """
 
     base: ClosedSurface
@@ -229,10 +229,11 @@ def _word_product(T: GroupTable, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _orientable_blocks(T, genus, b, mvals, m0vals):
+def _orientable_blocks(T, genus, b, mvals):
     handle_lists = [np.arange(T.order, dtype=np.int32)] * (2 * genus)
-    lead_lists = [m0vals] + [mvals] * (b - 2) if b >= 2 else []
-    allowed = T.is_transposition if _same_values(mvals, T.transpositions) else None
+    lead_lists = [mvals] * (b - 1)
+    allowed = np.zeros(T.order, dtype=bool)
+    allowed[mvals] = True
     for H in _mixed_cartesian_chunks(handle_lists, _OUTER_CHUNK):
         R = np.zeros(len(H), dtype=np.int32)
         for i in range(genus):
@@ -253,16 +254,16 @@ def _orientable_blocks(T, genus, b, mvals, m0vals):
             Hrep = np.repeat(H, nl, axis=0)
             Lt = np.tile(L, (nh, 1))
             last = T.mult[T.inv[np.tile(P, nh)], np.repeat(inv_R, nl)]
-            ok = T.is_transposition[last] if allowed is not None else last != 0
+            ok = allowed[last]
             if ok.any():
                 yield np.concatenate(
                     [Hrep[ok], Lt[ok], last[ok, None]], axis=1
                 )
 
 
-def _nonorientable_blocks(T, h, b, mvals, m0vals):
+def _nonorientable_blocks(T, h, b, mvals):
     cross_lists = [np.arange(T.order, dtype=np.int32)] * (h - 1)
-    mer_lists = [m0vals] + [mvals] * (b - 1) if b >= 1 else []
+    mer_lists = [mvals] * b
     for C in _mixed_cartesian_chunks(cross_lists, _OUTER_CHUNK):
         Q = np.zeros(len(C), dtype=np.int32)
         for i in range(h - 1):
@@ -288,22 +289,13 @@ def _nonorientable_blocks(T, h, b, mvals, m0vals):
             )
 
 
-def _same_values(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool(np.all(a == b))
-
-
-def _valid_tuples(base, d, b, simple_only, part, parts) -> np.ndarray:
+def _valid_tuples(base, d, b, simple_only) -> np.ndarray:
     T = _group_table(d)
     mvals = T.transpositions if simple_only else T.nonidentity
-    partitionable = b >= 2 if base.orientable else b >= 1
-    if parts > 1 and not partitionable and part != 0:
-        blocks = []
+    if base.orientable:
+        blocks = list(_orientable_blocks(T, base.genus, b, mvals))
     else:
-        m0vals = mvals[part::parts] if parts > 1 and partitionable else mvals
-        if base.orientable:
-            blocks = list(_orientable_blocks(T, base.genus, b, mvals, m0vals))
-        else:
-            blocks = list(_nonorientable_blocks(T, base.genus, b, mvals, m0vals))
+        blocks = list(_nonorientable_blocks(T, base.genus, b, mvals))
     k = (2 * base.genus if base.orientable else base.genus) + b
     if not blocks:
         return np.zeros((0, k), dtype=np.int32)
@@ -367,16 +359,12 @@ def enumerate_shard(
     d: int,
     b: int,
     simple_only: bool = True,
-    part: int = 0,
-    parts: int = 1,
     limits: Limits | None = None,
 ) -> CensusShard:
-    """One deterministic slice of a census cell, split by the value of
-    the first enumerated meridian."""
+    """Every valid tuple of a census cell, counted by canonical class
+    form; classify_shard turns it into the cell's row."""
     _check_limits(d, b, limits or DEFAULT_LIMITS)
-    if not 0 <= part < parts:
-        raise ValueError(f"part {part} outside range({parts})")
-    A = _valid_tuples(base, d, b, simple_only, part, parts)
+    A = _valid_tuples(base, d, b, simple_only)
     T = _group_table(d)
     forms = _canonical_forms(T, A)
     counts: dict[tuple[int, ...], int] = {}
@@ -519,18 +507,11 @@ def enumerate_covers(
     b: int,
     simple_only: bool = True,
     limits: Limits | None = None,
-    parts: int = 1,
 ) -> CensusRow:
-    shards = [
-        enumerate_shard(base, d, b, simple_only, part, parts, limits)
-        for part in range(parts)
-    ]
-    return classify_shard(merge_shards(shards))
+    return classify_shard(enumerate_shard(base, d, b, simple_only, limits))
 
 
-def parity_audit(
-    d_max: int, b_max: int, limits: Limits | None = None, parts: int = 1
-) -> AuditReport:
+def parity_audit(d_max: int, b_max: int, limits: Limits | None = None) -> AuditReport:
     """Enumerate every simple cell over the projective plane and check
     the crosscap parity and count laws on each realized nonorientable
     total space."""
@@ -538,7 +519,7 @@ def parity_audit(
     passed = True
     for d in range(1, d_max + 1):
         for b in range(0, b_max + 1):
-            row = enumerate_covers(PROJECTIVE_PLANE, d, b, True, limits, parts)
+            row = enumerate_covers(PROJECTIVE_PLANE, d, b, True, limits)
             for surface, _, _ in row.realized:
                 if surface.orientable:
                     continue

@@ -133,11 +133,11 @@ def _env_limits():
     raw = os.environ.get("WORKBENCH_LIMITS")
     if not raw:
         return None
-    parts = raw.split(",")
-    if len(parts) != 2:
+    fields = raw.split(",")
+    if len(fields) != 2:
         raise InvalidInput("WORKBENCH_LIMITS must be '<max_degree>,<max_branch>'")
     try:
-        return Limits(int(parts[0]), int(parts[1]))
+        return Limits(int(fields[0]), int(fields[1]))
     except ValueError:
         raise InvalidInput("WORKBENCH_LIMITS must be '<max_degree>,<max_branch>'") from None
 
@@ -291,15 +291,9 @@ def _cmd_compose_double(args):
     return _datum_payload(compose_orientation_double(datum)), 0, digest
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise InvalidInput(f"--workers must be at least 1, got {workers}")
-
-
 def _cmd_enumerate(args):
     from .census import enumerate_covers
 
-    _check_workers(args.workers)
     base = parse_base(args.base)
     simple_only = not args.all
     row = enumerate_covers(
@@ -308,7 +302,6 @@ def _cmd_enumerate(args):
         args.branch_points,
         simple_only,
         _env_limits(),
-        args.workers,
     )
     rows = [
         {
@@ -341,8 +334,7 @@ def _cmd_enumerate(args):
 def _cmd_parity_audit(args):
     from .census import parity_audit
 
-    _check_workers(args.workers)
-    report = parity_audit(args.dmax, args.bmax, _env_limits(), args.workers)
+    report = parity_audit(args.dmax, args.bmax, _env_limits())
     violations = [
         {"degree": d, "branch_points": b, "crosscaps": h}
         for d, b, h in report.rows
@@ -554,13 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--simple", action="store_true", help="simple covers only (default)")
     group.add_argument("--all", action="store_true", help="include non-simple covers")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("parity-audit", help="census-wide parity and count laws over rp2")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--bmax", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_parity_audit)
 
     p = sub.add_parser("universal-report", help="contrast sphere and rp2 targets at one degree")

@@ -128,22 +128,6 @@ def total_chi(g: ExhaustionGraph) -> int:
     return sum(piece_chi(p) for p in g.pieces)
 
 
-def circle_owners(g: ExhaustionGraph) -> dict[int, Piece]:
-    owners: dict[int, Piece] = {}
-    for p in g.pieces:
-        for c in p.outer:
-            owners[c] = p
-    return owners
-
-
-def circle_referencers(g: ExhaustionGraph) -> dict[int, Piece]:
-    refs: dict[int, Piece] = {}
-    for p in g.pieces:
-        for c in p.inner:
-            refs[c] = p
-    return refs
-
-
 def frontier_circles(g: ExhaustionGraph) -> tuple[int, ...]:
     """Outer circles glued to nothing; in a valid truncation these all
     sit at the deepest level and are where the surface keeps going."""
@@ -432,12 +416,9 @@ class _Normalizer:
             else:
                 pairs.append((stack.pop(), circle))
 
-        c1, c2 = crossings[0], crossings[-1]
-        x, y = self.owner[c1], self.owner[c2]
-        if x is y:
-            x.genus += 1
-        else:
-            self._merge_pieces([x, y])
+        # each component above level j - 1 meets level j in one piece, so
+        # both ends of the tube have one owner and the join is a handle on it
+        self.owner[crossings[0]].genus += 1
 
         # the path's pieces of one level merge when no lower piece lies
         # between them on the path

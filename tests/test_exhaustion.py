@@ -190,8 +190,10 @@ class TestTubeJoin:
         assert count_ends(n, n.depth).ends == 1
 
     def test_join_between_distinct_owners(self):
-        # a pants split first creates two level-3 owners, then a deeper
-        # piece ties their circles together, forcing an owner merge
+        # despite the name, a join never meets two owners: here t ties two
+        # circles of the one level-2 owner x together, so the level-2 join
+        # is a handle on x, and the tube's pieces p and q merge (x's split
+        # into pants comes after its joins)
         g = graph(
             Piece("d", 1, 0, (), (0,)),
             Piece("x", 2, 0, (0,), (1, 2, 3)),
