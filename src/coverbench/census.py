@@ -17,6 +17,18 @@ sheets' orbits come from min-label propagation, the Euler characteristic
 from the meridians' cycle counts (Riemann-Hurwitz), and orientability
 over a nonorientable base from the sign double cover, on which a
 crosscap swaps the two lifts of a sheet.
+
+Every cell's connected raw total is also known exactly from the
+characters of S_d (module characters): over a base of Euler
+characteristic chi there are (d!)^(1-chi) * sum_lambda (f^lambda)^chi *
+c(lambda)^b simple tuples, that is (d!)^(2g-1) sum (f^lambda)^(2-2g)
+c(lambda)^b over o_g and (d!)^(h-1) sum (f^lambda)^(2-h) c(lambda)^b
+over n_h, with f^lambda from the hook lengths and c(lambda) the sum of
+the contents; with any meridians allowed there are (d!)^(r+b-1) for
+b >= 1. The exponential formula and inclusion-exclusion over identity
+meridians give the connected counts. A cell whose connected count is 0
+reports its empty row without building a group table or a tuple; every
+other cell is enumerated and its raw total must equal that count.
 """
 from __future__ import annotations
 
@@ -28,6 +40,7 @@ from math import factorial
 
 import numpy as np
 
+from .characters import connected_count
 from .errors import InvalidData, LimitExceeded
 from .surfaces import (
     PROJECTIVE_PLANE,
@@ -508,7 +521,23 @@ def enumerate_covers(
     simple_only: bool = True,
     limits: Limits | None = None,
 ) -> CensusRow:
-    return classify_shard(enumerate_shard(base, d, b, simple_only, limits))
+    """The cell's row. A cell whose exact connected count is 0 reports
+    its empty row without enumerating; any other is enumerated and its
+    raw total checked against that count."""
+    _check_limits(d, b, limits or DEFAULT_LIMITS)
+    expected = connected_count(base, d, b, simple_only)
+    if expected == 0:
+        return CensusRow(base, d, b, ())
+    row = classify_shard(enumerate_shard(base, d, b, simple_only, limits))
+    found = sum(raw for _, raw, _ in row.realized)
+    if found != expected:
+        kind = "simple" if simple_only else "all"
+        raise InvalidData(
+            f"census cell ({base.name}, degree {d}, {b} branch points, {kind}) "
+            f"enumerates {found} connected tuples, but the characters of S_{d} "
+            f"count {expected}"
+        )
+    return row
 
 
 def parity_audit(d_max: int, b_max: int, limits: Limits | None = None) -> AuditReport:

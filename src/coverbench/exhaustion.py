@@ -46,8 +46,9 @@ class Piece:
     orientable: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inner", tuple(int(c) for c in self.inner))
-        object.__setattr__(self, "outer", tuple(int(c) for c in self.outer))
+        # callers pass ints (jsonio type-checks them); lists become tuples
+        object.__setattr__(self, "inner", tuple(self.inner))
+        object.__setattr__(self, "outer", tuple(self.outer))
 
 
 def piece_chi(p: Piece) -> int:

@@ -21,7 +21,7 @@ from coverbench.exhaustion import (
 from coverbench.hurwitz import HurwitzData
 from coverbench.layered import BLOCK_KINDS, Block, LayeredCover
 from coverbench.perms import Perm, compose_all, inverse
-from coverbench.surfaces import ClosedSurface
+from coverbench.surfaces import PROJECTIVE_PLANE, SPHERE, TORUS, ClosedSurface
 
 
 def lifted_cell_chi(datum: HurwitzData, orbit: Iterable[int]) -> int:
@@ -133,6 +133,23 @@ def random_valid_datum(
     last = inverse(compose_all(word + lead, d))
     meridians = tuple(lead) + (() if last.is_identity() else (last,))
     return HurwitzData(base, d, handles, crosscaps, meridians)
+
+
+# (base, degree, branch count) cells small enough for oracle_census
+ORACLE_SIMPLE_CELLS = [
+    (SPHERE, 2, 4),
+    (SPHERE, 3, 4),
+    (PROJECTIVE_PLANE, 2, 2),
+    (PROJECTIVE_PLANE, 3, 3),
+    (PROJECTIVE_PLANE, 3, 5),
+    (PROJECTIVE_PLANE, 2, 4),
+]
+ORACLE_NONSIMPLE_CELLS = [
+    (SPHERE, 3, 2),
+    (PROJECTIVE_PLANE, 3, 2),
+    (TORUS, 2, 1),
+    (TORUS, 2, 2),
+]
 
 
 def oracle_census(base: ClosedSurface, d: int, b: int, simple_only: bool):

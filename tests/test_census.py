@@ -43,7 +43,7 @@ from coverbench.surfaces import (
     euler_characteristic,
 )
 
-from oracles import oracle_census
+from oracles import ORACLE_NONSIMPLE_CELLS, ORACLE_SIMPLE_CELLS, oracle_census
 
 
 def test_sphere_degree2_two_points():
@@ -85,26 +85,13 @@ def test_sphere_degree2_completeness(b):
         assert row.realized == ()
 
 
-@pytest.mark.parametrize(
-    "base,d,b",
-    [
-        (SPHERE, 2, 4),
-        (SPHERE, 3, 4),
-        (PROJECTIVE_PLANE, 2, 2),
-        (PROJECTIVE_PLANE, 3, 3),
-        (PROJECTIVE_PLANE, 3, 5),
-        (PROJECTIVE_PLANE, 2, 4),
-    ],
-)
+@pytest.mark.parametrize("base,d,b", ORACLE_SIMPLE_CELLS)
 def test_simple_cells_match_bruteforce_oracle(base, d, b):
     row = enumerate_covers(base, d, b, True)
     assert list(row.realized) == oracle_census(base, d, b, True)
 
 
-@pytest.mark.parametrize(
-    "base,d,b",
-    [(SPHERE, 3, 2), (PROJECTIVE_PLANE, 3, 2), (TORUS, 2, 1), (TORUS, 2, 2)],
-)
+@pytest.mark.parametrize("base,d,b", ORACLE_NONSIMPLE_CELLS)
 def test_nonsimple_cells_match_bruteforce_oracle(base, d, b):
     row = enumerate_covers(base, d, b, False)
     assert list(row.realized) == oracle_census(base, d, b, False)
@@ -162,6 +149,13 @@ def test_limits():
     # configured limits override the defaults
     row = enumerate_covers(SPHERE, 2, 9, True, limits=Limits(6, 12))
     assert row.branch_count == 9
+
+
+def test_empty_cell_builds_no_group_table():
+    _group_table.cache_clear()
+    row = enumerate_covers(SPHERE, 7, 2, True, Limits(7, 8))
+    assert row == CensusRow(SPHERE, 7, 2, ())
+    assert _group_table.cache_info().currsize == 0
 
 
 def test_parity_audit_small():

@@ -338,6 +338,24 @@ class TestCensusCommands:
         )
         assert rc == 2
 
+    def test_empty_cell_outside_default_limits_is_refused(self, monkeypatch):
+        monkeypatch.delenv("WORKBENCH_LIMITS", raising=False)
+        rc, out, err = run_cli(
+            ["enumerate", "--base", "s2", "--degree", "7", "--branch-points", "2"]
+        )
+        assert (rc, out, err) == (2, "", "error: degree 7 outside [1, 6]\n")
+
+    def test_enumeration_disagreeing_with_character_count_exits_2(self, monkeypatch):
+        monkeypatch.setattr("coverbench.census.connected_count", lambda *args: 3)
+        rc, out, err = run_cli(
+            ["enumerate", "--base", "s2", "--degree", "2", "--branch-points", "2"]
+        )
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: census cell (sphere, degree 2, 2 branch points, simple) enumerates"
+            " 1 connected tuples, but the characters of S_2 count 3\n"
+        )
+
     def test_out_of_memory_exits_2_without_traceback(self, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -587,6 +605,33 @@ def test_far_level_exits_cleanly_under_a_memory_cap(tmp_path):
         else:
             assert child.stdout == ""
             assert child.stderr == f"error: {'; '.join(problems)}\n"
+
+
+def test_empty_census_cell_reports_without_enumerating():
+    # s2/6/8 has 10,198,665 valid tuples and no connected one; enumerating
+    # them takes about 90 s and 1.3 GB, so the child runs under a 1 GiB cap
+    script = (
+        "import resource, sys\n"
+        "from coverbench.cli import main\n"
+        "code = main(['enumerate', '--base', 's2', '--degree', '6', '--branch-points', '8'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    elapsed = time.perf_counter() - start
+    assert child.returncode == 0, child.stderr
+    assert report_of(child.stdout)["result"]["rows"] == []
+    assert elapsed < 5
+    assert int(child.stderr) < 100 << 10  # ru_maxrss is in KiB on Linux
 
 
 def test_plane_commands_do_not_import_numpy(tmp_path):
