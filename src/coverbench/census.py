@@ -40,7 +40,7 @@ from math import factorial
 
 import numpy as np
 
-from .characters import connected_count
+from .characters import connected_count, hom_count
 from .errors import InvalidData, LimitExceeded
 from .surfaces import (
     PROJECTIVE_PLANE,
@@ -53,14 +53,16 @@ from .surfaces import (
 _LEAD_CHUNK = 1 << 17
 _OUTER_CHUNK = 8
 
-
-@dataclass(frozen=True)
-class Limits:
-    max_degree: int = 6
-    max_branch: int = 8
-
-
-DEFAULT_LIMITS = Limits()
+# Admission budget: a constant, so a cell's verdict is the same on every
+# machine. Byte costs are fitted to the peak ru_maxrss of enumerate_covers
+# (2-core Xeon, Python 3.11, numpy 2.4): 14-14.5 per tuple entry on large
+# cells (rp2/5/6, s2/5/8, rp2/6/6); the class dictionary dominates at degree
+# 2 (n20/2/0: 632 MB for 2^20 one-tuple classes of 20 entries).
+_MEMORY_BUDGET = 4 << 30
+_CHARACTER_STEPS = 10**6
+_ENTRY_BYTES = 16
+_CLASS_BYTES = 256
+_SLACK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,12 @@ class AuditReport:
     b_max: int
     rows: tuple[tuple[int, int, int], ...]
     """Realized (degree, branch count, crosscap number) triples."""
-    passed: bool
+    violations: tuple[tuple[int, int, int], ...]
+    """The rows breaking h = d (mod 2) or h = 2 - d + b."""
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,8 @@ class UniversalBaseReport:
     sphere_witnesses: tuple[SphereWitness, ...]
     rp2_blocked_h: int
     rp2_forced_branch: int
-    rp2_exhaustive_cell: tuple[int, int] | None
-    rp2_exhaustive_empty: bool | None
+    rp2_exhaustive_cell: tuple[int, int]
+    rp2_exhaustive_empty: bool
     notes: tuple[str, ...]
 
 
@@ -200,15 +207,51 @@ def _group_table(degree: int) -> GroupTable:
     return GroupTable(degree)
 
 
-def _check_limits(d: int, b: int, limits: Limits) -> None:
-    if d < 1 or d > limits.max_degree:
+def _generators(base: ClosedSurface) -> int:
+    """Surface generators of a tuple: handle pairs or crosscaps."""
+    return 2 * base.genus if base.orientable else base.genus
+
+
+def _check_cell(d: int, b: int) -> None:
+    """Refuse what no base brings in reach: the group tables of S_d (d!
+    grows step by step, so a huge d costs nothing) and the character
+    sums, about (d*b)^2 steps."""
+    if d < 1 or b < 0:
+        raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
+    order = 1
+    for i in range(2, d + 1):
+        order *= i
+        if 8 * order**2 > _MEMORY_BUDGET:
+            raise LimitExceeded(f"degree {d}: the group tables of S_{d} exceed the memory budget")
+    if (d * b) ** 2 > _CHARACTER_STEPS:
+        raise LimitExceeded(f"degree {d} with {b} branch points: the character sums are too long")
+
+
+def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
+    """Predicted peak bytes of enumerating every tuple of a cell, refused
+    over the budget. A class of connected tuples holds at least (d-1)! of
+    them, as a transitive group's centraliser acts freely on the sheets."""
+    k = _generators(base) + b
+    tuples = hom_count(base, d, b, simple_only)
+    classes = tuples // factorial(d - 1)
+    peak = 8 * factorial(d) ** 2 + tuples * k * _ENTRY_BYTES + _SLACK_BYTES
+    peak += classes * (8 * k + _CLASS_BYTES)
+    if peak > _MEMORY_BUDGET:
         raise LimitExceeded(
-            f"degree {d} outside [1, {limits.max_degree}]"
+            f"census cell ({base.name}, degree {d}, {b} branch points) has {tuples} "
+            f"tuples and needs about {peak >> 20} MiB, over the {_MEMORY_BUDGET >> 20} MiB budget"
         )
-    if b < 0 or b > limits.max_branch:
-        raise LimitExceeded(
-            f"branch count {b} outside [0, {limits.max_branch}]"
-        )
+    return peak
+
+
+def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
+    """The exact connected count of a cell enumerate_covers may answer. An
+    empty cell is answered without enumerating, so its peak is not checked."""
+    _check_cell(d, b)
+    expected = connected_count(base, d, b, simple_only)
+    if expected:
+        _check_peak(base, d, b, simple_only)
+    return expected
 
 
 def _mixed_cartesian_chunks(value_lists, chunk: int):
@@ -247,7 +290,9 @@ def _orientable_blocks(T, genus, b, mvals):
     lead_lists = [mvals] * (b - 1)
     allowed = np.zeros(T.order, dtype=bool)
     allowed[mvals] = True
-    for H in _mixed_cartesian_chunks(handle_lists, _OUTER_CHUNK):
+    # with few inner rows, enough outer rows to fill a block
+    outer = max(_OUTER_CHUNK, _LEAD_CHUNK // max(1, len(mvals) ** max(b - 1, 0)))
+    for H in _mixed_cartesian_chunks(handle_lists, outer):
         R = np.zeros(len(H), dtype=np.int32)
         for i in range(genus):
             a, bb = H[:, 2 * i], H[:, 2 * i + 1]
@@ -277,7 +322,8 @@ def _orientable_blocks(T, genus, b, mvals):
 def _nonorientable_blocks(T, h, b, mvals):
     cross_lists = [np.arange(T.order, dtype=np.int32)] * (h - 1)
     mer_lists = [mvals] * b
-    for C in _mixed_cartesian_chunks(cross_lists, _OUTER_CHUNK):
+    outer = max(_OUTER_CHUNK, _LEAD_CHUNK // max(1, len(mvals) ** b))
+    for C in _mixed_cartesian_chunks(cross_lists, outer):
         Q = np.zeros(len(C), dtype=np.int32)
         for i in range(h - 1):
             Q = T.mult[Q, C[:, i]]
@@ -309,7 +355,7 @@ def _valid_tuples(base, d, b, simple_only) -> np.ndarray:
         blocks = list(_orientable_blocks(T, base.genus, b, mvals))
     else:
         blocks = list(_nonorientable_blocks(T, base.genus, b, mvals))
-    k = (2 * base.genus if base.orientable else base.genus) + b
+    k = _generators(base) + b
     if not blocks:
         return np.zeros((0, k), dtype=np.int32)
     return np.concatenate(blocks, axis=0)
@@ -368,15 +414,12 @@ def _min_conjugate(T: GroupTable, A: np.ndarray, conjugators, words: int):
 
 
 def enumerate_shard(
-    base: ClosedSurface,
-    d: int,
-    b: int,
-    simple_only: bool = True,
-    limits: Limits | None = None,
+    base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusShard:
     """Every valid tuple of a census cell, counted by canonical class
     form; classify_shard turns it into the cell's row."""
-    _check_limits(d, b, limits or DEFAULT_LIMITS)
+    _check_cell(d, b)
+    _check_peak(base, d, b, simple_only)
     A = _valid_tuples(base, d, b, simple_only)
     T = _group_table(d)
     forms = _canonical_forms(T, A)
@@ -452,7 +495,7 @@ def _classify_forms(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
     """
     n = len(forms)
     d = T.degree
-    r = 2 * base.genus if base.orientable else base.genus
+    r = _generators(base)
     if forms.size and (forms.min() < 0 or forms.max() >= T.order):
         raise InvalidData(f"class forms index outside S_{d}")
     relation = np.zeros(n, dtype=np.int32)
@@ -494,7 +537,7 @@ def classify_shard(shard: CensusShard) -> CensusRow:
     by total space, classifying all class forms in one array pass."""
     T = _group_table(shard.degree)
     base = shard.base
-    k = (2 * base.genus if base.orientable else base.genus) + shard.branch_count
+    k = _generators(base) + shard.branch_count
     n = len(shard.counts)
     forms = np.array(list(shard.counts), dtype=np.int32).reshape(n, k)
     counts = np.fromiter(shard.counts.values(), dtype=np.int64, count=n)
@@ -515,20 +558,15 @@ def classify_shard(shard: CensusShard) -> CensusRow:
 
 
 def enumerate_covers(
-    base: ClosedSurface,
-    d: int,
-    b: int,
-    simple_only: bool = True,
-    limits: Limits | None = None,
+    base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusRow:
     """The cell's row. A cell whose exact connected count is 0 reports
-    its empty row without enumerating; any other is enumerated and its
-    raw total checked against that count."""
-    _check_limits(d, b, limits or DEFAULT_LIMITS)
-    expected = connected_count(base, d, b, simple_only)
+    its empty row without enumerating; any other is admitted, enumerated
+    and its raw total checked against that count."""
+    expected = _admit(base, d, b, simple_only)
     if expected == 0:
         return CensusRow(base, d, b, ())
-    row = classify_shard(enumerate_shard(base, d, b, simple_only, limits))
+    row = classify_shard(enumerate_shard(base, d, b, simple_only))
     found = sum(raw for _, raw, _ in row.realized)
     if found != expected:
         kind = "simple" if simple_only else "all"
@@ -540,42 +578,39 @@ def enumerate_covers(
     return row
 
 
-def parity_audit(d_max: int, b_max: int, limits: Limits | None = None) -> AuditReport:
+def parity_audit(d_max: int, b_max: int) -> AuditReport:
     """Enumerate every simple cell over the projective plane and check
     the crosscap parity and count laws on each realized nonorientable
-    total space."""
-    rows: list[tuple[int, int, int]] = []
-    passed = True
-    for d in range(1, d_max + 1):
-        for b in range(0, b_max + 1):
-            row = enumerate_covers(PROJECTIVE_PLANE, d, b, True, limits)
-            for surface, _, _ in row.realized:
-                if surface.orientable:
-                    continue
-                h = surface.genus
-                rows.append((d, b, h))
-                if h % 2 != d % 2 or h != 2 - d + b:
-                    passed = False
-    return AuditReport(d_max, b_max, tuple(rows), passed)
+    total space. Every cell is admitted before the first is enumerated,
+    the largest first."""
+    for d in range(d_max, 0, -1):  # lazily: product() would list each range
+        for b in range(b_max, -1, -1):
+            _admit(PROJECTIVE_PLANE, d, b, True)
+    rows = tuple(
+        (d, b, s.genus)
+        for d, b in itertools.product(range(1, d_max + 1), range(b_max + 1))
+        for s, _, _ in enumerate_covers(PROJECTIVE_PLANE, d, b, True).realized
+        if not s.orientable
+    )
+    violations = tuple((d, b, h) for d, b, h in rows if h % 2 != d % 2 or h != 2 - d + b)
+    return AuditReport(d_max, b_max, rows, violations)
 
 
-def universal_base_report_dim2(
-    n: int, genus_max: int, limits: Limits | None = None
-) -> UniversalBaseReport:
+def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     """Contrast the two small bases at degree n: over the sphere every
     orientable genus up to genus_max is realized by a simple cover
     (hyperelliptic data padded by stabilization); over the projective
     plane crosscap parity blocks the targets with h not congruent to n,
-    with an exhaustive empty cell as witness when limits allow."""
+    with an exhaustive empty cell as witness."""
     from .hurwitz import construct_hyperelliptic, stabilize, total_space
 
-    limits = limits or DEFAULT_LIMITS
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if genus_max < 0:
         raise ValueError(f"need genus_max >= 0, got {genus_max}")
-    if n > limits.max_degree:
-        raise LimitExceeded(f"degree {n} outside [1, {limits.max_degree}]")
+    blocked_h = 1 if n % 2 == 0 else 2
+    forced_b = n + blocked_h - 2
+    row = enumerate_covers(PROJECTIVE_PLANE, n, forced_b, True)
     witnesses = []
     for g in range(genus_max + 1):
         datum = construct_hyperelliptic(g)
@@ -586,35 +621,26 @@ def universal_base_report_dim2(
             (ClosedSurface(True, g), n),
         )
         witnesses.append(SphereWitness(g, n, datum.branch_count))
-    blocked_h = 1 if n % 2 == 0 else 2
-    forced_b = n + blocked_h - 2
     notes = [
         f"a connected simple cover over the projective plane with degree {n} "
         f"and crosscap number {blocked_h} would need branch count {forced_b}, "
         "and the branch count of such data is always even while "
         f"2 - {n} + {forced_b} = {blocked_h} has the wrong parity",
     ]
-    cell = None
-    empty = None
-    if forced_b <= limits.max_branch:
-        row = enumerate_covers(PROJECTIVE_PLANE, n, forced_b, True, limits)
-        cell = (n, forced_b)
-        empty = not any(
-            (not s.orientable) and s.genus == blocked_h for s, _, _ in row.realized
-        )
-        notes.append(
-            f"exhaustive enumeration of the (degree {n}, branch {forced_b}) cell "
-            f"found {'no' if empty else 'a'} matching cover"
-        )
-    else:
-        notes.append("forced branch count exceeds configured limits; cell not enumerated")
+    empty = not any(
+        (not s.orientable) and s.genus == blocked_h for s, _, _ in row.realized
+    )
+    notes.append(
+        f"exhaustive enumeration of the (degree {n}, branch {forced_b}) cell "
+        f"found {'no' if empty else 'a'} matching cover"
+    )
     return UniversalBaseReport(
         n=n,
         genus_max=genus_max,
         sphere_witnesses=tuple(witnesses),
         rp2_blocked_h=blocked_h,
         rp2_forced_branch=forced_b,
-        rp2_exhaustive_cell=cell,
+        rp2_exhaustive_cell=(n, forced_b),
         rp2_exhaustive_empty=empty,
         notes=tuple(notes),
     )

@@ -19,7 +19,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 
@@ -125,21 +124,6 @@ def parse_base(token: str) -> ClosedSurface:
     raise InvalidInput(
         f"unknown base {token!r}; use s2, rp2, torus, klein, o<genus>, n<crosscaps>"
     )
-
-
-def _env_limits():
-    from .census import Limits
-
-    raw = os.environ.get("WORKBENCH_LIMITS")
-    if not raw:
-        return None
-    fields = raw.split(",")
-    if len(fields) != 2:
-        raise InvalidInput("WORKBENCH_LIMITS must be '<max_degree>,<max_branch>'")
-    try:
-        return Limits(int(fields[0]), int(fields[1]))
-    except ValueError:
-        raise InvalidInput("WORKBENCH_LIMITS must be '<max_degree>,<max_branch>'") from None
 
 
 def _digest_file(path: str) -> tuple[bytes, str]:
@@ -296,13 +280,7 @@ def _cmd_enumerate(args):
 
     base = parse_base(args.base)
     simple_only = not args.all
-    row = enumerate_covers(
-        base,
-        args.degree,
-        args.branch_points,
-        simple_only,
-        _env_limits(),
-    )
+    row = enumerate_covers(base, args.degree, args.branch_points, simple_only)
     rows = [
         {
             "surface": jsonio.surface_to_json(s),
@@ -334,21 +312,17 @@ def _cmd_enumerate(args):
 def _cmd_parity_audit(args):
     from .census import parity_audit
 
-    report = parity_audit(args.dmax, args.bmax, _env_limits())
-    violations = [
-        {"degree": d, "branch_points": b, "crosscaps": h}
-        for d, b, h in report.rows
-        if h % 2 != d % 2 or h != 2 - d + b
-    ]
+    report = parity_audit(args.dmax, args.bmax)
+
+    def cells(rows):
+        return [{"degree": d, "branch_points": b, "crosscaps": h} for d, b, h in rows]
+
     payload = {
         "dmax": report.d_max,
         "bmax": report.b_max,
         "laws": ["crosscaps == degree (mod 2)", _COUNT_LAW],
-        "realized_rows": [
-            {"degree": d, "branch_points": b, "crosscaps": h}
-            for d, b, h in report.rows
-        ],
-        "violations": violations,
+        "realized_rows": cells(report.rows),
+        "violations": cells(report.violations),
         "passed": report.passed,
         "notes": list(_COUNT_LAW_NOTES),
     }
@@ -359,7 +333,7 @@ def _cmd_parity_audit(args):
 def _cmd_universal_report(args):
     from .census import universal_base_report_dim2
 
-    report = universal_base_report_dim2(args.degree, args.genus_max, _env_limits())
+    report = universal_base_report_dim2(args.degree, args.genus_max)
     payload = {
         "degree": report.n,
         "genus_max": report.genus_max,
@@ -369,9 +343,7 @@ def _cmd_universal_report(args):
         ],
         "rp2_blocked_crosscaps": report.rp2_blocked_h,
         "rp2_forced_branch_points": report.rp2_forced_branch,
-        "rp2_exhaustive_cell": list(report.rp2_exhaustive_cell)
-        if report.rp2_exhaustive_cell
-        else None,
+        "rp2_exhaustive_cell": list(report.rp2_exhaustive_cell),
         "rp2_exhaustive_empty": report.rp2_exhaustive_empty,
         "notes": list(report.notes),
     }

@@ -37,7 +37,7 @@ class WrongBase(WorkbenchError):
 
 
 class LimitExceeded(WorkbenchError):
-    """An enumeration request is outside the configured size limits."""
+    """A census cell would exceed the memory budget, or its character sums are too long."""
 
 
 class NotNormalized(WorkbenchError):

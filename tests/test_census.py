@@ -19,7 +19,6 @@ from coverbench.census import (
     CensusRow,
     CensusShard,
     GroupTable,
-    Limits,
     _canonical_forms,
     _classify_forms,
     _group_table,
@@ -141,21 +140,90 @@ def test_repeated_runs_identical():
     assert a == b
 
 
-def test_limits():
-    with pytest.raises(LimitExceeded):
-        enumerate_covers(SPHERE, 7, 2, True)
-    with pytest.raises(LimitExceeded):
-        enumerate_covers(SPHERE, 2, 9, True)
-    # configured limits override the defaults
-    row = enumerate_covers(SPHERE, 2, 9, True, limits=Limits(6, 12))
-    assert row.branch_count == 9
+@pytest.mark.parametrize(
+    "base, d, b, simple_only",
+    [
+        (PROJECTIVE_PLANE, 5, 8, True),  # 203,127,560 tuples
+        (PROJECTIVE_PLANE, 6, 8, True),
+        (ClosedSurface(True, 5), 6, 8, True),
+        (TORUS, 6, 4, False),
+        (SPHERE, 8, 2, True),  # the tables of S_8 alone need 13 GB
+        (SPHERE, 10**18, 0, True),
+        (SPHERE, 2, 5000, True),  # one tuple, but long character sums
+        (SPHERE, 0, 2, True),
+        (SPHERE, 2, -1, True),
+    ],
+)
+def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
+    _group_table.cache_clear()
+    for enumerate_cell in (enumerate_covers, enumerate_shard):
+        with pytest.raises(LimitExceeded):
+            enumerate_cell(base, d, b, simple_only)
+    assert _group_table.cache_info().currsize == 0
+
+
+def test_admission_reaches_past_eight_branch_points():
+    assert enumerate_covers(SPHERE, 2, 9, True) == CensusRow(SPHERE, 2, 9, ())
+    row = enumerate_covers(SPHERE, 2, 12, True)
+    assert row.realized == ((ClosedSurface(True, 5), 1, 1),)
 
 
 def test_empty_cell_builds_no_group_table():
     _group_table.cache_clear()
-    row = enumerate_covers(SPHERE, 7, 2, True, Limits(7, 8))
+    row = enumerate_covers(SPHERE, 7, 2, True)
     assert row == CensusRow(SPHERE, 7, 2, ())
     assert _group_table.cache_info().currsize == 0
+
+
+def test_empty_cell_is_still_bounded_when_enumerated_in_full():
+    # s2/7/10 has no connected cover, so enumerate_covers answers it from
+    # the characters; enumerate_shard lists all 11,052,356,721 tuples and
+    # must refuse
+    assert enumerate_covers(SPHERE, 7, 10, True) == CensusRow(SPHERE, 7, 10, ())
+    with pytest.raises(LimitExceeded):
+        enumerate_shard(SPHERE, 7, 10, True)
+
+
+_PEAK_SCRIPT = """
+import resource, sys
+from coverbench.census import _check_peak, enumerate_covers
+from coverbench.characters import hom_count
+from coverbench.cli import parse_base
+base, d, b, simple_only = parse_base(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
+enumerate_covers(base, d, b, simple_only)
+tuples = hom_count(base, d, b, simple_only)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10  # KiB on Linux
+print(tuples, peak, _check_peak(base, d, b, simple_only))
+"""
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ("rp2", 6, 4, True),
+        ("rp2", 4, 4, False),
+        # degree 2: every tuple is its own class, about 34 bytes an entry
+        ("n18", 2, 0, True),
+    ],
+)
+def test_predicted_peak_bounds_measured_rss(cell):
+    # exec keeps the ru_maxrss of the process it replaces, so a child forked
+    # from this pytest process would start at pytest's size: the measured
+    # process is forked from a small launcher instead
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [str(x) for x in cell[:3]] + ["1" if cell[3] else "0"]
+    child = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-c", _PEAK_SCRIPT, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    tuples, peak, predicted = map(int, child.stdout.split())
+    assert tuples >= 100_000
+    assert peak <= predicted
 
 
 def test_parity_audit_small():
@@ -193,11 +261,23 @@ def test_universal_report_degree3():
     assert all(w.branch_count == 2 * w.genus + 2 * 3 - 2 for w in report.sphere_witnesses)
 
 
-def test_universal_report_limits():
+def test_universal_report_admits_degree_7_not_8():
+    report = universal_base_report_dim2(7, 1)
+    assert report.rp2_exhaustive_cell == (7, 7)
+    assert report.rp2_exhaustive_empty is True
     with pytest.raises(LimitExceeded):
-        universal_base_report_dim2(7, 1)
+        universal_base_report_dim2(8, 1)
     with pytest.raises(ValueError):
         universal_base_report_dim2(1, 1)
+
+
+def test_parity_audit_admits_huge_ranges_without_listing_them(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError(f"cell {args[1:3]} enumerated before admission")
+
+    monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
+    with pytest.raises(LimitExceeded):
+        parity_audit(10**9, 10**9)
 
 
 # --- group tables and canonical forms ---

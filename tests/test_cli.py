@@ -325,25 +325,29 @@ class TestCensusCommands:
         for row in res["realized_rows"]:
             assert row["crosscaps"] == 2 - row["degree"] + row["branch_points"]
 
-    def test_limits_env(self, monkeypatch):
-        monkeypatch.setenv("WORKBENCH_LIMITS", "3,2")
-        rc, _, err = run_cli(
-            ["enumerate", "--base", "s2", "--degree", "4", "--branch-points", "2"]
-        )
-        assert rc == 2
-        assert "error" in err
-        monkeypatch.setenv("WORKBENCH_LIMITS", "garbage")
-        rc, _, err = run_cli(
-            ["enumerate", "--base", "s2", "--degree", "2", "--branch-points", "2"]
-        )
-        assert rc == 2
-
-    def test_empty_cell_outside_default_limits_is_refused(self, monkeypatch):
-        monkeypatch.delenv("WORKBENCH_LIMITS", raising=False)
+    def test_small_degree_7_cell_needs_no_environment(self):
         rc, out, err = run_cli(
             ["enumerate", "--base", "s2", "--degree", "7", "--branch-points", "2"]
         )
-        assert (rc, out, err) == (2, "", "error: degree 7 outside [1, 6]\n")
+        assert (rc, err) == (0, "")
+        assert report_of(out)["result"]["rows"] == []
+
+    def test_universal_report_admits_degree_7_not_8(self):
+        rc, out, _ = run_cli(["universal-report", "--degree", "7", "--genus-max", "1"])
+        assert rc == 0
+        assert report_of(out)["result"]["rp2_exhaustive_cell"] == [7, 7]
+        rc, out, err = run_cli(["universal-report", "--degree", "8", "--genus-max", "1"])
+        assert (rc, out) == (2, "")
+        assert err == "error: degree 8: the group tables of S_8 exceed the memory budget\n"
+
+    def test_parity_audit_refuses_before_enumerating(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError(f"cell {args[1:3]} enumerated before admission")
+
+        monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
+        rc, out, err = run_cli(["parity-audit", "--dmax", "6", "--bmax", "8"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: census cell (projective plane, degree 6, 8 branch points")
 
     def test_enumeration_disagreeing_with_character_count_exits_2(self, monkeypatch):
         monkeypatch.setattr("coverbench.census.connected_count", lambda *args: 3)
@@ -632,6 +636,38 @@ def test_empty_census_cell_reports_without_enumerating():
     assert report_of(child.stdout)["result"]["rows"] == []
     assert elapsed < 5
     assert int(child.stderr) < 100 << 10  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.parametrize(
+    "cell", [("rp2", 5, 8), ("rp2", 6, 8), ("o5", 6, 8), ("s2", 8, 2), ("s2", 2, 5000)]
+)
+def test_cells_out_of_reach_are_refused_at_once(cell):
+    # rp2/5/8 alone has 203,127,560 tuples: the refusal must come from the
+    # cell's counts, before any group table or tuple exists
+    base, d, b = cell
+    script = (
+        "import sys\n"
+        "from coverbench import census\n"
+        "from coverbench.cli import main\n"
+        f"code = main(['enumerate', '--base', {base!r}, '--degree', '{d}', '--branch-points', '{b}'])\n"
+        "print(census._group_table.cache_info().currsize, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    elapsed = time.perf_counter() - start
+    error, tables = child.stderr.splitlines()
+    assert (child.returncode, child.stdout, tables) == (2, "", "0")
+    assert error.startswith("error: ")
+    assert elapsed < 2
 
 
 def test_plane_commands_do_not_import_numpy(tmp_path):
