@@ -28,7 +28,9 @@ the contents; with any meridians allowed there are (d!)^(r+b-1) for
 b >= 1. The exponential formula and inclusion-exclusion over identity
 meridians give the connected counts. A cell whose connected count is 0
 reports its empty row without building a group table or a tuple; every
-other cell is enumerated and its raw total must equal that count.
+other cell is enumerated and its raw total must equal that count. Over a
+base with chi <= 0, a closed-form floor on the tuple count refuses the
+cells out of memory reach before any character sum is taken.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import collections
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, log2, log10
 
 import numpy as np
 
@@ -212,10 +214,11 @@ def _generators(base: ClosedSurface) -> int:
     return 2 * base.genus if base.orientable else base.genus
 
 
-def _check_cell(d: int, b: int) -> None:
-    """Refuse what no base brings in reach: the group tables of S_d (d!
-    grows step by step, so a huge d costs nothing) and the character
-    sums, about (d*b)^2 steps."""
+def _check_cell(base: ClosedSurface, d: int, b: int) -> None:
+    """Refuse what closed forms bring out of reach, before any character
+    sum: the group tables of S_d (d! grows step by step, so a huge d costs
+    nothing), the character sums, about (d*b)^2 steps, and the cells
+    whose tuples alone provably overflow the budget."""
     if d < 1 or b < 0:
         raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
     order = 1
@@ -225,6 +228,48 @@ def _check_cell(d: int, b: int) -> None:
             raise LimitExceeded(f"degree {d}: the group tables of S_{d} exceed the memory budget")
     if (d * b) ** 2 > _CHARACTER_STEPS:
         raise LimitExceeded(f"degree {d} with {b} branch points: the character sums are too long")
+    floor = _log2_tuples_floor(base, d, b)
+    if floor is None:
+        return
+    # one bit of slack: float rounding cannot refuse a cell that
+    # _check_peak would admit
+    if floor + log2((_generators(base) + b) * _ENTRY_BYTES) > log2(_MEMORY_BUDGET) + 1:
+        digits = int(floor * log10(2) - 1e-9) + 1
+        raise LimitExceeded(
+            f"census cell ({base.name}, degree {d}, {b} branch points) has a tuple "
+            f"count of at least {digits} digits, over the {_MEMORY_BUDGET >> 20} MiB budget"
+        )
+
+
+def _log2_tuples_floor(base: ClosedSurface, d: int, b: int) -> float | None:
+    """log2 of a lower bound on the cell's tuples, simple or not, where
+    one is proved: d >= 2, even b and chi <= 0; None elsewhere.
+
+    With b even every term (f^lambda)^chi * c(lambda)^b of the character
+    sum is >= 0, and the trivial and sign characters have f = 1 and
+    c = +-d(d-1)/2, so there are at least 2 (d!)^(1-chi) (d(d-1)/2)^b
+    simple tuples. A transposition is not the identity, so every simple
+    tuple is also a tuple of the cell without the simple restriction.
+
+    A cell refused on this bound is one _check_peak would refuse: the
+    peak it predicts grows with the tuple count, and the cell is reached
+    because its connected count is positive. For chi <= 0 the base has a
+    handle or two crosscaps: with sigma a d-cycle, the handle (sigma, 1)
+    or the crosscaps (sigma, sigma^-1), identities elsewhere and the
+    meridians in equal pairs (1 2), (1 2) form a transitive tuple."""
+    chi = euler_characteristic(base)
+    if d < 2 or b % 2 or chi > 0:
+        return None
+    return 1 + (1 - chi) * log2(factorial(d)) + b * log2(d * (d - 1) // 2)
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of n >= 1, found without str(n), which refuses past
+    4300 digits."""
+    k = max(int((n.bit_length() - 1) * log10(2)) - 1, 1)
+    while 10**k <= n:
+        k += 1
+    return k
 
 
 def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
@@ -237,9 +282,12 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     peak = 8 * factorial(d) ** 2 + tuples * k * _ENTRY_BYTES + _SLACK_BYTES
     peak += classes * (8 * k + _CLASS_BYTES)
     if peak > _MEMORY_BUDGET:
+        cell = f"census cell ({base.name}, degree {d}, {b} branch points)"
+        budget = f"the {_MEMORY_BUDGET >> 20} MiB budget"
+        if tuples >= 10**18:  # a count this long is told by its size
+            raise LimitExceeded(f"{cell} has a tuple count of {_digits(tuples)} digits, over {budget}")
         raise LimitExceeded(
-            f"census cell ({base.name}, degree {d}, {b} branch points) has {tuples} "
-            f"tuples and needs about {peak >> 20} MiB, over the {_MEMORY_BUDGET >> 20} MiB budget"
+            f"{cell} has {tuples} tuples and needs about {peak >> 20} MiB, over {budget}"
         )
     return peak
 
@@ -247,7 +295,7 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
 def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     """The exact connected count of a cell enumerate_covers may answer. An
     empty cell is answered without enumerating, so its peak is not checked."""
-    _check_cell(d, b)
+    _check_cell(base, d, b)
     expected = connected_count(base, d, b, simple_only)
     if expected:
         _check_peak(base, d, b, simple_only)
@@ -418,7 +466,7 @@ def enumerate_shard(
 ) -> CensusShard:
     """Every valid tuple of a census cell, counted by canonical class
     form; classify_shard turns it into the cell's row."""
-    _check_cell(d, b)
+    _check_cell(base, d, b)
     _check_peak(base, d, b, simple_only)
     A = _valid_tuples(base, d, b, simple_only)
     T = _group_table(d)

@@ -71,7 +71,11 @@ def _exact(x: Fraction) -> int:
 def _simple_homs(chi: int, d: int, b: int) -> int:
     """Tuples over a base of Euler characteristic chi whose b meridians
     are transpositions of S_d; the closed surface's homomorphisms when
-    b = 0."""
+    b = 0. There are none when b is odd: a product of commutators or of
+    squares is even, and b transpositions multiply to an odd permutation
+    (S_0 and S_1 have no transpositions at all)."""
+    if b % 2:
+        return 0
     total = sum(Fraction(f) ** chi * c**b for f, c in _irreducibles(d))
     return _exact(Fraction(factorial(d)) ** (1 - chi) * total)
 
@@ -106,6 +110,8 @@ def connected_count(
     """The valid tuples of the census cell whose sheets form one orbit:
     the census's total raw count."""
     chi = euler_characteristic(base)
+    if simple_only and b % 2:
+        return 0  # no tuple at all, see _simple_homs
     if simple_only:
         # split off the orbit of sheet 1: k sheets carrying j of the meridians
         homs = [[_simple_homs(chi, n, m) for m in range(b + 1)] for n in range(d + 1)]

@@ -4,10 +4,20 @@ Every document carries a top-level "format" tag and integer "version".
 Permutations are stored as bare image lists, so degree is implicit in
 the list length. Serialization is deterministic: keys sorted, two
 space indent, trailing newline.
+
+`dumps` is byte-identical to `json.dumps(doc, sort_keys=True, indent=2)`
+plus a newline, for every document that call accepts, and raises
+TypeError where it does. The stdlib's C encoder runs only without an
+indent, so that call would take the pure-Python path, which keeps one
+small string per token until its final join. `dumps` instead appends
+whole lines to one list and joins it once: a list of plain ints is one
+join, strings go through the stdlib's own escaper, and floats, non-str
+keys and the sort order follow the stdlib's rules.
 """
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import InvalidInput
 from .exhaustion import ExhaustionGraph, NormalizedExhaustion, Piece
@@ -20,7 +30,70 @@ FORMAT_VERSION = 1
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_int = int.__repr__
+_INF = float("inf")
+
+
+def _scalar(o) -> str:
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _encode(o, indent: str, out: list[str]) -> None:
+    """Append the encoding of o to out. indent is the newline and spaces
+    before o's closing bracket; its items sit two spaces further in."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            # a non-str key is quoted as the stdlib quotes it: "true", "1"
+            out.append(sep + _string(k if isinstance(k, str) else _scalar(k)) + ": ")
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        if all(type(x) is int for x in o):
+            out.append("[" + inner + sep.join(map(_int, o)) + indent + "]")
+            return
+        head = "[" + inner
+        for item in o:
+            out.append(head)
+            _encode(item, inner, out)
+            head = sep
+        out.append(indent + "]")
+    else:
+        out.append(_scalar(o))
 
 
 def loads(text: str) -> dict:

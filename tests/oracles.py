@@ -2,12 +2,17 @@
 
 These recompute invariants by a different route than the library:
 Euler characteristics by counting cells of a lifted cell structure,
-orientability by brute-force search over sign assignments.  Agreement
-with the library is what the randomized tests assert.
+orientability by brute-force search over sign assignments, reports by
+the stdlib's JSON encoder, peak memory from a separate launcher.
+Agreement with the library is what the randomized tests assert.
 """
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from typing import Iterable
 
@@ -22,6 +27,40 @@ from coverbench.hurwitz import HurwitzData
 from coverbench.layered import BLOCK_KINDS, Block, LayeredCover
 from coverbench.perms import Perm, compose_all, inverse
 from coverbench.surfaces import PROJECTIVE_PLANE, SPHERE, TORUS, ClosedSurface
+
+
+def stdlib_dumps(doc) -> str:
+    """A report as the stdlib encodes it; jsonio.dumps must match it byte
+    for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# exec keeps the ru_maxrss of the process it replaces, so a child forked
+# straight from pytest would start at pytest's size: the measured process
+# is forked from this small launcher, which reports the child's peak last
+_LAUNCHER = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[1:]).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_measured(argv: list[str], timeout: float, preexec_fn=None):
+    """Run argv with this test process's import path; return the completed
+    process and argv's peak resident size in bytes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=preexec_fn,
+    )
+    *lines, peak = child.stderr.splitlines(keepends=True)
+    child.stderr = "".join(lines)
+    return child, int(peak) << 10  # ru_maxrss is in KiB on Linux
 
 
 def lifted_cell_chi(datum: HurwitzData, orbit: Iterable[int]) -> int:

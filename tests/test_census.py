@@ -1,19 +1,15 @@
 """Census enumeration: frozen small cells, oracle agreement, audits."""
 from __future__ import annotations
 
-import os
 import resource
-import subprocess
 import sys
-from math import factorial
-from pathlib import Path
+from math import factorial, log2
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 
-import coverbench
 from coverbench.census import (
     AuditReport,
     CensusRow,
@@ -22,6 +18,7 @@ from coverbench.census import (
     _canonical_forms,
     _classify_forms,
     _group_table,
+    _log2_tuples_floor,
     classify_shard,
     enumerate_covers,
     enumerate_shard,
@@ -29,6 +26,7 @@ from coverbench.census import (
     parity_audit,
     universal_base_report_dim2,
 )
+from coverbench.characters import connected_count, hom_count
 from coverbench.errors import InvalidData, LimitExceeded
 from coverbench.hurwitz import HurwitzData, is_connected, total_space
 from coverbench.perms import Perm, compose, compose_all, identity, inverse
@@ -42,7 +40,7 @@ from coverbench.surfaces import (
     euler_characteristic,
 )
 
-from oracles import ORACLE_NONSIMPLE_CELLS, ORACLE_SIMPLE_CELLS, oracle_census
+from oracles import ORACLE_NONSIMPLE_CELLS, ORACLE_SIMPLE_CELLS, oracle_census, run_measured
 
 
 def test_sphere_degree2_two_points():
@@ -162,6 +160,20 @@ def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
     assert _group_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("simple_only", [True, False])
+def test_tuple_floor_bounds_nonempty_cells_from_below(simple_only):
+    # the closed-form floor that refuses cells before any character sum
+    for base in (TORUS, KLEIN_BOTTLE, ClosedSurface(True, 3), ClosedSurface(False, 5)):
+        for d in range(2, 7):
+            for b in range(0, 7, 2):
+                floor = _log2_tuples_floor(base, d, b)
+                # equal where the other characters vanish: allow rounding
+                assert floor <= log2(hom_count(base, d, b, simple_only)) + 1e-9, (base, d, b)
+                assert connected_count(base, d, b, simple_only) > 0, (base, d, b)
+    for base, d, b in ((SPHERE, 4, 6), (PROJECTIVE_PLANE, 4, 2), (TORUS, 1, 2), (TORUS, 4, 3)):
+        assert _log2_tuples_floor(base, d, b) is None
+
+
 def test_admission_reaches_past_eight_branch_points():
     assert enumerate_covers(SPHERE, 2, 9, True) == CensusRow(SPHERE, 2, 9, ())
     row = enumerate_covers(SPHERE, 2, 12, True)
@@ -185,15 +197,13 @@ def test_empty_cell_is_still_bounded_when_enumerated_in_full():
 
 
 _PEAK_SCRIPT = """
-import resource, sys
+import sys
 from coverbench.census import _check_peak, enumerate_covers
 from coverbench.characters import hom_count
 from coverbench.cli import parse_base
 base, d, b, simple_only = parse_base(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
 enumerate_covers(base, d, b, simple_only)
-tuples = hom_count(base, d, b, simple_only)
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10  # KiB on Linux
-print(tuples, peak, _check_peak(base, d, b, simple_only))
+print(hom_count(base, d, b, simple_only), _check_peak(base, d, b, simple_only))
 """
 
 
@@ -207,21 +217,10 @@ print(tuples, peak, _check_peak(base, d, b, simple_only))
     ],
 )
 def test_predicted_peak_bounds_measured_rss(cell):
-    # exec keeps the ru_maxrss of the process it replaces, so a child forked
-    # from this pytest process would start at pytest's size: the measured
-    # process is forked from a small launcher instead
-    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     argv = [str(x) for x in cell[:3]] + ["1" if cell[3] else "0"]
-    child = subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-c", _PEAK_SCRIPT, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    child, peak = run_measured([sys.executable, "-c", _PEAK_SCRIPT, *argv], timeout=120)
     assert child.returncode == 0, child.stderr
-    tuples, peak, predicted = map(int, child.stdout.split())
+    tuples, predicted = map(int, child.stdout.split())
     assert tuples >= 100_000
     assert peak <= predicted
 
@@ -333,23 +332,12 @@ def test_group_table_7_peak_memory_under_1gb():
     # mult and conj are two 5040 x 5040 int32 tables, about 200 MB; a
     # (7!, 7!, 7) int64 intermediate would take the child past 2.9 GB,
     # so the child runs under a 2 GiB address-space cap
-    src = str(Path(coverbench.__file__).resolve().parents[1])
-    code = (
-        "import resource\n"
-        "from coverbench.census import GroupTable\n"
-        "GroupTable(7)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=_cap_address_space,
+    code = "from coverbench.census import GroupTable\nGroupTable(7)\n"
+    child, peak = run_measured(
+        [sys.executable, "-c", code], timeout=120, preexec_fn=_cap_address_space
     )
     assert child.returncode == 0, child.stderr
-    assert int(child.stdout) < 1 << 20  # ru_maxrss is in KiB on Linux
+    assert peak < 1 << 30
 
 
 @seed(20261017)

@@ -10,10 +10,12 @@ import subprocess
 import sys
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed, settings
 
 from coverbench import jsonio
-from coverbench.cli import format_cycles, main, parse_base, parse_cycles
+from coverbench.cli import build_parser, format_cycles, main, parse_base, parse_cycles
 from coverbench.errors import InvalidInput
 from coverbench.exhaustion import ExhaustionGraph, Piece, normalize
 from coverbench.hurwitz import HurwitzData, construct_hyperelliptic
@@ -26,6 +28,7 @@ from coverbench.surfaces import (
     TORUS,
     ClosedSurface,
 )
+from oracles import run_measured, stdlib_dumps
 
 
 def run_cli(argv):
@@ -231,6 +234,88 @@ class TestJsonRoundTrips:
             jsonio.loads("[1, 2]")
         with pytest.raises(InvalidInput):
             jsonio.loads("not json")
+
+
+_INTS = st.one_of(
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1, 10**40, -1]),
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324]),
+)
+_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001f600'))
+)
+_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+# a dict's keys share one type, as the stdlib sorts them against each other
+_KEY_TYPES = st.sampled_from([_TEXT, _INTS, _FLOATS, st.booleans(), st.none()])
+
+
+def _containers(children):
+    int_lists = st.lists(_INTS, max_size=6)
+    lists = st.lists(children, max_size=5)
+    return st.one_of(
+        int_lists,
+        int_lists.map(tuple),
+        lists,
+        lists.map(tuple),
+        _KEY_TYPES.flatmap(lambda keys: st.dictionaries(keys, children, max_size=5)),
+    )
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_LEAVES, _containers, max_leaves=40))
+def test_dumps_is_the_stdlib_encoding(x):
+    assert jsonio.dumps(x) == stdlib_dumps(x)
+
+
+@pytest.mark.parametrize(
+    "x", [{1, 2}, object(), [1, {2}], {"a": object()}, {object(): 1}, {(1, 2): 3}]
+)
+def test_dumps_refuses_what_the_stdlib_refuses(x):
+    with pytest.raises(TypeError):
+        stdlib_dumps(x)
+    with pytest.raises(TypeError):
+        jsonio.dumps(x)
+
+
+def test_every_subcommand_reports_the_stdlib_encoding(tmp_path, monkeypatch):
+    normal = normalize(sample_graph())
+    depth = str(normal.stable_depth)
+    h = write_doc(tmp_path, "h.json", jsonio.hurwitz_to_json(construct_hyperelliptic(2)))
+    e = write_doc(tmp_path, "e.json", jsonio.exhaustion_to_json(sample_graph()))
+    n = write_doc(tmp_path, "n.json", jsonio.exhaustion_to_json(normal))
+    c = write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(3)))
+    runs = [
+        ["classify", "--chi", "-2", "--orientable", "true"],
+        ["validate", "--input", e],
+        ["total-space", "--input", h],
+        ["construct", "--family", "cyclic-rp2", "--crosscaps", "3"],
+        ["stabilize", "--input", h, "--times", "1"],
+        ["compose-double", "--input", h],
+        ["enumerate", "--base", "rp2", "--degree", "3", "--branch-points", "2"],
+        ["parity-audit", "--dmax", "3", "--bmax", "2"],
+        ["universal-report", "--degree", "3", "--genus-max", "1"],
+        ["normalize", "--input", e],
+        ["count-ends", "--input", n, "--levels", depth, "--remaining", "inf"],
+        ["build-cover", "--input", n, "--levels", depth],
+        ["staircase", "--levels", "3", "--verify"],
+        ["verify", "--input", c, "--restrictions"],
+        ["compose-staircase", "--input", c, "--levels", "2"],
+    ]
+    subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    assert {argv[0] for argv in runs} == set(subcommands)
+    docs = []
+    encode = jsonio.dumps
+    monkeypatch.setattr(jsonio, "dumps", lambda doc: docs.append(doc) or encode(doc))
+    for argv in runs:
+        docs.clear()
+        rc, out, err = run_cli(argv)
+        assert (rc, err) == (0, ""), argv
+        assert out == stdlib_dumps(docs[0]), argv
 
 
 class TestDatumCommands:
@@ -614,28 +699,45 @@ def test_far_level_exits_cleanly_under_a_memory_cap(tmp_path):
 def test_empty_census_cell_reports_without_enumerating():
     # s2/6/8 has 10,198,665 valid tuples and no connected one; enumerating
     # them takes about 90 s and 1.3 GB, so the child runs under a 1 GiB cap
-    script = (
-        "import resource, sys\n"
-        "from coverbench.cli import main\n"
-        "code = main(['enumerate', '--base', 's2', '--degree', '6', '--branch-points', '8'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = ["enumerate", "--base", "s2", "--degree", "6", "--branch-points", "8"]
     start = time.perf_counter()
-    child = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
+    child, peak = run_measured(
+        [sys.executable, "-m", "coverbench.cli", *argv],
         timeout=60,
-        env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
     elapsed = time.perf_counter() - start
     assert child.returncode == 0, child.stderr
     assert report_of(child.stdout)["result"]["rows"] == []
     assert elapsed < 5
-    assert int(child.stderr) < 100 << 10  # ru_maxrss is in KiB on Linux
+    assert peak < 100 << 20
+
+
+def test_staircase_report_peaks_under_100_mb():
+    # the 17.9 MB report of staircase(800): the stdlib's indent encoder
+    # held one string per token until its final join and peaked at 138 MB
+    argv = ["staircase", "--levels", "800", "--verify"]
+    child, peak = run_measured([sys.executable, "-m", "coverbench.cli", *argv], timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert len(child.stdout) > 17 << 20
+    assert peak < 100 << 20
+
+
+def test_high_genus_cells_are_answered_before_any_character_sum():
+    # the tuple count of o30000/6/0 has 171,438 digits: computing it took
+    # 7 s and printing it failed, so the closed-form floor refuses the cell
+    # first; with one branch point the cell is empty by parity
+    start = time.perf_counter()
+    rc, out, err = run_cli(["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "0"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: census cell (orientable genus-30000 surface, degree 6, 0 branch points) "
+        "has a tuple count of at least 171438 digits, over the 4096 MiB budget\n"
+    )
+    rc, out, err = run_cli(["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "1"])
+    assert (rc, err) == (0, "")
+    assert report_of(out)["result"]["rows"] == []
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize(
