@@ -42,8 +42,8 @@ from math import factorial, log2, log10
 
 import numpy as np
 
-from .characters import connected_count, hom_count
-from .errors import InvalidData, LimitExceeded
+from .characters import _irreducibles, connected_count, hom_count
+from .errors import MEMORY_BUDGET, InvalidData, LimitExceeded
 from .surfaces import (
     PROJECTIVE_PLANE,
     ClosedSurface,
@@ -55,12 +55,11 @@ from .surfaces import (
 _LEAD_CHUNK = 1 << 17
 _OUTER_CHUNK = 8
 
-# Admission budget: a constant, so a cell's verdict is the same on every
-# machine. Byte costs are fitted to the peak ru_maxrss of enumerate_covers
-# (2-core Xeon, Python 3.11, numpy 2.4): 14-14.5 per tuple entry on large
-# cells (rp2/5/6, s2/5/8, rp2/6/6); the class dictionary dominates at degree
-# 2 (n20/2/0: 632 MB for 2^20 one-tuple classes of 20 entries).
-_MEMORY_BUDGET = 4 << 30
+# Admission against the constant MEMORY_BUDGET. Byte costs are fitted to
+# the peak ru_maxrss of enumerate_covers (2-core Xeon, Python 3.11, numpy
+# 2.4): 14-14.5 per tuple entry on large cells (rp2/5/6, s2/5/8, rp2/6/6);
+# the class dictionary dominates at degree 2 (n20/2/0: 632 MB for 2^20
+# one-tuple classes of 20 entries).
 _CHARACTER_STEPS = 10**6
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
@@ -214,7 +213,7 @@ def _generators(base: ClosedSurface) -> int:
     return 2 * base.genus if base.orientable else base.genus
 
 
-def _check_cell(base: ClosedSurface, d: int, b: int) -> None:
+def _check_cell(base: ClosedSurface, d: int, b: int, simple_only: bool) -> None:
     """Refuse what closed forms bring out of reach, before any character
     sum: the group tables of S_d (d! grows step by step, so a huge d costs
     nothing), the character sums, about (d*b)^2 steps, and the cells
@@ -224,26 +223,29 @@ def _check_cell(base: ClosedSurface, d: int, b: int) -> None:
     order = 1
     for i in range(2, d + 1):
         order *= i
-        if 8 * order**2 > _MEMORY_BUDGET:
+        if 8 * order**2 > MEMORY_BUDGET:
             raise LimitExceeded(f"degree {d}: the group tables of S_{d} exceed the memory budget")
     if (d * b) ** 2 > _CHARACTER_STEPS:
         raise LimitExceeded(f"degree {d} with {b} branch points: the character sums are too long")
-    floor = _log2_tuples_floor(base, d, b)
+    floor = _log2_tuples_floor(base, d, b, simple_only)
     if floor is None:
         return
     # one bit of slack: float rounding cannot refuse a cell that
     # _check_peak would admit
-    if floor + log2((_generators(base) + b) * _ENTRY_BYTES) > log2(_MEMORY_BUDGET) + 1:
+    if floor + log2((_generators(base) + b) * _ENTRY_BYTES) > log2(MEMORY_BUDGET) + 1:
         digits = int(floor * log10(2) - 1e-9) + 1
         raise LimitExceeded(
             f"census cell ({base.name}, degree {d}, {b} branch points) has a tuple "
-            f"count of at least {digits} digits, over the {_MEMORY_BUDGET >> 20} MiB budget"
+            f"count of at least {digits} digits, over the {MEMORY_BUDGET >> 20} MiB budget"
         )
 
 
-def _log2_tuples_floor(base: ClosedSurface, d: int, b: int) -> float | None:
-    """log2 of a lower bound on the cell's tuples, simple or not, where
-    one is proved: d >= 2, even b and chi <= 0; None elsewhere.
+def _log2_tuples_floor(
+    base: ClosedSurface, d: int, b: int, simple_only: bool
+) -> float | None:
+    """log2 of a lower bound on the cell's tuples where one is proved,
+    over a base with chi <= 0: for d >= 2 and even b, simple or not, and
+    for d >= 3 and odd b without the simple restriction; None elsewhere.
 
     With b even every term (f^lambda)^chi * c(lambda)^b of the character
     sum is >= 0, and the trivial and sign characters have f = 1 and
@@ -251,16 +253,30 @@ def _log2_tuples_floor(base: ClosedSurface, d: int, b: int) -> float | None:
     simple tuples. A transposition is not the identity, so every simple
     tuple is also a tuple of the cell without the simple restriction.
 
+    With b odd and any meridians allowed, inclusion-exclusion gives
+    (d!)^(1-chi) ((d!-1)^b + 1 - sum_lambda (f^lambda)^chi) tuples. Each
+    (f^lambda)^chi is at most 1, so there are at least (d!)^(1-chi)
+    ((d!-1)^b + 1 - p(d)), p(d) the number of partitions of d: positive
+    for d >= 3.
+
     A cell refused on this bound is one _check_peak would refuse: the
     peak it predicts grows with the tuple count, and the cell is reached
     because its connected count is positive. For chi <= 0 the base has a
     handle or two crosscaps: with sigma a d-cycle, the handle (sigma, 1)
     or the crosscaps (sigma, sigma^-1), identities elsewhere and the
-    meridians in equal pairs (1 2), (1 2) form a transitive tuple."""
+    meridians in equal pairs (1 2), (1 2) form a transitive tuple; with
+    b odd the first three meridians are (1 2 3) instead, or with b = 1
+    the handle is (sigma, (1 2)) or the crosscaps (sigma, 1) and the
+    meridian closes the relation."""
     chi = euler_characteristic(base)
-    if d < 2 or b % 2 or chi > 0:
+    if d < 2 or chi > 0:
         return None
-    return 1 + (1 - chi) * log2(factorial(d)) + b * log2(d * (d - 1) // 2)
+    if b % 2 == 0:
+        return 1 + (1 - chi) * log2(factorial(d)) + b * log2(d * (d - 1) // 2)
+    if simple_only or d < 3:
+        return None
+    n = factorial(d)
+    return (1 - chi) * log2(n) + log2((n - 1) ** b + 1 - len(_irreducibles(d)))
 
 
 def _digits(n: int) -> int:
@@ -281,9 +297,9 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     classes = tuples // factorial(d - 1)
     peak = 8 * factorial(d) ** 2 + tuples * k * _ENTRY_BYTES + _SLACK_BYTES
     peak += classes * (8 * k + _CLASS_BYTES)
-    if peak > _MEMORY_BUDGET:
+    if peak > MEMORY_BUDGET:
         cell = f"census cell ({base.name}, degree {d}, {b} branch points)"
-        budget = f"the {_MEMORY_BUDGET >> 20} MiB budget"
+        budget = f"the {MEMORY_BUDGET >> 20} MiB budget"
         if tuples >= 10**18:  # a count this long is told by its size
             raise LimitExceeded(f"{cell} has a tuple count of {_digits(tuples)} digits, over {budget}")
         raise LimitExceeded(
@@ -295,7 +311,7 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
 def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     """The exact connected count of a cell enumerate_covers may answer. An
     empty cell is answered without enumerating, so its peak is not checked."""
-    _check_cell(base, d, b)
+    _check_cell(base, d, b, simple_only)
     expected = connected_count(base, d, b, simple_only)
     if expected:
         _check_peak(base, d, b, simple_only)
@@ -466,7 +482,7 @@ def enumerate_shard(
 ) -> CensusShard:
     """Every valid tuple of a census cell, counted by canonical class
     form; classify_shard turns it into the cell's row."""
-    _check_cell(base, d, b)
+    _check_cell(base, d, b, simple_only)
     _check_peak(base, d, b, simple_only)
     A = _valid_tuples(base, d, b, simple_only)
     T = _group_table(d)

@@ -25,9 +25,7 @@ import sys
 from . import __version__, jsonio
 from .errors import InvalidInput, WorkbenchError
 from .exhaustion import (
-    ConstantSupplier,
     ExhaustionGraph,
-    NormalizedExhaustion,
     count_ends,
     normalize,
     total_chi,
@@ -379,16 +377,7 @@ def _parse_remaining(text: str):
 
 def _cmd_count_ends(args):
     graph, digest = _exhaustion_input(args)
-    remaining = _parse_remaining(args.remaining)
-    if remaining is not None:
-        supplier = ConstantSupplier(remaining)
-        if isinstance(graph, NormalizedExhaustion):
-            graph = NormalizedExhaustion(
-                graph.pieces, supplier=supplier, stable_depth=graph.stable_depth
-            )
-        else:
-            graph = ExhaustionGraph(graph.pieces, supplier=supplier)
-    ec = count_ends(graph, args.levels)
+    ec = count_ends(graph, args.levels, _parse_remaining(args.remaining))
     payload = {
         "levels": args.levels,
         "ends": ec.ends,

@@ -1,7 +1,12 @@
-"""Exception types and the validation report shared across the workbench."""
+"""Exception types, the validation report and the memory budget shared
+across the workbench."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+MEMORY_BUDGET = 4 << 30
+"""Bytes a run may be predicted to need before it is refused with
+LimitExceeded: a constant, so a verdict is the same on every machine."""
 
 
 class WorkbenchError(Exception):
@@ -37,7 +42,8 @@ class WrongBase(WorkbenchError):
 
 
 class LimitExceeded(WorkbenchError):
-    """A census cell would exceed the memory budget, or its character sums are too long."""
+    """A census cell or a layered cover would exceed the memory budget, or a
+    cell's character sums are too long."""
 
 
 class NotNormalized(WorkbenchError):

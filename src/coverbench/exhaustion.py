@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
 
 from .errors import InvalidInput, NotNormalized, ValidationReport
 
@@ -68,30 +67,9 @@ def piece_shape(p: Piece) -> str:
     return "other"
 
 
-class LevelSupplier(Protocol):
-    """Contract for exhaustions that keep growing past the truncation.
-
-    remaining_type_b_after(level) reports how many two-legged pieces
-    exist strictly beyond the given level: 0 certifies none, a positive
-    integer promises finitely many more, math.inf promises infinitely
-    many, None declines to answer.
-    """
-
-    def remaining_type_b_after(self, level: int) -> int | float | None: ...
-
-
-@dataclass(frozen=True)
-class ConstantSupplier:
-    remaining: int | float | None
-
-    def remaining_type_b_after(self, level: int) -> int | float | None:
-        return self.remaining
-
-
 @dataclass(frozen=True)
 class ExhaustionGraph:
     pieces: tuple[Piece, ...]
-    supplier: LevelSupplier | None = None
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.pieces, key=lambda p: (p.level, p.id)))
@@ -483,7 +461,7 @@ def normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
     pieces, depth = _Normalizer(g).run()
-    return NormalizedExhaustion(pieces, supplier=g.supplier, stable_depth=depth)
+    return NormalizedExhaustion(pieces, stable_depth=depth)
 
 
 def is_normalized_through(g: ExhaustionGraph, J: int) -> bool:
@@ -497,9 +475,13 @@ def is_normalized_through(g: ExhaustionGraph, J: int) -> bool:
     return True
 
 
-def count_ends(g: ExhaustionGraph, J: int) -> EndCount:
-    """1 + (two-legged pieces through level J), exact only when the
-    supplier certifies nothing two-legged remains beyond J."""
+def count_ends(
+    g: ExhaustionGraph, J: int, remaining: int | float | None = None
+) -> EndCount:
+    """1 + (two-legged pieces through level J). remaining is how many
+    two-legged pieces lie beyond level J: 0 makes the count exact,
+    math.inf makes it infinite, and None (unknown) or a positive integer
+    leaves it a lower bound."""
     if J < 1:
         raise ValueError(f"need J >= 1, got {J}")
     report = validate_exhaustion(g)
@@ -508,11 +490,4 @@ def count_ends(g: ExhaustionGraph, J: int) -> EndCount:
     if not is_normalized_through(g, J):
         raise NotNormalized(f"graph is not in normal shape through level {J}")
     ends = 1 + sum(1 for p in g.pieces if 2 <= p.level <= J and piece_shape(p) == "b")
-    if g.supplier is None:
-        return EndCount(ends, exact=False, infinite=False)
-    remaining = g.supplier.remaining_type_b_after(J)
-    if remaining == 0:
-        return EndCount(ends, exact=True, infinite=False)
-    if remaining == math.inf:
-        return EndCount(ends, exact=False, infinite=True)
-    return EndCount(ends, exact=False, infinite=False)
+    return EndCount(ends, exact=remaining == 0, infinite=remaining == math.inf)

@@ -7,13 +7,17 @@ the same two sheets with 2g simple branch points. A two-legged piece
 adds two fresh sheets capped inward by disks, so the degree over later
 stages grows by two per split; its meridians are the lexicographically
 first word of transpositions whose total boundary product splits the
-four sheets into two pairs while the meridians alone connect them.
+four sheets into two pairs while the meridians alone connect them. Over
+continuing sheets s1 < s2 and fresh t1 < t2 that word is
+(s1 s2)^(2g+1), (s1 t1), (s2 t2), and the pairs are (s1 t1), (s2 t2).
 
 The staircase is the standalone comparison cover: one new sheet per
 level, one branch point per level, fiber count growing without bound.
-All invariants checked here are combinatorial consequences of counting
-lifted cells, so verify_layered re-derives them from the raw block
-data rather than trusting the constructors.
+Both constructors write every block from these closed forms and
+multiply no permutations. All invariants checked here are combinatorial
+consequences of counting lifted cells, so verify_layered re-derives
+them from the raw block data, with its own boundary product, rather
+than trusting the constructors.
 
 Both checkers read one level index, built on first use and cached on
 the cover: the blocks of each level in document order, the first level
@@ -27,11 +31,13 @@ as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
+    MEMORY_BUDGET,
     DepthExceeded,
     InvalidInput,
+    LimitExceeded,
     NonorientableInput,
     NotNormalized,
     UnverifiedInput,
@@ -44,6 +50,11 @@ from .exhaustion import (
 )
 
 BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
+
+# peak bytes per branch point of a build-cover run, its report included:
+# about 590 at 2,000,001 branch points (1.19 GB peak ru_maxrss on a 2-core
+# Xeon, Python 3.11)
+_BRANCH_BYTES = 640
 
 
 @dataclass(frozen=True)
@@ -202,58 +213,24 @@ def _perm_cycles(perm: dict[int, int]) -> tuple[tuple[int, ...], ...]:
 
 # --- canonical pants meridians ---
 
-_TRANS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_FULL_PART = (0, 0, 0, 0)
 
-
-def _tmul(p: tuple[int, ...], t: tuple[int, int]) -> tuple[int, ...]:
-    a, b = t
-    return tuple(b if x == a else a if x == b else x for x in p)
-
-
-def _pmerge(part: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    ra, rb = part[a], part[b]
-    if ra == rb:
-        return part
-    lo, hi = min(ra, rb), max(ra, rb)
-    return tuple(lo if x == hi else x for x in part)
-
-
-def _is_pairing(p: tuple[int, ...]) -> bool:
-    return all(p[i] != i and p[p[i]] == i for i in range(4))
-
-
-@lru_cache(maxsize=None)
-def _completable(steps: int, prod: tuple[int, ...], part: tuple[int, ...]) -> bool:
-    if steps == 0:
-        return part == _FULL_PART and _is_pairing(prod)
-    return any(
-        _completable(steps - 1, _tmul(prod, t), _pmerge(part, t[0], t[1]))
-        for t in _TRANS4
-    )
-
-
-@lru_cache(maxsize=None)
-def _pants_meridians(genus: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+def _pants_meridians(
+    genus: int, s1: int, s2: int, t1: int, t2: int
+) -> tuple[tuple[int, int], ...]:
     """Lexicographically first transposition word of length 2g + 3 on
-    sheets {0,1,2,3} (0,1 continuing, 2,3 capped) whose boundary
-    product after the inbound (0 1) pairs all four sheets without fixed
-    points, with the word alone acting transitively. Returns the word
-    and the boundary product."""
-    length = 2 * genus + 3
-    prod = (1, 0, 2, 3)
-    part = (0, 1, 2, 3)
-    word: list[tuple[int, int]] = []
-    for pos in range(length):
-        for t in _TRANS4:
-            nprod, npart = _tmul(prod, t), _pmerge(part, t[0], t[1])
-            if _completable(length - pos - 1, nprod, npart):
-                word.append(t)
-                prod, part = nprod, npart
-                break
-        else:
-            raise RuntimeError("no admissible meridian word")
-    return tuple(word), prod
+    sheets s1 < s2 < t1 < t2 (s1, s2 continuing, t1, t2 capped) whose
+    boundary product after the inbound (s1 s2) pairs all four sheets
+    without fixed points, with the word alone acting transitively:
+    (s1 s2)^(2g+1), (s1 t1), (s2 t2), with product (s1 t1)(s2 t2).
+
+    Relabel the sheets 0 < 1 < 2 < 3, which keeps the order of words.
+    The word (0 1)^(2g+1), (0 2), (1 3) qualifies, so each of the first
+    2g + 1 places takes the least letter (0 1). The product is then the
+    identity and no letter has reached 2 or 3; the two letters left
+    must reach both, so the next is one that reaches one of them, the
+    least being (0 2). After it only (1 3) leaves no fixed point: (0 3)
+    and (2 3) make a 3-cycle, and the rest leave 3 unreached."""
+    return ((s1, s2),) * (2 * genus + 1) + ((s1, t1), (s2, t2))
 
 
 # --- constructors ---
@@ -272,6 +249,16 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
         raise InvalidInput("; ".join(report.problems))
     if not is_normalized_through(e, J):
         raise NotNormalized(f"exhaustion is not in normal shape through level {J}")
+    # the disk's one, 2g per annulus and 2g + 3 per pants
+    branch_points = 1 + sum(
+        2 * p.genus + 3 * (piece_shape(p) == "b") for p in e.pieces if 2 <= p.level <= J
+    )
+    limit = MEMORY_BUDGET // _BRANCH_BYTES
+    if branch_points > limit:
+        raise LimitExceeded(
+            f"the cover through level {J} has more than {limit} branch points, "
+            f"over the {MEMORY_BUDGET >> 20} MiB budget"
+        )
 
     blocks: list[Block] = []
     feeds: dict[int, tuple[str, tuple[int, ...]]] = {}
@@ -301,17 +288,11 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
             else:
                 t1, t2 = next_sheet, next_sheet + 1
                 next_sheet += 2
-                cword, cprod = _pants_meridians(p.genus)
-                onto = {0: s1, 1: s2, 2: t1, 3: t2}
-                word = tuple(
-                    tuple(sorted((onto[a], onto[b]))) for a, b in cword
-                )
+                word = _pants_meridians(p.genus, s1, s2, t1, t2)
                 labels = tuple((j, branch_idx + i + 1) for i in range(len(word)))
                 branch_idx += len(word)
-                pairing = {onto[i]: onto[cprod[i]] for i in range(4)}
-                cycles = _perm_cycles(pairing)
-                outs = sorted(p.outer)
-                outbound = tuple(zip(outs, cycles))
+                # the product's cycles, least sheet first as s1 < s2 < t1 < t2
+                outbound = tuple(zip(sorted(p.outer), ((s1, t1), (s2, t2))))
                 blocks.append(
                     Block(p.id, j, "pants", (s1, s2, t1, t2), (t1, t2), (s1, s2), word, labels, outbound, parent_id, circle)
                 )
@@ -334,8 +315,9 @@ def staircase(J: int) -> LayeredCover:
     prev = (0, 1)
     for i in range(2, J + 1):
         sheets = tuple(range(i + 1))
-        perm = _word_perm(sheets, prev, ((i - 1, i),))
-        (out_cycle,) = _perm_cycles(perm)
+        # the inbound cycle (0, i-1, ..., 1) followed by (i-1 i); slicing
+        # shares the sheets' int objects rather than making new ones
+        out_cycle = sheets[:1] + sheets[:0:-1]
         blocks.append(
             Block(f"s{i}", i, "staircase", sheets, (i,), prev, ((i - 1, i),), ((i, 1),), ((i, out_cycle),), f"s{i - 1}", i - 1)
         )

@@ -828,4 +828,4 @@ def quadratic_normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
     pieces, depth = _QuadraticNormalizer(g).run()
-    return NormalizedExhaustion(pieces, supplier=g.supplier, stable_depth=depth)
+    return NormalizedExhaustion(pieces, stable_depth=depth)

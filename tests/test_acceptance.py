@@ -12,7 +12,6 @@ import pytest
 
 from coverbench.census import parity_audit
 from coverbench.exhaustion import (
-    ConstantSupplier,
     ExhaustionGraph,
     NormalizedExhaustion,
     Piece,
@@ -71,7 +70,7 @@ def strand_tower(pants: int, depth: int) -> ExhaustionGraph:
             new_strands.extend(out)
         strands = new_strands
         level += 1
-    return ExhaustionGraph(tuple(pieces), supplier=ConstantSupplier(0))
+    return ExhaustionGraph(tuple(pieces))
 
 
 class TestAcceptance:
@@ -187,7 +186,7 @@ class TestAcceptance:
             graph = strand_tower(k - 1, 25)
             ok = ok and validate_exhaustion(graph).ok
             ok = ok and is_normalized_through(graph, 20)
-            ends = count_ends(graph, 20)
+            ends = count_ends(graph, 20, remaining=0)
             ok = ok and ends.exact and ends.ends == k
             cover = build_cover(graph, 20)
             ok = ok and cover.degree == 2 * k and verify_layered(cover).ok

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import resource
 import sys
+from fractions import Fraction
 from math import factorial, log2
 
 import hypothesis.strategies as st
@@ -26,7 +27,7 @@ from coverbench.census import (
     parity_audit,
     universal_base_report_dim2,
 )
-from coverbench.characters import connected_count, hom_count
+from coverbench.characters import _irreducibles, connected_count, hom_count
 from coverbench.errors import InvalidData, LimitExceeded
 from coverbench.hurwitz import HurwitzData, is_connected, total_space
 from coverbench.perms import Perm, compose, compose_all, identity, inverse
@@ -162,16 +163,37 @@ def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
 
 @pytest.mark.parametrize("simple_only", [True, False])
 def test_tuple_floor_bounds_nonempty_cells_from_below(simple_only):
-    # the closed-form floor that refuses cells before any character sum
+    # the closed-form floor that refuses cells before any character sum;
+    # with b odd a simple cell is empty, and a cell of any meridians has
+    # a floor from degree 3 on
     for base in (TORUS, KLEIN_BOTTLE, ClosedSurface(True, 3), ClosedSurface(False, 5)):
         for d in range(2, 7):
-            for b in range(0, 7, 2):
-                floor = _log2_tuples_floor(base, d, b)
+            for b in range(7):
+                floor = _log2_tuples_floor(base, d, b, simple_only)
+                if b % 2 and (simple_only or d < 3):
+                    assert floor is None, (base, d, b)
+                    continue
                 # equal where the other characters vanish: allow rounding
                 assert floor <= log2(hom_count(base, d, b, simple_only)) + 1e-9, (base, d, b)
                 assert connected_count(base, d, b, simple_only) > 0, (base, d, b)
-    for base, d, b in ((SPHERE, 4, 6), (PROJECTIVE_PLANE, 4, 2), (TORUS, 1, 2), (TORUS, 4, 3)):
-        assert _log2_tuples_floor(base, d, b) is None
+    odd = (TORUS, 4, 3) if simple_only else (TORUS, 2, 3)
+    for base, d, b in ((SPHERE, 4, 6), (PROJECTIVE_PLANE, 4, 2), (TORUS, 1, 2), odd):
+        assert _log2_tuples_floor(base, d, b, simple_only) is None
+
+
+def test_tuples_of_any_meridians_by_inclusion_exclusion():
+    # the identity behind the odd-b floor: with r = 2 - chi and b >= 1,
+    # (d!)^(r-1) ((d!-1)^b - (-1)^b) + (-1)^b (d!)^(r-1) sum (f^lambda)^chi
+    for base in (TORUS, ClosedSurface(True, 2), ClosedSurface(True, 3),
+                 KLEIN_BOTTLE, ClosedSurface(False, 3), ClosedSurface(False, 4)):
+        chi = euler_characteristic(base)
+        for d in range(2, 7):
+            n = factorial(d)
+            closed = sum(Fraction(n) ** (1 - chi) * Fraction(f) ** chi for f, _ in _irreducibles(d))
+            for b in range(1, 7):
+                sign = (-1) ** b
+                want = n ** (1 - chi) * ((n - 1) ** b - sign) + sign * closed
+                assert hom_count(base, d, b, simple_only=False) == want, (base, d, b)
 
 
 def test_admission_reaches_past_eight_branch_points():

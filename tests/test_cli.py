@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from coverbench import jsonio
 from coverbench.cli import build_parser, format_cycles, main, parse_base, parse_cycles
 from coverbench.errors import InvalidInput
 from coverbench.exhaustion import ExhaustionGraph, Piece, normalize
-from coverbench.hurwitz import HurwitzData, construct_hyperelliptic
+from coverbench.hurwitz import HurwitzData, construct_cyclic_rp2, construct_hyperelliptic
 from coverbench.layered import build_cover, staircase
 from coverbench.perms import Perm
 from coverbench.surfaces import (
@@ -787,3 +788,140 @@ def test_plane_commands_do_not_import_numpy(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_high_genus_cells_of_any_meridians_are_refused_at_once():
+    # o30000/6/1 is empty only for simple covers: with any meridians its
+    # character sums took 7 s before the refusal, which a closed-form
+    # floor for odd b now gives first
+    start = time.perf_counter()
+    argv = ["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "1", "--all"]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: census cell (orientable genus-30000 surface, degree 6, 1 branch points) "
+        "has a tuple count of at least 171440 digits, over the 4096 MiB budget\n"
+    )
+    assert time.perf_counter() - start < 1
+
+
+def _one_piece_graph(genus, outer):
+    return jsonio.exhaustion_to_json(ExhaustionGraph((
+        Piece("d", 1, 0, (), (1,)),
+        Piece("x", 2, genus, (1,), outer),
+    )))
+
+
+def test_build_cover_over_a_high_genus_pants_verifies(tmp_path):
+    # the pants word was once searched with one recursion level per
+    # letter: genus 600 ended in a RecursionError
+    path = write_doc(tmp_path, "e.json", _one_piece_graph(600, (2, 3)))
+    rc, out, err = run_cli(["build-cover", "--input", path, "--levels", "2"])
+    assert (rc, err) == (0, "")
+    cover = report_of(out)["result"]["cover"]
+    assert len(cover["blocks"][1]["meridians"]) == 2 * 600 + 3
+    path = write_doc(tmp_path, "c.json", cover)
+    rc, out, err = run_cli(["verify", "--input", path, "--restrictions"])
+    assert (rc, err) == (0, "")
+    assert report_of(out)["result"]["ok"] is True
+
+
+@pytest.mark.parametrize("genus", [10**8, 10**30])
+def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
+    # genus 10^30 overflowed the word's length (a traceback, exit 1), and
+    # 10^8 ran out of a 2 GiB cap or, without one, could fill the machine:
+    # the branch points are counted before any block is built
+    path = write_doc(tmp_path, "e.json", _one_piece_graph(genus, (2,)))
+    argv = [sys.executable, "-m", "coverbench.cli", "build-cover", "--input", path, "--levels", "2"]
+    child, peak = run_measured(
+        argv,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == (
+        "error: the cover through level 2 has more than 6710886 branch points, "
+        "over the 4096 MiB budget\n"
+    )
+    assert peak < 100 << 20
+
+
+# --- mutated documents: every --input subcommand ends in a report or a
+# one-line error ---
+
+
+def _valid_documents():
+    """Small valid documents of each kind, each with the --input
+    subcommands that read it."""
+    normal = normalize(sample_graph())
+    depth = str(normal.stable_depth)
+    hurwitz = [["validate"], ["total-space"], ["stabilize", "--times", "2"], ["compose-double"]]
+    exhaustion = [
+        ["validate"],
+        ["normalize"],
+        ["count-ends", "--levels", depth, "--remaining", "0"],
+        ["build-cover", "--levels", depth],
+    ]
+    layered = [["verify"], ["verify", "--restrictions"], ["compose-staircase", "--levels", "2"]]
+    return {
+        "hurwitz": (jsonio.hurwitz_to_json(construct_hyperelliptic(1)), hurwitz),
+        "hurwitz-rp2": (jsonio.hurwitz_to_json(construct_cyclic_rp2(2)), hurwitz),
+        "exhaustion": (jsonio.exhaustion_to_json(sample_graph()), exhaustion),
+        "normalized": (jsonio.exhaustion_to_json(normal), exhaustion),
+        "layered": (jsonio.layered_to_json(build_cover(normal, normal.stable_depth)), layered),
+    }
+
+
+_VALID_DOCUMENTS = _valid_documents()
+# a bool, a huge int, a string or a list in place of any value, or none
+_SWAPS = (True, False, 10**30, -(10**30), "x", [], [0, 1])
+
+
+def _positions(doc, path=()):
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _positions(value, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    valid, commands = _VALID_DOCUMENTS[draw(st.sampled_from(sorted(_VALID_DOCUMENTS)))]
+    doc = copy.deepcopy(valid)
+    *head, key = draw(st.sampled_from(list(_positions(doc))))
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    swap = draw(st.sampled_from((None, *_SWAPS)))
+    if swap is None:
+        del parent[key]  # a key, or an item of a list
+    else:
+        parent[key] = copy.deepcopy(swap)
+    return doc, commands
+
+
+def test_mutated_documents_reach_every_input_subcommand():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    reading = {name for name, p in subcommands.items() if any(a.dest == "input" for a in p._actions)}
+    assert {argv[0] for _, commands in _VALID_DOCUMENTS.values() for argv in commands} == reading
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_mutated_documents_end_in_a_report_or_one_error_line(tmp_path_factory, mutated):
+    doc, commands = mutated
+    path = str(tmp_path_factory.getbasetemp() / "mutated.json")
+    with open(path, "w") as fh:
+        fh.write(jsonio.dumps(doc))
+    for command, *flags in commands:
+        rc, out, err = run_cli([command, "--input", path, *flags])
+        assert rc in (0, 1, 2), (command, rc)
+        if rc == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, command
+        else:
+            assert err == "", command
+            result = report_of(out)["result"]
+            if rc == 1:
+                assert result["ok"] is False, command

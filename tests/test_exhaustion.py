@@ -9,7 +9,6 @@ from hypothesis import given, seed, settings
 
 from coverbench.errors import InvalidInput, NotNormalized
 from coverbench.exhaustion import (
-    ConstantSupplier,
     EndCount,
     ExhaustionGraph,
     Piece,
@@ -250,24 +249,16 @@ class TestNormalizeGeneral:
         assert again.pieces == n.pieces
         assert again.stable_depth == n.stable_depth
 
-    def test_supplier_carried_through(self):
-        g = ExhaustionGraph(
-            (Piece("d", 1, 0, (), (0,)),), supplier=ConstantSupplier(0)
-        )
-        n = normalize(g)
-        assert n.supplier is g.supplier
-
 
 class TestEndCounting:
-    def chain(self, supplier=None):
+    def chain(self):
         return ExhaustionGraph(
             (
                 Piece("d", 1, 0, (), (0,)),
                 Piece("x", 2, 0, (0,), (1, 2)),
                 Piece("y", 3, 0, (1,), (3,)),
                 Piece("z", 3, 0, (2,), (4,)),
-            ),
-            supplier=supplier,
+            )
         )
 
     def test_lower_bound_without_supplier(self):
@@ -275,15 +266,15 @@ class TestEndCounting:
         assert ec == EndCount(ends=2, exact=False, infinite=False)
 
     def test_exact_with_certifying_supplier(self):
-        ec = count_ends(self.chain(ConstantSupplier(0)), 3)
+        ec = count_ends(self.chain(), 3, remaining=0)
         assert ec == EndCount(ends=2, exact=True, infinite=False)
 
     def test_infinite_flag(self):
-        ec = count_ends(self.chain(ConstantSupplier(math.inf)), 3)
+        ec = count_ends(self.chain(), 3, remaining=math.inf)
         assert ec.infinite and not ec.exact and ec.ends == 2
 
     def test_pending_supplier_gives_lower_bound(self):
-        ec = count_ends(self.chain(ConstantSupplier(3)), 3)
+        ec = count_ends(self.chain(), 3, remaining=3)
         assert ec == EndCount(ends=2, exact=False, infinite=False)
 
     def test_truncating_below_a_split_sees_fewer_ends(self):
@@ -372,7 +363,7 @@ class TestRandomizedNormalization:
             assert again.pieces == n.pieces, seed
 
     def test_end_count_matches_frontier_on_closed_graphs(self):
-        # with no supplier the truncation frontier realizes the count
+        # with nothing known beyond the truncation, its frontier realizes the count
         for seed in range(30):
             g = random_exhaustion(random.Random(77_000 + seed))
             n = normalize(g)
