@@ -1,22 +1,22 @@
 """Exhaustive enumeration of monodromy data of bounded degree and branch count.
 
-A census cell is (base, degree, branch count, simple-or-not). The search
-iterates generator tuples with the relation solved for the last image
-wherever it is determined: the last meridian over an orientable base, the
-last crosscap (via a square-root table) over a nonorientable one. Tuples
-are counted raw and up to simultaneous conjugation; the canonical class
-form is the exact minimum of the concatenated image sequences over all
-relabelings of the sheets. That minimum is searched only over the
-relabelings sending the first image to the least member of its
-conjugacy class, a coset of its centraliser; no other relabeling can
-reach it.
+A census cell is (base, degree, branch count, simple-or-not). Tuples are
+counted raw and up to simultaneous conjugation, but never listed: orderly
+generation (McKay, Isomorph-free exhaustive generation, J. Algorithms 26,
+1998) builds the least tuple of every conjugation class directly. It
+adds one column at a time and keeps only the prefixes least among their
+conjugates, which reduces to a test of the new entry against the
+stabiliser of the prefix. The generator the relation determines comes
+last: the last meridian over an orientable base, the last crosscap (via
+a square-root table) over a nonorientable one. A class of d! / |C| raw
+tuples is counted from its representative's stabiliser C.
 
-Classification is one array pass over all class forms of a cell, in
-group-table indices: the relation is rechecked column by column, the
-sheets' orbits come from min-label propagation, the Euler characteristic
-from the meridians' cycle counts (Riemann-Hurwitz), and orientability
-over a nonorientable base from the sign double cover, on which a
-crosscap swaps the two lifts of a sheet.
+Classification is one array pass over all class representatives of a
+cell, in group-table indices: the relation is rechecked column by
+column, the sheets' orbits come from min-label propagation, the Euler
+characteristic from the meridians' cycle counts (Riemann-Hurwitz), and
+orientability over a nonorientable base from the sign double cover, on
+which a crosscap swaps the two lifts of a sheet.
 
 Every cell's connected raw total is also known exactly from the
 characters of S_d (module characters): over a base of Euler
@@ -51,15 +51,12 @@ from .surfaces import (
     euler_characteristic,
 )
 
-# cross-join block sizing; tuned for memory, not observable in results
-_LEAD_CHUNK = 1 << 17
-_OUTER_CHUNK = 8
-
-# Admission against the constant MEMORY_BUDGET. Byte costs are fitted to
-# the peak ru_maxrss of enumerate_covers (2-core Xeon, Python 3.11, numpy
-# 2.4): 14-14.5 per tuple entry on large cells (rp2/5/6, s2/5/8, rp2/6/6);
-# the class dictionary dominates at degree 2 (n20/2/0: 632 MB for 2^20
-# one-tuple classes of 20 entries).
+# Admission against the constant MEMORY_BUDGET. The byte costs were fitted
+# to the peak ru_maxrss of listing every tuple (2-core Xeon, Python 3.11,
+# numpy 2.4: 14-14.5 per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6) and
+# now bound the orderly generator from above (rp2/6/6: predicted 3.3 GB,
+# measured 63 MB); the class dictionary dominates at degree 2 (n20/2/0:
+# 606 MB for 2^20 one-tuple classes of 20 entries).
 _CHARACTER_STEPS = 10**6
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
@@ -78,9 +75,10 @@ class CensusRow:
 
 @dataclass(frozen=True)
 class CensusShard:
-    """Census counts of one cell: canonical class form -> raw tuple count.
+    """Census counts of one cell: the least tuple of each conjugation
+    class, in datum order -> the class's raw tuple count.
 
-    Class identity is the canonical form itself, so merge_shards can sum
+    Class identity is the least tuple itself, so merge_shards can sum
     counts of one cell associatively without double-counting classes.
     """
 
@@ -132,9 +130,8 @@ class GroupTable:
     mult[i, j] is "i then j" and conj[t, x] is inv[t]·x·t. Only the rows
     of the adjacent transpositions are ranked from image tuples; every
     other row of mult is one gather away from a row already known, by
-    breadth-first search from the identity. class_min[x] is the least
-    index in x's conjugacy class; ncycles[x] counts x's cycles, fixed
-    points included.
+    breadth-first search from the identity. ncycles[x] counts x's
+    cycles, fixed points included.
     """
 
     def __init__(self, degree: int):
@@ -179,7 +176,6 @@ class GroupTable:
         self.conj = np.empty_like(self.mult)
         for t in range(self.order):
             self.conj[t] = self.mult[self.mult[self.inv[t]], t]
-        self.class_min = self.conj.min(axis=0)
         # a point starts its cycle when no later image is smaller
         point = np.arange(degree, dtype=np.int8)
         least = np.tile(point, (self.order, 1))
@@ -289,9 +285,10 @@ def _digits(n: int) -> int:
 
 
 def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
-    """Predicted peak bytes of enumerating every tuple of a cell, refused
-    over the budget. A class of connected tuples holds at least (d-1)! of
-    them, as a transitive group's centraliser acts freely on the sheets."""
+    """Peak bytes of listing every tuple of a cell, an upper bound on the
+    orderly generator's, refused over the budget. A class of connected
+    tuples holds at least (d-1)! of them, as a transitive group's
+    centraliser acts freely on the sheets."""
     k = _generators(base) + b
     tuples = hom_count(base, d, b, simple_only)
     classes = tuples // factorial(d - 1)
@@ -318,30 +315,6 @@ def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     return expected
 
 
-def _mixed_cartesian_chunks(value_lists, chunk: int):
-    """Cartesian product of index arrays, yielded as (rows, len(lists))
-    blocks in lexicographic order."""
-    repeat = len(value_lists)
-    if repeat == 0:
-        yield np.zeros((1, 0), dtype=np.int32)
-        return
-    sizes = [len(v) for v in value_lists]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total == 0:
-        return
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        out = np.empty((idx.size, repeat), dtype=np.int32)
-        rem = idx.copy()
-        for pos in range(repeat - 1, -1, -1):
-            m = sizes[pos]
-            out[:, pos] = value_lists[pos][rem % m]
-            rem //= m
-        yield out
-
-
 def _word_product(T: GroupTable, rows: np.ndarray) -> np.ndarray:
     acc = np.zeros(len(rows), dtype=np.int32)
     for j in range(rows.shape[1]):
@@ -349,156 +322,162 @@ def _word_product(T: GroupTable, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _orientable_blocks(T, genus, b, mvals):
-    handle_lists = [np.arange(T.order, dtype=np.int32)] * (2 * genus)
-    lead_lists = [mvals] * (b - 1)
-    allowed = np.zeros(T.order, dtype=bool)
-    allowed[mvals] = True
-    # with few inner rows, enough outer rows to fill a block
-    outer = max(_OUTER_CHUNK, _LEAD_CHUNK // max(1, len(mvals) ** max(b - 1, 0)))
-    for H in _mixed_cartesian_chunks(handle_lists, outer):
-        R = np.zeros(len(H), dtype=np.int32)
-        for i in range(genus):
-            a, bb = H[:, 2 * i], H[:, 2 * i + 1]
-            R = T.mult[R, a]
-            R = T.mult[R, bb]
-            R = T.mult[R, T.inv[a]]
-            R = T.mult[R, T.inv[bb]]
-        if b == 0:
-            mask = R == 0
-            if mask.any():
-                yield H[mask]
+def _surface_word(T: GroupTable, orientable: bool, gens: np.ndarray) -> np.ndarray:
+    """Product of the surface word of gens, per row: a commutator per
+    handle pair of columns, or a square per crosscap column."""
+    if not orientable:
+        return _word_product(T, T.mult[gens, gens])
+    acc = np.zeros(len(gens), dtype=np.int32)
+    for i in range(0, gens.shape[1], 2):
+        a, c = gens[:, i], gens[:, i + 1]
+        for g in (a, c, T.inv[a], T.inv[c]):
+            acc = T.mult[acc, g]
+    return acc
+
+
+def _expand(counts: np.ndarray, starts: np.ndarray):
+    """Row i repeated counts[i] times, paired with the positions
+    starts[i], ..., starts[i] + counts[i] - 1."""
+    reps = np.repeat(np.arange(len(counts)), counts)
+    at = np.arange(reps.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return reps, at
+
+
+class _Stabilisers:
+    """The subgroups of S_d met as stabilisers of least prefixes, each
+    interned once by its sorted element indices; id 0 is the trivial
+    group."""
+
+    def __init__(self, T: GroupTable):
+        self.T = T
+        self.groups: list[np.ndarray] = []
+        self.ids: dict[bytes, int] = {}
+        self.intern(np.zeros(1, dtype=np.int32))
+
+    def intern(self, group: np.ndarray) -> int:
+        gid = self.ids.setdefault(group.tobytes(), len(self.groups))
+        if gid == len(self.groups):
+            self.groups.append(group)
+        return gid
+
+    def least(self, gid: int, values: np.ndarray):
+        """The sorted values least in their orbit under conjugation by
+        group gid, with the id of each one's stabiliser within the group."""
+        if gid == 0 or not len(values):
+            return values, np.zeros(len(values), dtype=np.int32)
+        T, G = self.T, self.groups[gid]
+        # a running minimum over blocks of at most one table row: a
+        # |G| x d! slice of conj would weigh as much as conj at d = 7
+        step = max(1, T.order // len(values))
+        least = values.copy()
+        for i in range(0, len(G), step):
+            np.minimum(least, T.conj[G[i : i + step, None], values].min(axis=0), out=least)
+        kept = values[least == values]
+        fixed = T.conj[G[:, None], kept] == kept
+        masks, which = np.unique(fixed.T, axis=0, return_inverse=True)
+        ids = np.array([self.intern(G[m]) for m in masks], dtype=np.int32)
+        return kept, ids[which.reshape(-1)]
+
+
+def _extend(stabs: _Stabilisers, rows: np.ndarray, gids: np.ndarray, values: np.ndarray):
+    """Every least one-column extension of the least prefixes rows, whose
+    stabilisers are gids, by the values."""
+    if not len(rows):
+        return np.zeros((0, rows.shape[1] + 1), dtype=np.int32), gids
+    present = np.unique(gids)
+    exts = [stabs.least(g, values) for g in present.tolist()]
+    sizes = np.array([len(kept) for kept, _ in exts], dtype=np.int64)
+    slot = np.searchsorted(present, gids)
+    reps, at = _expand(sizes[slot], (np.cumsum(sizes) - sizes)[slot])
+    kept = np.concatenate([kept for kept, _ in exts])
+    child = np.concatenate([ids for _, ids in exts])
+    return np.column_stack([rows[reps], kept[at]]), child[at]
+
+
+def _keep_least(stabs: _Stabilisers, values: np.ndarray, gids: np.ndarray):
+    """Which (row, value) pairs have their value least in its orbit under
+    the row's stabiliser gids, and the stabiliser of every pair kept.
+    Each row must come with its value's whole orbit."""
+    keep = np.ones(len(values), dtype=bool)
+    child = gids.copy()
+    by_group = np.argsort(gids, kind="stable")
+    for sel in np.split(by_group, np.flatnonzero(np.diff(gids[by_group])) + 1):
+        if not len(sel) or gids[sel[0]] == 0:
             continue
-        inv_R = T.inv[R]
-        for L in _mixed_cartesian_chunks(lead_lists, _LEAD_CHUNK):
-            P = _word_product(T, L)
-            nh, nl = len(H), len(L)
-            Hrep = np.repeat(H, nl, axis=0)
-            Lt = np.tile(L, (nh, 1))
-            last = T.mult[T.inv[np.tile(P, nh)], np.repeat(inv_R, nl)]
-            ok = allowed[last]
-            if ok.any():
-                yield np.concatenate(
-                    [Hrep[ok], Lt[ok], last[ok, None]], axis=1
-                )
+        kept, ids = stabs.least(int(gids[sel[0]]), np.unique(values[sel]))
+        pos = np.minimum(np.searchsorted(kept, values[sel]), len(kept) - 1)
+        hit = kept[pos] == values[sel]
+        keep[sel] = hit
+        child[sel[hit]] = ids[pos[hit]]
+    return keep, child[keep]
 
 
-def _nonorientable_blocks(T, h, b, mvals):
-    cross_lists = [np.arange(T.order, dtype=np.int32)] * (h - 1)
-    mer_lists = [mvals] * b
-    outer = max(_OUTER_CHUNK, _LEAD_CHUNK // max(1, len(mvals) ** b))
-    for C in _mixed_cartesian_chunks(cross_lists, outer):
-        Q = np.zeros(len(C), dtype=np.int32)
-        for i in range(h - 1):
-            Q = T.mult[Q, C[:, i]]
-            Q = T.mult[Q, C[:, i]]
-        inv_Q = T.inv[Q]
-        for L in _mixed_cartesian_chunks(mer_lists, _LEAD_CHUNK):
-            Mp = _word_product(T, L)
-            nc, nl = len(C), len(L)
-            Crep = np.repeat(C, nl, axis=0)
-            Lt = np.tile(L, (nc, 1))
-            S = T.mult[np.repeat(inv_Q, nl), T.inv[np.tile(Mp, nc)]]
-            counts = T.nsqrt[S]
-            if not counts.any():
-                continue
-            reps = np.repeat(np.arange(len(S)), counts)
-            pos = np.arange(reps.size) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            ch = T.sqrt_flat[T.sqrt_off[S][reps] + pos]
-            yield np.concatenate(
-                [Crep[reps], ch[:, None].astype(np.int32), Lt[reps]], axis=1
-            )
+def _least_tuples(T: GroupTable, base: ClosedSurface, b: int, mvals: np.ndarray):
+    """One tuple per conjugation class of the cell's valid tuples, the
+    least of its class in column order, with its raw count: a
+    (classes, generators) index array in datum order and the class sizes.
 
+    Columns go in datum order with the generator the relation solves
+    moved last: the last meridian over an orientable base with b >= 1,
+    forced as the inverse of the prefix's product; the last crosscap over
+    a nonorientable base, one of the square roots of what the prefix
+    leaves. With neither, the relation filters the finished rows.
 
-def _valid_tuples(base, d, b, simple_only) -> np.ndarray:
-    T = _group_table(d)
-    mvals = T.transpositions if simple_only else T.nonidentity
-    if base.orientable:
-        blocks = list(_orientable_blocks(T, base.genus, b, mvals))
-    else:
-        blocks = list(_nonorientable_blocks(T, base.genus, b, mvals))
-    k = _generators(base) + b
-    if not blocks:
-        return np.zeros((0, k), dtype=np.int32)
-    return np.concatenate(blocks, axis=0)
-
-
-def _pack(B: np.ndarray, order: int, words: int) -> np.ndarray:
-    out = np.zeros((len(B), words), dtype=np.int64)
-    for col in range(B.shape[1]):
-        w = col // 6
-        out[:, w] = out[:, w] * order + B[:, col]
-    return out
-
-
-def _canonical_forms(T: GroupTable, A: np.ndarray):
-    """Minimum of the conjugated index rows over all relabelings; exact.
-
-    Index order equals lexicographic order on image tuples, so the row
-    minimum is the minimal concatenated image sequence. Its first entry
-    is class_min[x] for the row's first entry x, so only the conjugators
-    sending x there (a coset of x's centraliser) are searched, one group
-    of rows with a common first entry at a time.
+    Orderly generation: let p be a prefix least among its conjugates and
+    C(p) its stabiliser, the elements commuting with every entry of p.
+    A conjugator t outside C(p) has t.p != p, so t.p > p and t.(p, x) >
+    (p, x) whatever x is; one in C(p) has t.(p, x) = (p, t.x). So (p, x)
+    is least exactly when x is least in its C(p)-orbit, and its
+    stabiliser is C(p) n C(x). As every prefix of a least tuple is least,
+    extending least prefixes this way reaches each class exactly once.
+    Which values extend p depends on C(p) alone, so it is found once per
+    column for each distinct stabiliser. A forced meridian is fixed by
+    C(p), which preserves the relation; C(p) permutes the square roots of
+    what p leaves, and a root is kept when it is least in its orbit. The
+    value sets are unions of conjugacy classes, so the class of a valid
+    tuple holds valid tuples only, d! / |stabiliser| of them.
     """
-    n, k = A.shape
-    if n == 0 or k == 0:
-        return A
-    words = (k + 5) // 6
-    forms = np.empty((n, k), dtype=np.int32)
-    by_first = np.argsort(A[:, 0], kind="stable")
-    starts = np.flatnonzero(np.diff(A[by_first, 0])) + 1
-    for rows in np.split(by_first, starts):
-        x = A[rows[0], 0]
-        coset = np.flatnonzero(T.conj[:, x] == T.class_min[x])
-        forms[rows] = _min_conjugate(T, A[rows], coset, words)
-    return forms
-
-
-def _min_conjugate(T: GroupTable, A: np.ndarray, conjugators, words: int):
-    n = len(A)
-    best_codes = None
-    best_forms = None
-    for t in conjugators:
-        B = T.conj[t][A]
-        codes = _pack(B, T.order, words)
-        if best_codes is None:
-            best_codes, best_forms = codes, B
-            continue
-        less = np.zeros(n, dtype=bool)
-        undecided = np.ones(n, dtype=bool)
-        for w in range(words):
-            less |= undecided & (codes[:, w] < best_codes[:, w])
-            undecided &= codes[:, w] == best_codes[:, w]
-        if less.any():
-            best_codes[less] = codes[less]
-            best_forms[less] = B[less]
-    return best_forms
+    stabs = _Stabilisers(T)
+    everything = np.arange(T.order, dtype=np.int32)
+    r = _generators(base)
+    free = r if base.orientable else r - 1
+    rows = np.zeros((1, 0), dtype=np.int32)
+    gids = np.array([stabs.intern(everything)], dtype=np.int32)
+    solved_meridian = base.orientable and b > 0
+    for values in [everything] * free + [mvals] * (b - solved_meridian):
+        rows, gids = _extend(stabs, rows, gids, values)
+    head = _surface_word(T, base.orientable, rows[:, :free])
+    if not base.orientable:
+        rest = T.mult[T.inv[head], T.inv[_word_product(T, rows[:, free:])]]
+        reps, at = _expand(T.nsqrt[rest], T.sqrt_off[rest])
+        roots = T.sqrt_flat[at]
+        keep, gids = _keep_least(stabs, roots, gids[reps])
+        reps = reps[keep]
+        rows = np.column_stack([rows[reps, :free], roots[keep], rows[reps, free:]])
+    elif solved_meridian:
+        last = T.inv[T.mult[head, _word_product(T, rows[:, free:])]]
+        keep = np.isin(last, mvals)
+        rows, gids = np.column_stack([rows[keep], last[keep]]), gids[keep]
+    else:
+        keep = head == 0
+        rows, gids = rows[keep], gids[keep]
+    orders = np.array([len(g) for g in stabs.groups], dtype=np.int64)
+    return rows, T.order // orders[gids]
 
 
 def enumerate_shard(
     base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusShard:
-    """Every valid tuple of a census cell, counted by canonical class
-    form; classify_shard turns it into the cell's row."""
+    """One least tuple per conjugation class of a census cell, with the
+    class's raw tuple count; classify_shard turns it into the cell's row."""
     _check_cell(base, d, b, simple_only)
     _check_peak(base, d, b, simple_only)
-    A = _valid_tuples(base, d, b, simple_only)
     T = _group_table(d)
-    forms = _canonical_forms(T, A)
+    forms, raw = _least_tuples(T, base, b, T.transpositions if simple_only else T.nonidentity)
     counts: dict[tuple[int, ...], int] = {}
-    if forms.shape[1] == 0:
-        if len(forms):
-            counts[()] = len(forms)
-    elif len(forms):
-        order = np.lexsort(tuple(forms[:, c] for c in reversed(range(forms.shape[1]))))
-        srt = forms[order]
-        boundaries = np.flatnonzero(np.any(srt[1:] != srt[:-1], axis=1)) + 1
-        starts = np.concatenate(([0], boundaries, [len(srt)]))
-        for i in range(len(starts) - 1):
-            key = tuple(int(x) for x in srt[starts[i]])
-            counts[key] = int(starts[i + 1] - starts[i])
+    # row by row: one list of every row would outweigh the dictionary
+    for form, n in zip(forms, raw.tolist()):
+        counts[tuple(form.tolist())] = n
     return CensusShard(base, d, b, simple_only, counts)
 
 
@@ -562,17 +541,8 @@ def _classify_forms(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
     r = _generators(base)
     if forms.size and (forms.min() < 0 or forms.max() >= T.order):
         raise InvalidData(f"class forms index outside S_{d}")
-    relation = np.zeros(n, dtype=np.int32)
-    for i in range(base.genus):
-        if base.orientable:
-            a, b = forms[:, 2 * i], forms[:, 2 * i + 1]
-            word = (a, b, T.inv[a], T.inv[b])
-        else:
-            word = (forms[:, i], forms[:, i])
-        for g in word:
-            relation = T.mult[relation, g]
     meridians = forms[:, r:]
-    relation = T.mult[relation, _word_product(T, meridians)]
+    relation = T.mult[_surface_word(T, base.orientable, forms[:, :r]), _word_product(T, meridians)]
     bad = (relation != 0) | (meridians == 0).any(axis=1)
     if bad.any():
         raise InvalidData(

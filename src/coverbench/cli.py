@@ -529,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--remaining",
         default="none",
-        help="certified two-legged pieces beyond the truncation: none, inf, or an integer",
+        help="two-legged pieces beyond the truncation: none (unknown, a lower bound), "
+        "inf, or an integer n (exactly n more ends)",
     )
     p.set_defaults(func=_cmd_count_ends)
 

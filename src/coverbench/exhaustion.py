@@ -479,15 +479,19 @@ def count_ends(
     g: ExhaustionGraph, J: int, remaining: int | float | None = None
 ) -> EndCount:
     """1 + (two-legged pieces through level J). remaining is how many
-    two-legged pieces lie beyond level J: 0 makes the count exact,
-    math.inf makes it infinite, and None (unknown) or a positive integer
-    leaves it a lower bound."""
+    two-legged pieces lie beyond level J: an integer n makes the count
+    exact, as each of them adds one end; math.inf makes it infinite, and
+    None (unknown) leaves the count through level J a lower bound."""
     if J < 1:
         raise ValueError(f"need J >= 1, got {J}")
+    if remaining is not None and remaining < 0:
+        raise ValueError(f"need remaining >= 0, got {remaining}")
     report = validate_exhaustion(g)
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
     if not is_normalized_through(g, J):
         raise NotNormalized(f"graph is not in normal shape through level {J}")
     ends = 1 + sum(1 for p in g.pieces if 2 <= p.level <= J and piece_shape(p) == "b")
-    return EndCount(ends, exact=remaining == 0, infinite=remaining == math.inf)
+    if remaining is None or remaining == math.inf:
+        return EndCount(ends, exact=False, infinite=remaining == math.inf)
+    return EndCount(ends + remaining, exact=True, infinite=False)

@@ -157,38 +157,13 @@ def _restricted_cycle_count(p: Perm, orbit: set[int]) -> int:
     return sum(1 for cyc in p.cycles(include_fixed=True) if cyc[0] in orbit)
 
 
-def _component_orientable(datum: HurwitzData, orbit: list[int]) -> bool:
-    """Sign-propagation test on the Schreier graph of one orbit.
-
-    Crosscap generators carry weight -1, everything else +1; the
-    component is orientable iff signs can be assigned consistently.
-    """
-    if datum.base.orientable:
-        return True
-    weighted = [(c, -1) for c in datum.crosscaps] + [
-        (m, 1) for m in datum.meridians
-    ]
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in orbit}
-    edges: list[tuple[int, int, int]] = []
-    for g, w in weighted:
-        for i in orbit:
-            j = g.images[i]
-            edges.append((i, j, w))
-            adjacency[i].append((j, w))
-            adjacency[j].append((i, w))
-    sign: dict[int, int] = {}
-    for start in orbit:
-        if start in sign:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j, w in adjacency[i]:
-                if j not in sign:
-                    sign[j] = w * sign[i]
-                    stack.append(j)
-    return all(sign[j] == w * sign[i] for i, j, w in edges)
+def _sign_double_cover(datum: HurwitzData) -> list[Perm]:
+    """The sign double cover on sheets (i, s) -> i + s*d: a crosscap c
+    sends (i, s) to (c(i), 1 - s), a meridian m to (m(i), s). A component
+    is orientable exactly when it lifts to two orbits."""
+    d = datum.degree
+    lifts = [Perm(tuple(c.images[i % d] + d * (i < d) for i in range(2 * d))) for c in datum.crosscaps]
+    return lifts + [Perm(m.images + tuple(x + d for x in m.images)) for m in datum.meridians]
 
 
 def total_space(datum: HurwitzData) -> CoverSummary:
@@ -197,6 +172,10 @@ def total_space(datum: HurwitzData) -> CoverSummary:
         raise InvalidData("; ".join(report.problems))
     d = datum.degree
     chi_base = euler_characteristic(datum.base)
+    lift_orbit: dict[int, int] = {}
+    if not datum.base.orientable:
+        for k, orbit in enumerate(orbits(_sign_double_cover(datum), 2 * d)):
+            lift_orbit.update(dict.fromkeys(orbit, k))
     components: list[tuple[ClosedSurface, int]] = []
     for orbit in orbits(generators(datum), d):
         orbit_set = set(orbit)
@@ -204,7 +183,7 @@ def total_space(datum: HurwitzData) -> CoverSummary:
         chi = size * chi_base
         for m in datum.meridians:
             chi -= size - _restricted_cycle_count(m, orbit_set)
-        orientable = _component_orientable(datum, list(orbit))
+        orientable = datum.base.orientable or lift_orbit[orbit[0]] != lift_orbit[orbit[0] + d]
         components.append((classify(chi, orientable), size))
     return CoverSummary(
         degree=d,

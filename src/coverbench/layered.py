@@ -55,6 +55,12 @@ BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 # about 590 at 2,000,001 branch points (1.19 GB peak ru_maxrss on a 2-core
 # Xeon, Python 3.11)
 _BRANCH_BYTES = 640
+# peak bytes of a staircase run, its report included: about 90 per squared
+# level from 1,000 to 6,600 levels (3.89 GB), as each level lists all its
+# sheets; and of a compose-staircase run, about 660 per staircase level
+# (1.93 GB at 3,000,000 levels); 2-core Xeon, Python 3.11
+_STAIRCASE_BYTES = 96
+_LEVEL_BYTES = 704
 
 
 @dataclass(frozen=True)
@@ -303,12 +309,21 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
     return LayeredCover(J, degree, tuple(blocks))
 
 
+def _check_staircase_levels(what: str, J: int, need: int) -> None:
+    if need > MEMORY_BUDGET:
+        raise LimitExceeded(
+            f"{what} through level {J} needs about {need >> 20} MiB, "
+            f"over the {MEMORY_BUDGET >> 20} MiB budget"
+        )
+
+
 def staircase(J: int) -> LayeredCover:
     """Connected cover over the standard disk/annulus exhaustion with
     one fresh sheet and one simple branch point per level; the fiber
     count over stage J is J + 1."""
     if J < 1:
         raise ValueError(f"need J >= 1, got {J}")
+    _check_staircase_levels("the staircase", J, _STAIRCASE_BYTES * J * J)
     blocks = [
         Block("s1", 1, "staircase", (0, 1), (), None, ((0, 1),), ((1, 1),), ((1, (0, 1)),), None, None)
     ]
@@ -529,6 +544,7 @@ def compose_with_staircase(c: LayeredCover, J: int) -> ComposedReport:
     and grows without bound in J."""
     if J < 0:
         raise ValueError(f"need J >= 0, got {J}")
+    _check_staircase_levels("the composite with the staircase", J, _LEVEL_BYTES * J)
     report = verify_layered(c)
     if not report.ok:
         raise UnverifiedInput(

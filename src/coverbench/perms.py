@@ -147,7 +147,3 @@ def orbits(gens: Sequence[Perm], n: int) -> list[tuple[int, ...]]:
                     frontier.append(j)
         out.append(tuple(sorted(orbit)))
     return out
-
-
-def is_transitive(gens: Sequence[Perm], n: int) -> bool:
-    return len(orbits(gens, n)) == 1

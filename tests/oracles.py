@@ -246,6 +246,47 @@ def oracle_census(base: ClosedSurface, d: int, b: int, simple_only: bool):
     )
 
 
+def conjugation_classes(base: ClosedSurface, d: int, b: int, simple_only: bool):
+    """Every valid tuple of a cell, brute-forced with no solving and no
+    tables, grouped into its classes under simultaneous conjugation.
+
+    A tuple is a tuple of image tuples in datum order: handle pairs or
+    crosscaps, then meridians. Only usable for tiny cells; complexity is
+    |S_d|^(slots).
+    """
+    import itertools
+
+    group = [Perm(p) for p in itertools.permutations(range(d))]
+    pool = [
+        p
+        for p in group
+        if (p.is_transposition() if simple_only else not p.is_identity())
+    ]
+    r = 2 * base.genus if base.orientable else base.genus
+    classes: list[frozenset] = []
+    seen: set = set()
+    for combo in itertools.product(*[group] * r, *[pool] * b):
+        if base.orientable:
+            word = [
+                g
+                for a, c in zip(combo[0:r:2], combo[1:r:2])
+                for g in (a, c, inverse(a), inverse(c))
+            ]
+        else:
+            word = [c for c in combo[:r] for _ in range(2)]
+        if not compose_all(word + list(combo[r:]), d).is_identity():
+            continue
+        images = tuple(g.images for g in combo)
+        if images in seen:
+            continue
+        orbit = frozenset(
+            tuple(compose_all([inverse(t), g, t]).images for g in combo) for t in group
+        )
+        seen |= orbit
+        classes.append(orbit)
+    return classes
+
+
 def random_transposition(rng: random.Random, d: int) -> Perm:
     a, b = rng.sample(range(d), 2)
     images = list(range(d))

@@ -1,6 +1,7 @@
 """Census enumeration: frozen small cells, oracle agreement, audits."""
 from __future__ import annotations
 
+import json
 import resource
 import sys
 from fractions import Fraction
@@ -16,7 +17,6 @@ from coverbench.census import (
     CensusRow,
     CensusShard,
     GroupTable,
-    _canonical_forms,
     _classify_forms,
     _group_table,
     _log2_tuples_floor,
@@ -41,7 +41,13 @@ from coverbench.surfaces import (
     euler_characteristic,
 )
 
-from oracles import ORACLE_NONSIMPLE_CELLS, ORACLE_SIMPLE_CELLS, oracle_census, run_measured
+from oracles import (
+    ORACLE_NONSIMPLE_CELLS,
+    ORACLE_SIMPLE_CELLS,
+    conjugation_classes,
+    oracle_census,
+    run_measured,
+)
 
 
 def test_sphere_degree2_two_points():
@@ -301,7 +307,7 @@ def test_parity_audit_admits_huge_ranges_without_listing_them(monkeypatch):
         parity_audit(10**9, 10**9)
 
 
-# --- group tables and canonical forms ---
+# --- group tables and least class representatives ---
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -329,10 +335,6 @@ def test_group_table_matches_perm_definitions(d):
             assert T.conj[i, j] == index[compose_all([inverse(p), q, p])]
     assert [T.inv[i] for i in range(n)] == [index[inverse(p)] for p in perms]
     assert T.ncycles.tolist() == [p.num_cycles() for p in perms]
-    first_of_type: dict[tuple[int, ...], int] = {}
-    for i, p in enumerate(perms):
-        first_of_type.setdefault(p.cycle_type(), i)
-    assert T.class_min.tolist() == [first_of_type[p.cycle_type()] for p in perms]
     assert T.is_transposition.tolist() == [p.is_transposition() for p in perms]
     assert T.transpositions.tolist() == [i for i, p in enumerate(perms) if p.is_transposition()]
     assert T.nonidentity.tolist() == list(range(1, n))
@@ -362,27 +364,44 @@ def test_group_table_7_peak_memory_under_1gb():
     assert peak < 1 << 30
 
 
+_PROPERTY_BASES = (SPHERE, PROJECTIVE_PLANE, TORUS, ClosedSurface(True, 2), KLEIN_BOTTLE, ClosedSurface(False, 3))
+
+
 @seed(20261017)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_canonical_forms_are_the_bruteforce_minimum(data):
-    d = data.draw(st.integers(2, 5), label="d")
-    k = data.draw(st.sampled_from([1, 2, 6, 7, 13]), label="k")
+def test_shard_keys_hit_every_class_once_with_its_orbit_size(data):
+    # cells of at most 10,000 generator tuples, brute-forced with Perm
+    base = data.draw(st.sampled_from(_PROPERTY_BASES), label="base")
+    r = 2 * base.genus if base.orientable else base.genus
+    d = data.draw(st.sampled_from([d for d in range(1, 5) if factorial(d) ** r <= 10_000]), label="d")
+    simple = data.draw(st.booleans(), label="simple")
+    pool = d * (d - 1) // 2 if simple else factorial(d) - 1
+    b_max = max(b for b in range(7) if factorial(d) ** r * pool**b <= 10_000)
+    b = data.draw(st.integers(0, b_max), label="b")
+    classes = conjugation_classes(base, d, b, simple)
+    class_of = {t: i for i, orbit in enumerate(classes) for t in orbit}
     T = _group_table(d)
-    element = st.integers(0, T.order - 1)
-    # few distinct first entries, so several rows share a group
-    firsts = data.draw(st.lists(element, min_size=1, max_size=3), label="firsts")
-    row = st.tuples(st.sampled_from(firsts), *[element] * (k - 1))
-    rows = data.draw(st.lists(row, min_size=1, max_size=8), label="rows")
-    A = np.array(rows, dtype=np.int32)
-    forms = _canonical_forms(T, A)
-    brute = [
-        min(tuple(int(T.conj[t, x]) for x in r) for t in range(T.order))
-        for r in rows
+    shard = enumerate_shard(base, d, b, simple)
+    hits = [class_of[tuple(tuple(T.P[x].tolist()) for x in key)] for key in shard.counts]
+    assert sorted(hits) == list(range(len(classes)))
+    assert [len(classes[i]) for i in hits] == list(shard.counts.values())
+
+
+def test_rp2_degree6_six_points_fits_in_one_gib():
+    # listing the 28,398,780 tuples of this cell took 82 s and 2.8 GB
+    argv = ["enumerate", "--base", "rp2", "--degree", "6", "--branch-points", "6"]
+    child, peak = run_measured(
+        [sys.executable, "-m", "coverbench.cli", *argv],
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (child.returncode, child.stderr) == (0, ""), child.stderr
+    rows = json.loads(child.stdout)["result"]["rows"]
+    assert [(r["surface"]["name"], r["raw_count"], r["class_count"]) for r in rows] == [
+        ("torus", 921_600, 1_280),
+        ("Klein bottle", 13_312_800, 18_490),
     ]
-    assert [tuple(f) for f in forms.tolist()] == brute
-    t = data.draw(element, label="conjugator")
-    assert np.array_equal(_canonical_forms(T, T.conj[t][A]), forms)
 
 
 # --- array classification against the per-class hurwitz route ---

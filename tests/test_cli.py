@@ -846,6 +846,42 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
     assert peak < 100 << 20
 
 
+@pytest.mark.parametrize(
+    "command, levels, error",
+    [
+        ("staircase", 10**5, "the staircase through level 100000 needs about 915527 MiB"),
+        ("staircase", 10**8, "the staircase through level 100000000 needs about 915527343750 MiB"),
+        (
+            "compose-staircase",
+            10**8,
+            "the composite with the staircase through level 100000000 needs about 67138 MiB",
+        ),
+        ("compose-staircase", 10**5, None),
+    ],
+    ids=["staircase-1e5", "staircase-1e8", "compose-1e8", "compose-1e5"],
+)
+def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels, error):
+    # staircase(J) lists all J + 1 sheets at every level, about 90 J^2
+    # bytes, and compose-staircase keeps about 660 bytes a level: without
+    # a bound both grew toward the whole machine, so the children run
+    # under a 1 GiB address-space cap
+    argv = [sys.executable, "-m", "coverbench.cli", command, "--levels", str(levels)]
+    if command == "compose-staircase":
+        argv += ["--input", write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(3)))]
+    child, peak = run_measured(
+        argv,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    if error is None:
+        assert (child.returncode, child.stderr) == (0, "")
+        assert report_of(child.stdout)["result"]["staircase_depth"] == levels
+        return
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"error: {error}, over the 4096 MiB budget\n"
+    assert peak < 100 << 20
+
+
 # --- mutated documents: every --input subcommand ends in a report or a
 # one-line error ---
 

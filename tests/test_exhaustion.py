@@ -273,9 +273,11 @@ class TestEndCounting:
         ec = count_ends(self.chain(), 3, remaining=math.inf)
         assert ec.infinite and not ec.exact and ec.ends == 2
 
-    def test_pending_supplier_gives_lower_bound(self):
+    def test_pieces_beyond_the_truncation_add_one_end_each(self):
         ec = count_ends(self.chain(), 3, remaining=3)
-        assert ec == EndCount(ends=2, exact=False, infinite=False)
+        assert ec == EndCount(ends=5, exact=True, infinite=False)
+        with pytest.raises(ValueError):
+            count_ends(self.chain(), 3, remaining=-1)
 
     def test_truncating_below_a_split_sees_fewer_ends(self):
         assert count_ends(self.chain(), 2).ends == 2
