@@ -13,10 +13,9 @@ tuples is counted from its representative's stabiliser C.
 
 Classification is one array pass over all class representatives of a
 cell, in group-table indices: the relation is rechecked column by
-column, the sheets' orbits come from min-label propagation, the Euler
-characteristic from the meridians' cycle counts (Riemann-Hurwitz), and
-orientability over a nonorientable base from the sign double cover, on
-which a crosscap swaps the two lifts of a sheet.
+column, the Euler characteristic comes from the meridians' cycle counts
+(Riemann-Hurwitz), and connectivity and orientability from one closure,
+the orbit of sheet 0 on the sign double cover held as two sheet masks.
 
 Every cell's connected raw total is also known exactly from the
 characters of S_d (module characters): over a base of Euler
@@ -55,8 +54,8 @@ from .surfaces import (
 # to the peak ru_maxrss of listing every tuple (2-core Xeon, Python 3.11,
 # numpy 2.4: 14-14.5 per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6) and
 # now bound the orderly generator from above (rp2/6/6: predicted 3.3 GB,
-# measured 63 MB); the class dictionary dominates at degree 2 (n20/2/0:
-# 606 MB for 2^20 one-tuple classes of 20 entries).
+# measured 56 MB); the class dictionary dominates at degree 2 (n20/2/0:
+# 486 MB for 2^20 one-tuple classes of 20 entries).
 _CHARACTER_STEPS = 10**6
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
@@ -185,18 +184,17 @@ class GroupTable:
             np.minimum(least, image, out=least)
         self.ncycles = (least == point).sum(axis=1)
         moved = (self.P != np.arange(degree, dtype=np.int8)).sum(axis=1)
-        self.is_transposition = moved == 2
-        self.transpositions = np.flatnonzero(self.is_transposition).astype(np.int32)
-        self.nonidentity = np.arange(1, self.order, dtype=np.int32)
+        self.transpositions = np.flatnonzero(moved == 2).astype(np.int32)
+        # the roots of s are the i with mult[i, i] = s, in increasing order
         squares = self.mult[np.arange(self.order), np.arange(self.order)]
-        roots: list[list[int]] = [[] for _ in range(self.order)]
-        for i, s in enumerate(squares):
-            roots[s].append(i)
-        self.nsqrt = np.array([len(r) for r in roots], dtype=np.int64)
+        self.sqrt_flat = np.argsort(squares, kind="stable").astype(np.int32)
+        self.nsqrt = np.bincount(squares, minlength=self.order).astype(np.int64)
         self.sqrt_off = np.concatenate(([0], np.cumsum(self.nsqrt)))[:-1]
-        self.sqrt_flat = np.array(
-            [i for r in roots for i in r] or [0], dtype=np.int32
-        )
+        # image[x, S] = x(S), sets of sheets as d-bit masks (d <= 7: uint8)
+        self.image = np.zeros((self.order, 1 << degree), dtype=np.uint8)
+        for i in range(degree):
+            bit = np.left_shift(np.uint8(1), self.P[:, i].astype(np.uint8))
+            np.bitwise_or(self.image[:, : 1 << i], bit[:, None], out=self.image[:, 1 << i : 2 << i])
 
 
 @lru_cache(maxsize=None)
@@ -473,7 +471,8 @@ def enumerate_shard(
     _check_cell(base, d, b, simple_only)
     _check_peak(base, d, b, simple_only)
     T = _group_table(d)
-    forms, raw = _least_tuples(T, base, b, T.transpositions if simple_only else T.nonidentity)
+    values = T.transpositions if simple_only else np.arange(1, T.order, dtype=np.int32)
+    forms, raw = _least_tuples(T, base, b, values)
     counts: dict[tuple[int, ...], int] = {}
     # row by row: one list of every row would outweigh the dictionary
     for form, n in zip(forms, raw.tolist()):
@@ -504,23 +503,28 @@ def _surface_sort_key(surface: ClosedSurface):
     return (not surface.orientable, surface.genus)
 
 
-def _orbit_labels(images: np.ndarray) -> np.ndarray:
-    """Least point of every point's orbit, per row.
-
-    images[r, j] is generator j of row r as an image array on m points;
-    the result has shape (rows, m). Min-label propagation: a label
-    travels one generator step per round, and every point of an orbit is
-    reached from its least point in fewer than m steps.
-    """
-    rows, _, m = images.shape
-    labels = np.tile(np.arange(m, dtype=images.dtype), (rows, 1))
-    for _ in range(m):
-        before = labels.copy()
-        for j in range(images.shape[1]):
-            np.minimum(labels, np.take_along_axis(labels, images[:, j], axis=1), out=labels)
-        if np.array_equal(labels, before):
-            break
-    return labels
+def _orbit_verdicts(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
+    """Per row of forms: is the cover connected, and is the component
+    over sheet 0 orientable? Both are read off the orbit of (0, 0) on the
+    sign double cover, whose sheets (i, s) a crosscap c sends to
+    (c(i), 1 - s) and any other generator g to (g(i), s), held as the
+    d-bit masks lo and hi of the sheets reached with s = 0 and s = 1 and
+    grown through T.image until a pass over the columns adds nothing."""
+    caps = 0 if base.orientable else base.genus
+    lo = np.ones(len(forms), dtype=np.uint8)
+    hi = np.zeros(len(forms), dtype=np.uint8)
+    while True:
+        before = lo.copy(), hi.copy()
+        for j in range(forms.shape[1]):
+            g = forms[:, j]
+            if j < caps:
+                lo, hi = lo | T.image[g, hi], hi | T.image[g, lo]
+            else:
+                lo |= T.image[g, lo]
+                if caps:
+                    hi |= T.image[g, hi]
+        if np.array_equal(lo, before[0]) and np.array_equal(hi, before[1]):
+            return (lo | hi) == (1 << T.degree) - 1, (hi & 1) == 0
 
 
 def _classify_forms(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
@@ -530,13 +534,9 @@ def _classify_forms(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
 
     Raises InvalidData unless every row closes the surface relation with
     non-identity meridians. chi is the whole total space's (Riemann-
-    Hurwitz); orientable is that of the component over sheet 0, read
-    off the sign double cover on sheets (i, s) -> i + s*d, where a
-    crosscap c sends (i, s) to (c(i), 1 - s) and a meridian m to
-    (m(i), s): the component is orientable exactly when the two lifts
-    of sheet 0 lie in different orbits.
+    Hurwitz); connected and orientable (that of the component over
+    sheet 0) come from one orbit closure, _orbit_verdicts.
     """
-    n = len(forms)
     d = T.degree
     r = _generators(base)
     if forms.size and (forms.min() < 0 or forms.max() >= T.order):
@@ -549,21 +549,9 @@ def _classify_forms(T: GroupTable, base: ClosedSurface, forms: np.ndarray):
             f"class form {forms[np.argmax(bad)].tolist()} fails the surface relation"
             " or has an identity meridian"
         )
-    images = T.P[forms]
-    connected = (_orbit_labels(images) == 0).all(axis=1)
+    connected, orientable = _orbit_verdicts(T, base, forms)
     chi = d * euler_characteristic(base) - (d - T.ncycles[meridians]).sum(axis=1)
-    if base.orientable:
-        return connected, chi, np.ones(n, dtype=bool)
-    crosscaps, meridian_images = images[:, :r], images[:, r:]
-    lifts = np.concatenate(
-        [
-            np.concatenate([crosscaps + d, crosscaps], axis=2),
-            np.concatenate([meridian_images, meridian_images + d], axis=2),
-        ],
-        axis=1,
-    )
-    labels = _orbit_labels(lifts)
-    return connected, chi, labels[:, 0] != labels[:, d]
+    return connected, chi, orientable
 
 
 def classify_shard(shard: CensusShard) -> CensusRow:
@@ -636,7 +624,7 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     (hyperelliptic data padded by stabilization); over the projective
     plane crosscap parity blocks the targets with h not congruent to n,
     with an exhaustive empty cell as witness."""
-    from .hurwitz import construct_hyperelliptic, stabilize, total_space
+    from .hurwitz import check_build, construct_hyperelliptic, stabilize, total_space, tower_steps
 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -645,6 +633,10 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     blocked_h = 1 if n % 2 == 0 else 2
     forced_b = n + blocked_h - 2
     row = enumerate_covers(PROJECTIVE_PLANE, n, forced_b, True)
+    # witness g starts with 2g + 2 meridians, G + 2 on average, and
+    # tower_steps is linear in that count
+    steps = (genus_max + 1) * tower_steps(genus_max + 2, 2, n - 2)
+    check_build(f"the sphere witnesses up to genus {genus_max}", steps)
     witnesses = []
     for g in range(genus_max + 1):
         datum = construct_hyperelliptic(g)

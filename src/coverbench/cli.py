@@ -33,11 +33,14 @@ from .exhaustion import (
 )
 from .hurwitz import (
     HurwitzData,
+    check_build,
     compose_orientation_double,
     construct_cyclic_rp2,
     construct_hyperelliptic,
+    generators,
     stabilize,
     total_space,
+    tower_steps,
     validate,
 )
 from .layered import (
@@ -261,6 +264,8 @@ def _cmd_stabilize(args):
     if args.times < 0:
         raise InvalidInput("--times cannot be negative")
     datum, digest = _hurwitz_input(args)
+    steps = tower_steps(len(generators(datum)), datum.degree, args.times)
+    check_build(f"stabilizing {args.times} times", steps)
     for _ in range(args.times):
         datum = stabilize(datum)
     payload = _datum_payload(datum)

@@ -42,8 +42,9 @@ class WrongBase(WorkbenchError):
 
 
 class LimitExceeded(WorkbenchError):
-    """A census cell or a layered cover would exceed the memory budget, or a
-    cell's character sums are too long."""
+    """A census cell or a layered cover would exceed the memory budget, a
+    cell's character sums are too long, or a datum builder would take more
+    steps than its budget."""
 
 
 class NotNormalized(WorkbenchError):

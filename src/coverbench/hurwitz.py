@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InvalidData,
+    LimitExceeded,
     NonorientableBase,
     NotConnected,
     NotSimple,
@@ -37,6 +38,38 @@ from .surfaces import (
     classify,
     euler_characteristic,
 )
+
+# The builders' work in steps: each pass over a datum of k permutations of
+# degree d (a validation, an orbit search, a report) costs k * (d +
+# _PERM_STEPS), its entries plus a fixed per-permutation overhead. Fitted
+# to whole CLI runs on a 2-core Xeon, Python 3.11, one run each: 0.27-0.8
+# us per step for stabilize --times 50-200, universal-report --degree 2, 3
+# and 7 with --genus-max 100-400 and construct --family hyperelliptic with
+# --genus 25,000-100,000; 2.0-2.6 us for construct --family cyclic-rp2,
+# whose report walks its few long cycles many times (--crosscaps
+# 1,600,000: 4.8M steps, 11.1 s, 811 MB). At the budget the slowest
+# builder, cyclic-rp2 with 1,333,301 crosscaps, takes 10.7 s and 598 MB.
+_PERM_STEPS = 32
+_BUILD_STEPS = 4 * 10**6
+
+
+def tower_steps(k: int, d: int, times: int) -> int:
+    """Steps of one pass over a datum of k permutations of degree d and
+    over each of its next `times` stabilizations, which add two
+    permutations and one sheet each: the sum over t = 0..times of
+    (k + 2t)(d + t + _PERM_STEPS), in closed form."""
+    n = d + _PERM_STEPS
+    return (
+        (times + 1) * k * n
+        + (k + 2 * n) * times * (times + 1) // 2
+        + times * (times + 1) * (2 * times + 1) // 3
+    )
+
+
+def check_build(what: str, steps: int) -> None:
+    """Refuse a build of more than _BUILD_STEPS steps before it starts."""
+    if steps > _BUILD_STEPS:
+        raise LimitExceeded(f"{what} would take more than the budget of {_BUILD_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -203,6 +236,7 @@ def construct_hyperelliptic(g: int) -> HurwitzData:
     space is the closed orientable genus-g surface."""
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
+    check_build(f"the hyperelliptic datum of genus {g}", tower_steps(2 * g + 2, 2, 0))
     swap = transposition(2, 0, 1)
     return HurwitzData(SPHERE, 2, meridians=(swap,) * (2 * g + 2))
 
@@ -216,6 +250,7 @@ def construct_cyclic_rp2(h: int) -> HurwitzData:
     """
     if h < 1:
         raise ValueError(f"crosscap number must be >= 1, got {h}")
+    check_build(f"the cyclic datum with {h} crosscaps", tower_steps(3, h, 0))
     if h == 1:
         return HurwitzData(PROJECTIVE_PLANE, 1, crosscaps=(identity(1),))
     sigma = from_cycles(h, [tuple(range(h))])

@@ -2,7 +2,8 @@
 
 These recompute invariants by a different route than the library:
 Euler characteristics by counting cells of a lifted cell structure,
-orientability by brute-force search over sign assignments, reports by
+orientability by brute-force search over sign assignments, sheet
+orbits of census class forms by min-label propagation, reports by
 the stdlib's JSON encoder, peak memory from a separate launcher.
 Agreement with the library is what the randomized tests assert.
 """
@@ -15,6 +16,8 @@ import subprocess
 import sys
 from collections import deque
 from typing import Iterable
+
+import numpy as np
 
 from coverbench.errors import DepthExceeded, InvalidInput
 from coverbench.exhaustion import (
@@ -870,3 +873,55 @@ def quadratic_normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
         raise InvalidInput("; ".join(report.problems))
     pieces, depth = _QuadraticNormalizer(g).run()
     return NormalizedExhaustion(pieces, stable_depth=depth)
+
+
+# --- reference classifier for census class forms ---
+#
+# The census's connectivity and orientability verdicts as they were
+# before the one-closure classifier: min-label propagation over the
+# sheets, then again over the 2d sheets of the sign double cover, each
+# on a per-row image array. It needs neither the relation nor a
+# connected row, so the new closure must agree with it on any index
+# array.
+
+
+def orbit_labels(images: np.ndarray) -> np.ndarray:
+    """Least point of every point's orbit, per row.
+
+    images[r, j] is generator j of row r as an image array on m points;
+    the result has shape (rows, m). A label travels one generator step
+    per round, and every point of an orbit is reached from its least
+    point in fewer than m steps.
+    """
+    rows, _, m = images.shape
+    labels = np.tile(np.arange(m, dtype=images.dtype), (rows, 1))
+    for _ in range(m):
+        before = labels.copy()
+        for j in range(images.shape[1]):
+            np.minimum(labels, np.take_along_axis(labels, images[:, j], axis=1), out=labels)
+        if np.array_equal(labels, before):
+            break
+    return labels
+
+
+def label_verdicts(T, base: ClosedSurface, forms: np.ndarray):
+    """(connected, orientable) of every row of forms, a (rows, generators)
+    array of GroupTable indices in datum order: connected when every
+    sheet has sheet 0's label; orientable, for sheet 0's component, when
+    the lifts (0, 0) = 0 and (0, 1) = d of the sign double cover, on which
+    a crosscap c sends (i, s) to (c(i), 1 - s), get different labels."""
+    d = T.degree
+    images = T.P[forms]
+    connected = (orbit_labels(images) == 0).all(axis=1)
+    if base.orientable:
+        return connected, np.ones(len(forms), dtype=bool)
+    crosscaps, meridians = images[:, : base.genus], images[:, base.genus :]
+    lifts = np.concatenate(
+        [
+            np.concatenate([crosscaps + d, crosscaps], axis=2),
+            np.concatenate([meridians, meridians + d], axis=2),
+        ],
+        axis=1,
+    )
+    labels = orbit_labels(lifts)
+    return connected, labels[:, 0] != labels[:, d]

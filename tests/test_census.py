@@ -20,6 +20,7 @@ from coverbench.census import (
     _classify_forms,
     _group_table,
     _log2_tuples_floor,
+    _orbit_verdicts,
     classify_shard,
     enumerate_covers,
     enumerate_shard,
@@ -45,6 +46,7 @@ from oracles import (
     ORACLE_NONSIMPLE_CELLS,
     ORACLE_SIMPLE_CELLS,
     conjugation_classes,
+    label_verdicts,
     oracle_census,
     run_measured,
 )
@@ -335,9 +337,10 @@ def test_group_table_matches_perm_definitions(d):
             assert T.conj[i, j] == index[compose_all([inverse(p), q, p])]
     assert [T.inv[i] for i in range(n)] == [index[inverse(p)] for p in perms]
     assert T.ncycles.tolist() == [p.num_cycles() for p in perms]
-    assert T.is_transposition.tolist() == [p.is_transposition() for p in perms]
     assert T.transpositions.tolist() == [i for i, p in enumerate(perms) if p.is_transposition()]
-    assert T.nonidentity.tolist() == list(range(1, n))
+    # image[x, S] is x(S) as a bit mask: the sum of 2^x(i) over i in S
+    members = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+    assert np.array_equal(T.image, (members[None] << P[:, None, :]).sum(axis=2))
     roots: dict[int, list[int]] = {}
     for i, p in enumerate(perms):
         roots.setdefault(index[compose(p, p)], []).append(i)
@@ -462,6 +465,29 @@ def test_array_classification_matches_total_space(base, d, b, simple):
     assert [s for s, _, _ in row.realized] == sorted(
         realized, key=lambda s: (not s.orientable, s.genus)
     )
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orbit_closure_matches_label_propagation(data):
+    # any index arrays: rows need not close the relation or be connected
+    d = data.draw(st.integers(1, 6), label="d")
+    k = data.draw(st.integers(0, 8), label="columns")
+    h = data.draw(st.integers(0, min(3, k)), label="crosscaps")
+    genus = data.draw(st.integers(0, k // 2), label="genus")
+    base = ClosedSurface(False, h) if h else ClosedSurface(True, genus)
+    n = data.draw(st.integers(0, 300), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    T = _group_table(d)
+    # a few elements and the identity, so that intransitive rows and
+    # orbits needing several passes are common
+    palette = np.append(rng.integers(0, T.order, size=data.draw(st.integers(1, 4))), 0)
+    forms = rng.choice(palette, size=(n, k)).astype(np.int32)
+    connected, orientable = _orbit_verdicts(T, base, forms)
+    want_connected, want_orientable = label_verdicts(T, base, forms)
+    assert connected.tolist() == want_connected.tolist()
+    assert orientable.tolist() == want_orientable.tolist()
 
 
 def test_classify_forms_rejects_broken_relations():

@@ -882,6 +882,37 @@ def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels
     assert peak < 100 << 20
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["stabilize", "--times", "100000"], "stabilizing 100000 times"),
+        (["universal-report", "--degree", "3", "--genus-max", "100000"], "the sphere witnesses up to genus 100000"),
+        (
+            ["construct", "--family", "hyperelliptic", "--genus", "1000000000"],
+            "the hyperelliptic datum of genus 1000000000",
+        ),
+        (["construct", "--family", "cyclic-rp2", "--crosscaps", "2000000"], "the cyclic datum with 2000000 crosscaps"),
+    ],
+    ids=["stabilize", "universal-report", "hyperelliptic", "cyclic-rp2"],
+)
+def test_hurwitz_builders_are_bounded_before_any_permutation(tmp_path, argv, error):
+    # repeated stabilization is cubic in --times, the universal report's
+    # witnesses quadratic in --genus-max and the constructions linear in
+    # their size: unbounded, each ran for minutes toward the whole machine
+    if argv[0] == "stabilize":
+        argv += ["--input", write_doc(tmp_path, "h.json", jsonio.hurwitz_to_json(construct_hyperelliptic(0)))]
+    start = time.perf_counter()
+    child, peak = run_measured(
+        [sys.executable, "-m", "coverbench.cli", *argv],
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert time.perf_counter() - start < 1
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"error: {error} would take more than the budget of 4000000 steps\n"
+    assert peak < 100 << 20
+
+
 # --- mutated documents: every --input subcommand ends in a report or a
 # one-line error ---
 

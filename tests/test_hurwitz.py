@@ -24,6 +24,7 @@ from coverbench.hurwitz import (
     is_connected,
     stabilize,
     total_space,
+    tower_steps,
     validate,
 )
 from coverbench.perms import Perm, from_cycles, identity, inverse, orbits, transposition
@@ -166,6 +167,14 @@ def test_cyclic_rp2_h3_monodromy():
 
 
 # --- stabilize ---
+
+
+def test_tower_steps_is_its_sum():
+    for k in range(4):
+        for d in range(1, 5):
+            for times in range(12):
+                want = sum((k + 2 * t) * (d + t + 32) for t in range(times + 1))
+                assert tower_steps(k, d, times) == want
 
 
 def test_stabilize_torus_cover():
