@@ -10,8 +10,9 @@ input errors and when the process runs out of memory.
 Cycle notation like "(0 1)(2 3)" is accepted only here, as a flag
 convenience; files always use image sequences.
 
-The census (and with it numpy) is imported only by the subcommands
-that enumerate, so the others start without it.
+The census is imported only by the subcommands that enumerate, and
+numpy only when one of them enumerates a cell: the other subcommands,
+and census cells that are empty or refused, start without it.
 """
 from __future__ import annotations
 
@@ -266,8 +267,7 @@ def _cmd_stabilize(args):
     datum, digest = _hurwitz_input(args)
     steps = tower_steps(len(generators(datum)), datum.degree, args.times)
     check_build(f"stabilizing {args.times} times", steps)
-    for _ in range(args.times):
-        datum = stabilize(datum)
+    datum = stabilize(datum, args.times)
     payload = _datum_payload(datum)
     payload["times"] = args.times
     return payload, 0, digest

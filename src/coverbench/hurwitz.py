@@ -266,13 +266,22 @@ def _extended(p: Perm, new_degree: int) -> Perm:
     return Perm(p.images + tuple(range(p.degree, new_degree)))
 
 
-def stabilize(datum: HurwitzData) -> HurwitzData:
-    """Add a trivial sheet joined by a pair of simple branch points.
+def stabilize(datum: HurwitzData, times: int = 1) -> HurwitzData:
+    """Add `times` trivial sheets, each joined by a pair of simple branch
+    points.
 
-    Degree goes up by one and the branch count by two. Over the sphere
-    this is a connected sum with the base, so the total space is
-    unchanged; over positive genus it adds the base's topology.
+    Degree goes up by times and the branch count by 2 * times. Over the
+    sphere each step is a connected sum with the base, so the total space
+    is unchanged; over positive genus it adds the base's topology. The
+    datum is checked once, as every step keeps it valid, simple and
+    connected: the T steps from degree d are one pass that extends each
+    permutation to degree d + T and appends the swaps (d-1+t, d+t), each
+    twice, for t = 0..T-1. With times = 0 the datum is returned as it is.
     """
+    if times < 0:
+        raise ValueError(f"need times >= 0, got {times}")
+    if not times:
+        return datum
     report = validate(datum)
     if not report.ok:
         raise InvalidData("; ".join(report.problems))
@@ -283,15 +292,14 @@ def stabilize(datum: HurwitzData) -> HurwitzData:
     if not is_connected(datum):
         raise NotConnected("stabilization needs a connected total space")
     d = datum.degree
-    swap = transposition(d + 1, d - 1, d)
+    n = d + times
+    swaps = [transposition(n, d - 1 + t, d + t) for t in range(times)]
     return HurwitzData(
         datum.base,
-        d + 1,
-        handles=tuple(
-            (_extended(a, d + 1), _extended(b, d + 1)) for a, b in datum.handles
-        ),
-        meridians=tuple(_extended(m, d + 1) for m in datum.meridians)
-        + (swap, swap),
+        n,
+        handles=tuple((_extended(a, n), _extended(b, n)) for a, b in datum.handles),
+        meridians=tuple(_extended(m, n) for m in datum.meridians)
+        + tuple(swap for swap in swaps for _ in range(2)),
     )
 
 

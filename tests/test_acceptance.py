@@ -138,10 +138,8 @@ class TestAcceptance:
     def test_criterion_05_stabilization_fills_the_degree_range(self):
         ok = True
         for g in range(5):
-            datum = construct_hyperelliptic(g)
             for n in range(2, 6):
-                if n > 2:
-                    datum = stabilize(datum)
+                datum = stabilize(construct_hyperelliptic(g), n - 2)
                 summary = total_space(datum)
                 surface = summary.components[0][0]
                 ok = (

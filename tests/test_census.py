@@ -15,15 +15,8 @@ from hypothesis import given, seed, settings
 from coverbench.census import (
     AuditReport,
     CensusRow,
-    CensusShard,
-    GroupTable,
-    _classify_forms,
-    _group_table,
     _log2_tuples_floor,
-    _orbit_verdicts,
-    classify_shard,
     enumerate_covers,
-    enumerate_shard,
     merge_shards,
     parity_audit,
     universal_base_report_dim2,
@@ -31,6 +24,15 @@ from coverbench.census import (
 from coverbench.characters import _irreducibles, connected_count, hom_count
 from coverbench.errors import InvalidData, LimitExceeded
 from coverbench.hurwitz import HurwitzData, is_connected, total_space
+from coverbench.orderly import (
+    CensusShard,
+    GroupTable,
+    _classify_forms,
+    _group_table,
+    _orbit_verdicts,
+    classify_shard,
+    enumerate_shard,
+)
 from coverbench.perms import Perm, compose, compose_all, identity, inverse
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
@@ -359,7 +361,7 @@ def test_group_table_7_peak_memory_under_1gb():
     # mult and conj are two 5040 x 5040 int32 tables, about 200 MB; a
     # (7!, 7!, 7) int64 intermediate would take the child past 2.9 GB,
     # so the child runs under a 2 GiB address-space cap
-    code = "from coverbench.census import GroupTable\nGroupTable(7)\n"
+    code = "from coverbench.orderly import GroupTable\nGroupTable(7)\n"
     child, peak = run_measured(
         [sys.executable, "-c", code], timeout=120, preexec_fn=_cap_address_space
     )

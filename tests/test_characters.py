@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from coverbench.census import classify_shard, enumerate_shard
 from coverbench.characters import _irreducibles, connected_count, hom_count
 from coverbench.cli import parse_base
+from coverbench.orderly import classify_shard, enumerate_shard
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,

@@ -746,14 +746,14 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
     # rp2/5/8 alone has 203,127,560 tuples: the refusal must come from the
-    # cell's counts, before any group table or tuple exists
+    # cell's counts, before numpy is loaded and so before any group table
+    # or tuple exists
     base, d, b = cell
     script = (
         "import sys\n"
-        "from coverbench import census\n"
         "from coverbench.cli import main\n"
         f"code = main(['enumerate', '--base', {base!r}, '--degree', '{d}', '--branch-points', '{b}'])\n"
-        "print(census._group_table.cache_info().currsize, file=sys.stderr)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -767,8 +767,8 @@ def test_cells_out_of_reach_are_refused_at_once(cell):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
     elapsed = time.perf_counter() - start
-    error, tables = child.stderr.splitlines()
-    assert (child.returncode, child.stdout, tables) == (2, "", "0")
+    error, numpy_loaded = child.stderr.splitlines()
+    assert (child.returncode, child.stdout, numpy_loaded) == (2, "", "False")
     assert error.startswith("error: ")
     assert elapsed < 2
 
@@ -782,6 +782,34 @@ def test_plane_commands_do_not_import_numpy(tmp_path):
         f"         main(['verify', '--input', {path!r}, '--restrictions'])]\n"
         "assert codes == [0, 0], codes\n"
         "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_census_loads_numpy_only_for_cells_it_enumerates():
+    # s2/6/6 and s2/7/2 are empty by their characters and rp2/5/8 and
+    # o30000/6/0 are refused by closed forms: none of them needs the engine
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from coverbench import census\n"
+        "from coverbench.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "def run(base, d, b):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = main(['enumerate', '--base', base, '--degree', str(d), '--branch-points', str(b)])\n"
+        "    return code, out.getvalue() and json.loads(out.getvalue())['result']['rows']\n"
+        "got = [run('s2', 6, 6), run('s2', 7, 2), run('rp2', 5, 8), run('o30000', 6, 0)]\n"
+        "assert got == [(0, []), (0, []), (2, ''), (2, '')], got\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert run('rp2', 5, 4)[0] == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "from coverbench import orderly\n"
+        "assert census.GroupTable is orderly.GroupTable\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(

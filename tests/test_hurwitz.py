@@ -1,17 +1,22 @@
 """Monodromy data: validation, total spaces, constructions."""
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, seed, settings
 import hypothesis.strategies as st
 
+from coverbench import jsonio
 from coverbench.errors import (
     InvalidData,
     NonorientableBase,
     NotConnected,
     NotSimple,
+    WorkbenchError,
     WrongBase,
 )
 from coverbench.hurwitz import (
@@ -40,8 +45,10 @@ from coverbench.surfaces import (
 from oracles import (
     lifted_cell_chi,
     orientable_bruteforce,
+    random_perm,
     random_simple_sphere_datum,
     random_valid_datum,
+    run_measured,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -218,6 +225,65 @@ def test_stabilize_rejects_disconnected():
 def test_stabilize_rejects_nonorientable_base():
     with pytest.raises(NonorientableBase):
         stabilize(construct_cyclic_rp2(2))
+
+
+def _single_steps(datum: HurwitzData, times: int) -> HurwitzData:
+    for _ in range(times):
+        datum = stabilize(datum)
+    return datum
+
+
+@seed(20261018)
+@given(seeds, st.integers(0, 6), st.sampled_from(["simple", "any", "broken"]))
+@settings(max_examples=120, deadline=None)
+def test_stabilize_times_is_that_many_single_steps(seed, times, kind):
+    # "simple": valid, simple and connected, over genus 0-2 (handles (a, id)
+    # keep the relation); "any": random valid data, mostly rejected;
+    # "broken": the last meridian redrawn, which breaks the relation
+    rng = random.Random(seed)
+    if kind == "simple":
+        degree = rng.randint(2, 5)
+        sphere = random_simple_sphere_datum(
+            rng, degree=degree, branch=2 * rng.randint(degree - 1, degree + 1),
+            require_connected=True,
+        )
+        genus = rng.randint(0, 2)
+        handles = tuple((random_perm(rng, degree), identity(degree)) for _ in range(genus))
+        datum = HurwitzData(ClosedSurface(True, genus), degree, handles, meridians=sphere.meridians)
+    else:
+        datum = random_valid_datum(rng, max_degree=5, max_branch=6)
+        if kind == "broken" and datum.meridians:
+            last = random_perm(rng, datum.degree)
+            datum = HurwitzData(datum.base, datum.degree, datum.handles, datum.crosscaps,
+                                datum.meridians[:-1] + (last,))
+    try:
+        want = _single_steps(datum, times)
+    except WorkbenchError as exc:
+        with pytest.raises(WorkbenchError) as raised:
+            stabilize(datum, times)
+        assert raised.type is type(exc)
+    else:
+        assert stabilize(datum, times) == want
+
+
+def test_stabilize_rejects_negative_times():
+    with pytest.raises(ValueError):
+        stabilize(construct_hyperelliptic(0), -1)
+
+
+def test_stabilize_165_times_is_one_pass(tmp_path):
+    # the loop of single steps revalidated the growing datum at every
+    # step and took 1.7 s; the digest is the loop's stdout
+    path = tmp_path / "h.json"
+    path.write_text(jsonio.dumps(jsonio.hurwitz_to_json(construct_hyperelliptic(0))))
+    argv = ["stabilize", "--input", str(path), "--times", "165"]
+    start = time.perf_counter()
+    child, _ = run_measured([sys.executable, "-m", "coverbench.cli", *argv], timeout=60)
+    assert time.perf_counter() - start < 1
+    assert (child.returncode, child.stderr) == (0, "")
+    assert hashlib.sha256(child.stdout.encode()).hexdigest() == (
+        "db696ac61a7066f03ef8d05317748e865c11f899e1380f85766da3578a05c117"
+    )
 
 
 # --- orientation double cover ---
