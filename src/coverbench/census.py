@@ -14,12 +14,26 @@ and (d!)^(h-1) sum (f^lambda)^(2-h) c(lambda)^b over n_h, with f^lambda
 from the hook lengths and c(lambda) the sum of the contents; with any
 meridians allowed there are (d!)^(r+b-1) for b >= 1. The exponential
 formula and inclusion-exclusion over identity meridians give the
-connected counts. A cell whose connected count is 0 reports its empty
-row without importing the engine, so without numpy or a group table;
-every other cell is enumerated and its raw total must equal that count.
-Over a base with chi <= 0, a closed-form floor on the tuple count
-refuses the cells out of memory reach before any character sum is
-taken, and every refusal comes before the engine is imported.
+connected counts.
+
+Two kinds of cell are answered from these counts alone, without
+importing the engine, so without numpy or a group table. A cell whose
+connected count is 0 reports its empty row. A simple cell over an
+orientable base with b >= 2 reports its one row: every cover of an
+orientable base is orientable and Riemann-Hurwitz fixes chi = d chi(base)
+- b, so the row is that surface, the connected count as its raw count
+and Burnside's count of classes (characters.class_count). Neither lists
+a tuple, so neither has a peak to check: the memory admission that
+bounds enumeration does not apply to them, and s2/5/10 (169,271,260
+tuples) or s2/7/142 are answered at once.
+
+Every other cell is enumerated, and its raw total must equal the
+connected count; a simple one's class count must equal class_count for
+b >= 2, and over n_h its orientable raw count characters.orientable_count,
+or the cell exits 2 naming itself. Over a base with chi <= 0, a
+closed-form floor on the tuple count refuses the cells out of memory
+reach before any character sum is taken, and every refusal comes before
+the engine is imported.
 """
 from __future__ import annotations
 
@@ -28,9 +42,9 @@ from dataclasses import dataclass, replace
 from math import factorial, log2, log10
 from typing import TYPE_CHECKING
 
-from .characters import _irreducibles, connected_count, hom_count
+from .characters import _irreducibles, class_count, connected_count, hom_count, orientable_count
 from .errors import MEMORY_BUDGET, InvalidData, LimitExceeded
-from .surfaces import PROJECTIVE_PLANE, ClosedSurface, euler_characteristic
+from .surfaces import PROJECTIVE_PLANE, ClosedSurface, classify, euler_characteristic
 
 if TYPE_CHECKING:
     from .orderly import CensusShard
@@ -191,12 +205,21 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     return peak
 
 
+def _closed_form(base: ClosedSurface, b: int, simple_only: bool) -> bool:
+    """Whether a non-empty cell's row follows from closed forms: a simple
+    cell over an orientable base with b >= 2 has one total space, whose
+    raw count is the connected count and whose class count is
+    characters.class_count."""
+    return simple_only and base.orientable and b >= 2
+
+
 def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
-    """The exact connected count of a cell enumerate_covers may answer. An
-    empty cell is answered without enumerating, so its peak is not checked."""
+    """The exact connected count of a cell enumerate_covers may answer. A
+    cell answered without enumerating, empty or from closed forms, has no
+    peak to check."""
     _check_cell(base, d, b, simple_only)
     expected = connected_count(base, d, b, simple_only)
-    if expected:
+    if expected and not _closed_form(base, b, simple_only):
         _check_peak(base, d, b, simple_only)
     return expected
 
@@ -220,25 +243,42 @@ def merge_shards(shards) -> CensusShard:
     return replace(head, counts=merged)
 
 
+def _check_count(cell: str, found: int, what: str, expected: int, source: str) -> None:
+    if found != expected:
+        raise InvalidData(f"{cell} enumerates {found} {what}, but {source} {expected}")
+
+
 def enumerate_covers(
     base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusRow:
     """The cell's row. A cell whose exact connected count is 0 reports
-    its empty row without enumerating; any other is admitted, enumerated
-    and its raw total checked against that count."""
+    its empty row without enumerating, and so does a simple cell over an
+    orientable base with b >= 2 its one row from closed forms. Any other
+    is admitted and enumerated, and its raw total is checked against that
+    count; a simple one's class count against class_count when b >= 2,
+    and over n_h its orientable raw count against orientable_count."""
     expected = _admit(base, d, b, simple_only)
     if expected == 0:
         return CensusRow(base, d, b, ())
+    if _closed_form(base, b, simple_only):
+        surface = classify(d * euler_characteristic(base) - b, True)
+        return CensusRow(base, d, b, ((surface, expected, class_count(base, d, b)),))
     from .orderly import classify_shard, enumerate_shard
 
     row = classify_shard(enumerate_shard(base, d, b, simple_only))
+    kind = "simple" if simple_only else "all"
+    cell = f"census cell ({base.name}, degree {d}, {b} branch points, {kind})"
     found = sum(raw for _, raw, _ in row.realized)
-    if found != expected:
-        kind = "simple" if simple_only else "all"
-        raise InvalidData(
-            f"census cell ({base.name}, degree {d}, {b} branch points, {kind}) "
-            f"enumerates {found} connected tuples, but the characters of S_{d} "
-            f"count {expected}"
+    _check_count(cell, found, "connected tuples", expected, f"the characters of S_{d} count")
+    if simple_only and b >= 2:
+        found = sum(classes for _, _, classes in row.realized)
+        expected = class_count(base, d, b)
+        _check_count(cell, found, "conjugation classes", expected, "Burnside's lemma gives")
+    if simple_only and not base.orientable:
+        found = sum(raw for s, raw, _ in row.realized if s.orientable)
+        expected = orientable_count(base, d, b)
+        _check_count(
+            cell, found, "orientable connected tuples", expected, "the orientation double cover gives"
         )
     return row
 

@@ -26,8 +26,17 @@ Without the simple restriction it runs over sheets for free meridians,
 and inclusion-exclusion over the meridians forced to be the identity
 leaves those with every meridian nontrivial.
 
+Two more numbers of a simple row follow from these counts. Over any
+base and for b >= 2, Burnside's lemma counts the conjugation classes of
+connected tuples (class_count); over n_h, the orientation double cover
+counts the orientable ones (orientable_count). Over an orientable base
+every cover is orientable and Riemann-Hurwitz forces one total space,
+so these give a simple cell's whole row there (census.enumerate_covers
+answers it without enumerating); over n_h they check what the census
+enumerates.
+
 All arithmetic is exact: sums of Fractions whose denominators must
-cancel to 1.
+cancel to 1, and integer quotients that must leave no remainder.
 """
 from __future__ import annotations
 
@@ -35,6 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .errors import InvalidData
 from .surfaces import ClosedSurface, euler_characteristic
 
 
@@ -109,7 +119,13 @@ def connected_count(
 ) -> int:
     """The valid tuples of the census cell whose sheets form one orbit:
     the census's total raw count."""
-    chi = euler_characteristic(base)
+    return _connected(euler_characteristic(base), d, b, simple_only)
+
+
+@lru_cache(maxsize=None)
+def _connected(chi: int, d: int, b: int, simple_only: bool) -> int:
+    """connected_count, which depends on the base only through chi; cached,
+    as admission and class_count ask for the same cell."""
     if simple_only and b % 2:
         return 0  # no tuple at all, see _simple_homs
     if simple_only:
@@ -135,3 +151,71 @@ def connected_count(
         return conn[d]
 
     return _nontrivial(transitive, b)
+
+
+def class_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The conjugation classes of connected simple tuples of a cell with
+    b >= 2 branch points, by Burnside's lemma: the average, over the d!
+    conjugators z, of the connected tuples z fixes.
+
+    A tuple z fixes commutes with z entry by entry. The centraliser of a
+    transitive tuple acts freely on the sheets, so a z != 1 fixing one is
+    semiregular; since it also commutes with a transposition (a b), it
+    swaps a and b. So only the d!/(2^m m!) fixed-point-free involutions z
+    of d = 2m contribute (at b = 0 longer cycles contribute too, and this
+    count does not apply). A tuple fixed by z is a double cover of the
+    quotient X' by z, a connected unbranched cover of degree m (chi' =
+    m chi), branched at one of the m lifts of each branch point. So
+
+        classes = (connected_count(base, d, b) + [d = 2m] d!/(2^m m!)
+                   * connected_count(base, m, 0) * m^b * 2^(2 - m chi)
+                   * 2^(m - 1)) / d!,
+
+    where 2^(2 - m chi) is the number of elements of H^1(X'; Z/2).
+
+    2^(2 - m chi) * 2^(m - 1) = 2^(1 + m (1 - chi)) is a fraction only
+    over the sphere with m >= 2, which has no connected unbranched cover
+    of degree m, so the arithmetic stays in integers. A remainder means
+    the counts are wrong and raises InvalidData naming the cell."""
+    if b < 2:
+        raise ValueError(f"the class count needs b >= 2 branch points, got {b}")
+    if b % 2:
+        return 0  # no tuple at all, see _simple_homs
+    chi = euler_characteristic(base)
+    total = connected_count(base, d, b)
+    m = d // 2
+    quotients = connected_count(base, m, 0) if d % 2 == 0 else 0
+    if quotients:
+        involutions = factorial(d) // (2**m * factorial(m))
+        total += involutions * quotients * m**b * 2 ** (1 + m * (1 - chi))
+    classes, rest = divmod(total, factorial(d))
+    if rest:
+        raise InvalidData(
+            f"census cell ({base.name}, degree {d}, {b} branch points): Burnside's "
+            f"lemma gives {total}/{factorial(d)} conjugation classes, not an integer"
+        )
+    return classes
+
+
+def orientable_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The connected simple tuples over n_h whose total space is
+    orientable.
+
+    A connected cover is orientable exactly when it factors through the
+    orientation double cover o_(h-1) of the base. Then its d = 2m sheets
+    split into two halves of m, which every crosscap swaps and every
+    meridian keeps, and the split is unique. Counting the splits, the
+    matchings of the two halves, the lift of each branch point to
+    o_(h-1) that carries its transposition and the connected degree-m
+    covers of o_(h-1) branched there gives
+
+        C(2m, m)/2 * m! * 2^b * connected_count(o_(h-1), m, b),
+
+    and 0 for odd d."""
+    if base.orientable:
+        raise ValueError(f"the orientable count needs a nonorientable base, got the {base.name}")
+    if d % 2:
+        return 0
+    m = d // 2
+    cover = ClosedSurface(True, base.genus - 1)
+    return comb(d, m) // 2 * factorial(m) * 2**b * connected_count(cover, m, b)

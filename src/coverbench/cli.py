@@ -40,8 +40,8 @@ from .hurwitz import (
     construct_hyperelliptic,
     generators,
     stabilize,
+    stabilize_steps,
     total_space,
-    tower_steps,
     validate,
 )
 from .layered import (
@@ -265,7 +265,7 @@ def _cmd_stabilize(args):
     if args.times < 0:
         raise InvalidInput("--times cannot be negative")
     datum, digest = _hurwitz_input(args)
-    steps = tower_steps(len(generators(datum)), datum.degree, args.times)
+    steps = stabilize_steps(len(generators(datum)), datum.degree, args.times)
     check_build(f"stabilizing {args.times} times", steps)
     datum = stabilize(datum, args.times)
     payload = _datum_payload(datum)

@@ -49,6 +49,9 @@ from .surfaces import (
 # whose report walks its few long cycles many times (--crosscaps
 # 1,600,000: 4.8M steps, 11.1 s, 811 MB). At the budget the slowest
 # builder, cyclic-rp2 with 1,333,301 crosscaps, takes 10.7 s and 598 MB.
+# stabilize --times T from a degree-2 datum costs 1.2-1.6 us per step of
+# stabilize_steps (T = 165-1396, 2-core Xeon, Python 3.11): at the budget,
+# T = 1396, it takes 6.3 s and 384 MB.
 _PERM_STEPS = 32
 _BUILD_STEPS = 4 * 10**6
 
@@ -64,6 +67,14 @@ def tower_steps(k: int, d: int, times: int) -> int:
         + (k + 2 * n) * times * (times + 1) // 2
         + times * (times + 1) * (2 * times + 1) // 3
     )
+
+
+def stabilize_steps(k: int, d: int, times: int) -> int:
+    """Steps of stabilize(datum, times) and its report from a datum of k
+    permutations of degree d: one pass over the input, which is checked
+    once, and one over the output, k + 2 times permutations of degree
+    d + times."""
+    return tower_steps(k, d, 0) + (k + 2 * times) * (d + times + _PERM_STEPS)
 
 
 def check_build(what: str, steps: int) -> None:

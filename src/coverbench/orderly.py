@@ -18,8 +18,9 @@ column, the Euler characteristic comes from the meridians' cycle counts
 the orbit of sheet 0 on the sign double cover held as two sheet masks.
 
 census.enumerate_covers imports this module only for a cell it has
-admitted with a non-zero connected count, so empty and refused cells
-are answered without numpy.
+admitted with a non-zero connected count and no closed-form row: a
+nonorientable base, any meridians (--all) or b = 0. Empty, refused and
+closed-form cells are answered without numpy.
 """
 from __future__ import annotations
 

@@ -95,8 +95,11 @@ def test_sphere_degree2_completeness(b):
 
 @pytest.mark.parametrize("base,d,b", ORACLE_SIMPLE_CELLS)
 def test_simple_cells_match_bruteforce_oracle(base, d, b):
-    row = enumerate_covers(base, d, b, True)
-    assert list(row.realized) == oracle_census(base, d, b, True)
+    # the s2 cells are answered from closed forms: the engine is compared
+    # with the brute force too
+    oracle = oracle_census(base, d, b, True)
+    assert list(enumerate_covers(base, d, b, True).realized) == oracle
+    assert list(classify_shard(enumerate_shard(base, d, b, True)).realized) == oracle
 
 
 @pytest.mark.parametrize("base,d,b", ORACLE_NONSIMPLE_CELLS)
@@ -217,6 +220,21 @@ def test_empty_cell_builds_no_group_table():
     row = enumerate_covers(SPHERE, 7, 2, True)
     assert row == CensusRow(SPHERE, 7, 2, ())
     assert _group_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "base, d, b, row",
+    [
+        (ClosedSurface(True, 2), 3, 4, (ClosedSurface(True, 6), 34944, 5824)),
+        # refused by the listing's peak: 169,271,260 tuples
+        (SPHERE, 5, 10, (TORUS, 142_732_800, 1_189_440)),
+    ],
+)
+def test_closed_form_cell_builds_no_group_table(base, d, b, row):
+    _group_table.cache_clear()
+    assert enumerate_covers(base, d, b, True) == CensusRow(base, d, b, (row,))
+    info = _group_table.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_empty_cell_is_still_bounded_when_enumerated_in_full():

@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from coverbench.characters import _irreducibles, connected_count, hom_count
+from coverbench.census import enumerate_covers
+from coverbench.characters import (
+    _irreducibles,
+    class_count,
+    connected_count,
+    hom_count,
+    orientable_count,
+)
 from coverbench.cli import parse_base
+from coverbench.errors import InvalidData
 from coverbench.orderly import classify_shard, enumerate_shard
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
@@ -75,6 +83,71 @@ def test_counts_match_enumeration(base, d, b, simple):
     assert hom_count(base, d, b, simple) == sum(shard.counts.values())
     row = classify_shard(shard)
     assert connected_count(base, d, b, simple) == sum(raw for _, raw, _ in row.realized)
+
+
+def _closed_form_cells(bases):
+    """Non-empty simple cells with d <= 6 and even b in 2..10 whose classes
+    the engine lists quickly: at most 10^5 by the bound admission uses,
+    hom_count/(d-1)!, of the 3*10^6 tuples the census sweep allows."""
+    for base in bases:
+        for d in range(2, 7):
+            for b in range(2, 11, 2):
+                tuples = hom_count(base, d, b)
+                if tuples <= 3 * 10**6 and tuples // factorial(d - 1) <= 10**5:
+                    if connected_count(base, d, b):
+                        yield base, d, b
+
+
+@pytest.mark.parametrize("base,d,b", list(_closed_form_cells(SWEEP_BASES[:3])))
+def test_engine_matches_the_closed_form_row(base, d, b):
+    # enumerate_covers answers these cells without the engine, so the
+    # engine is checked against that answer here
+    engine = classify_shard(enumerate_shard(base, d, b, True))
+    assert engine == enumerate_covers(base, d, b, True)
+    (row,) = engine.realized
+    assert row[1:] == (connected_count(base, d, b), class_count(base, d, b))
+
+
+@pytest.mark.parametrize("base,d,b", list(_closed_form_cells(SWEEP_BASES[3:])))
+def test_engine_matches_class_and_orientable_counts(base, d, b):
+    row = classify_shard(enumerate_shard(base, d, b, True))
+    assert sum(n for _, _, n in row.realized) == class_count(base, d, b)
+    orientable = sum(raw for s, raw, _ in row.realized if s.orientable)
+    assert orientable == orientable_count(base, d, b)
+
+
+@pytest.mark.parametrize("base", SWEEP_BASES[3:])
+def test_orientable_count_without_branch_points(base):
+    for d in range(1, 7):
+        if hom_count(base, d, 0) <= 3 * 10**6:
+            row = classify_shard(enumerate_shard(base, d, 0, True))
+            orientable = sum(raw for s, raw, _ in row.realized if s.orientable)
+            assert orientable == orientable_count(base, d, 0), d
+
+
+def test_closed_forms_are_exact_integers():
+    # 2^(2 - m chi) is a fraction over s2 with m >= 2, where no connected
+    # unbranched cover of degree m exists; float arithmetic printed 120.0
+    assert class_count(SPHERE, 4, 6) == 120 and type(class_count(SPHERE, 4, 6)) is int
+    big = class_count(SPHERE, 7, 142)
+    assert type(big) is int and big * factorial(7) == connected_count(SPHERE, 7, 142)
+    assert class_count(SPHERE, 2, 3) == 0  # odd b: no tuple at all
+    assert orientable_count(PROJECTIVE_PLANE, 5, 4) == 0
+    assert orientable_count(PROJECTIVE_PLANE, 6, 8) == 33_546_240
+    with pytest.raises(ValueError):
+        class_count(SPHERE, 4, 0)
+    with pytest.raises(ValueError):
+        orientable_count(TORUS, 4, 2)
+
+
+def test_non_integral_class_count_names_the_cell(monkeypatch):
+    monkeypatch.setattr("coverbench.characters.connected_count", lambda *args: 1)
+    with pytest.raises(InvalidData) as raised:
+        class_count(TORUS, 3, 4)
+    assert str(raised.value) == (
+        "census cell (torus, degree 3, 4 branch points): Burnside's lemma gives "
+        "1/6 conjugation classes, not an integer"
+    )
 
 
 @pytest.mark.parametrize("d", range(2, 11))

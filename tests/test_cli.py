@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from coverbench import jsonio
+from coverbench.characters import class_count, connected_count
 from coverbench.cli import build_parser, format_cycles, main, parse_base, parse_cycles
 from coverbench.errors import InvalidInput
 from coverbench.exhaustion import ExhaustionGraph, Piece, normalize
@@ -436,14 +437,43 @@ class TestCensusCommands:
         assert err.startswith("error: census cell (projective plane, degree 6, 8 branch points")
 
     def test_enumeration_disagreeing_with_character_count_exits_2(self, monkeypatch):
+        # rp2/2/2 is enumerated; a simple cell over an orientable base with
+        # b >= 2 is answered from the counts themselves
         monkeypatch.setattr("coverbench.census.connected_count", lambda *args: 3)
         rc, out, err = run_cli(
-            ["enumerate", "--base", "s2", "--degree", "2", "--branch-points", "2"]
+            ["enumerate", "--base", "rp2", "--degree", "2", "--branch-points", "2"]
         )
         assert (rc, out) == (2, "")
         assert err == (
-            "error: census cell (sphere, degree 2, 2 branch points, simple) enumerates"
-            " 1 connected tuples, but the characters of S_2 count 3\n"
+            "error: census cell (projective plane, degree 2, 2 branch points, simple) enumerates"
+            " 2 connected tuples, but the characters of S_2 count 3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, count, error",
+        [
+            (
+                "class_count",
+                lambda *args: 31,
+                "enumerates 32 conjugation classes, but Burnside's lemma gives 31",
+            ),
+            (
+                "orientable_count",
+                lambda *args: 23041,
+                "enumerates 23040 orientable connected tuples, but the orientation double cover"
+                " gives 23041",
+            ),
+        ],
+        ids=["classes", "orientable"],
+    )
+    def test_enumeration_disagreeing_with_closed_forms_exits_2(self, monkeypatch, name, count, error):
+        monkeypatch.setattr(f"coverbench.census.{name}", count)
+        rc, out, err = run_cli(
+            ["enumerate", "--base", "rp2", "--degree", "6", "--branch-points", "4"]
+        )
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: census cell (projective plane, degree 6, 4 branch points, simple) {error}\n"
         )
 
     def test_out_of_memory_exits_2_without_traceback(self, monkeypatch):
@@ -790,9 +820,18 @@ def test_plane_commands_do_not_import_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def _row(orientable, genus, raw, classes):
+    chi = 2 - 2 * genus if orientable else 2 - genus
+    name = jsonio.surface_to_json(ClosedSurface(orientable, genus))["name"]
+    surface = {"euler_characteristic": chi, "genus": genus, "name": name, "orientable": orientable}
+    return {"class_count": classes, "raw_count": raw, "surface": surface}
+
+
 def test_census_loads_numpy_only_for_cells_it_enumerates():
-    # s2/6/6 and s2/7/2 are empty by their characters and rp2/5/8 and
-    # o30000/6/0 are refused by closed forms: none of them needs the engine
+    # s2/6/6 and s2/7/2 are empty by their characters, s2/4/6 and
+    # torus/4/4 are answered from closed forms, and rp2/5/8 and o30000/6/0
+    # are refused by closed forms: none of them needs the engine, and none
+    # calls _group_table even once the engine is loaded
     script = (
         "import contextlib, io, json, sys\n"
         "from coverbench import census\n"
@@ -805,17 +844,50 @@ def test_census_loads_numpy_only_for_cells_it_enumerates():
         "    return code, out.getvalue() and json.loads(out.getvalue())['result']['rows']\n"
         "got = [run('s2', 6, 6), run('s2', 7, 2), run('rp2', 5, 8), run('o30000', 6, 0)]\n"
         "assert got == [(0, []), (0, []), (2, ''), (2, '')], got\n"
-        "assert 'numpy' not in sys.modules\n"
+        "closed = [run('s2', 4, 6), run('torus', 4, 4)]\n"
+        "print(json.dumps(closed))\n"
+        "assert 'numpy' not in sys.modules and 'coverbench.orderly' not in sys.modules\n"
         "assert run('rp2', 5, 4)[0] == 0\n"
         "assert 'numpy' in sys.modules\n"
         "from coverbench import orderly\n"
         "assert census.GroupTable is orderly.GroupTable\n"
+        "calls = orderly._group_table.cache_info()\n"
+        "assert [run('s2', 4, 6), run('torus', 4, 4)] == closed\n"
+        "assert orderly._group_table.cache_info() == calls\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        [0, [_row(True, 0, 2880, 120)]],
+        [0, [_row(True, 3, 58752, 2496)]],
+    ]
+
+
+@pytest.mark.parametrize("cell", [("s2", 5, 10), ("s2", 7, 142)])
+def test_closed_form_cells_past_enumeration_answer_at_once(cell):
+    # the listing's peak refused both (s2/5/10 has 169,271,260 tuples,
+    # s2/7/142 a count of 185 digits); their one row takes a character sum
+    base, d, b = cell
+    argv = ["enumerate", "--base", base, "--degree", str(d), "--branch-points", str(b)]
+    start = time.perf_counter()
+    child, peak = run_measured(
+        [sys.executable, "-m", "coverbench.cli", *argv],
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    elapsed = time.perf_counter() - start
+    assert (child.returncode, child.stderr) == (0, "")
+    (row,) = report_of(child.stdout)["result"]["rows"]
+    surface = parse_base(base)
+    assert row["raw_count"] == connected_count(surface, d, b)
+    assert row["class_count"] == class_count(surface, d, b)
+    assert type(row["class_count"]) is int
+    assert row["surface"]["genus"] == (b - 2 * d + 2) // 2
+    assert elapsed < 1
+    assert peak < 100 << 20
 
 
 def test_high_genus_cells_of_any_meridians_are_refused_at_once():

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
+import resource
 import sys
 import time
 
@@ -28,6 +30,7 @@ from coverbench.hurwitz import (
     generators,
     is_connected,
     stabilize,
+    stabilize_steps,
     total_space,
     tower_steps,
     validate,
@@ -283,6 +286,43 @@ def test_stabilize_165_times_is_one_pass(tmp_path):
     assert (child.returncode, child.stderr) == (0, "")
     assert hashlib.sha256(child.stdout.encode()).hexdigest() == (
         "db696ac61a7066f03ef8d05317748e865c11f899e1380f85766da3578a05c117"
+    )
+
+
+def test_stabilize_steps_are_one_input_and_one_output_pass():
+    # the datum is checked once and built once, so the charge is
+    # quadratic in --times where the tower's sum is cubic
+    for k in range(4):
+        for d in range(1, 5):
+            for times in range(12):
+                want = k * (d + 32) + (k + 2 * times) * (d + times + 32)
+                assert stabilize_steps(k, d, times) == want
+    assert stabilize_steps(2, 2, 1396) <= 4 * 10**6 < stabilize_steps(2, 2, 1397)
+
+
+@pytest.mark.parametrize("times", [166, 1397])
+def test_stabilize_budget_fits_the_one_pass_cost(tmp_path, times):
+    # the tower's charge refused 166 steps from a degree-2 datum, which
+    # take 0.25 s; the first refused count, 1397, is refused before any
+    # permutation is built (1396 takes about 6 s and 400 MB)
+    path = tmp_path / "h.json"
+    path.write_text(jsonio.dumps(jsonio.hurwitz_to_json(construct_hyperelliptic(0))))
+    argv = ["stabilize", "--input", str(path), "--times", str(times)]
+    start = time.perf_counter()
+    child, peak = run_measured(
+        [sys.executable, "-m", "coverbench.cli", *argv],
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert time.perf_counter() - start < 1
+    assert peak < 100 << 20
+    if times == 166:
+        assert (child.returncode, child.stderr) == (0, "")
+        assert json.loads(child.stdout)["result"]["summary"]["degree"] == 2 + times
+        return
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == (
+        f"error: stabilizing {times} times would take more than the budget of 4000000 steps\n"
     )
 
 
