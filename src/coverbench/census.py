@@ -307,7 +307,7 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     (hyperelliptic data padded by stabilization); over the projective
     plane crosscap parity blocks the targets with h not congruent to n,
     with an exhaustive empty cell as witness."""
-    from .hurwitz import check_build, construct_hyperelliptic, stabilize, total_space, tower_steps
+    from .hurwitz import check_build, construct_hyperelliptic, pass_steps, stabilize, total_space
 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -316,9 +316,9 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     blocked_h = 1 if n % 2 == 0 else 2
     forced_b = n + blocked_h - 2
     row = enumerate_covers(PROJECTIVE_PLANE, n, forced_b, True)
-    # witness g starts with 2g + 2 meridians, G + 2 on average, and
-    # tower_steps is linear in that count
-    steps = (genus_max + 1) * tower_steps(genus_max + 2, 2, n - 2)
+    # one pass per witness built: witness g has 2g + 2n - 2 meridians of
+    # degree n, (G + 1)(G + 2n - 2) in all for g = 0..G
+    steps = pass_steps((genus_max + 1) * (genus_max + 2 * n - 2), n)
     check_build(f"the sphere witnesses up to genus {genus_max}", steps)
     witnesses = []
     for g in range(genus_max + 1):

@@ -571,10 +571,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code, digest = args.func(args)
-    except WorkbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (WorkbenchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

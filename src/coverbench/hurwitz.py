@@ -39,34 +39,25 @@ from .surfaces import (
     euler_characteristic,
 )
 
-# The builders' work in steps: each pass over a datum of k permutations of
-# degree d (a validation, an orbit search, a report) costs k * (d +
-# _PERM_STEPS), its entries plus a fixed per-permutation overhead. Fitted
-# to whole CLI runs on a 2-core Xeon, Python 3.11, one run each: 0.27-0.8
-# us per step for stabilize --times 50-200, universal-report --degree 2, 3
-# and 7 with --genus-max 100-400 and construct --family hyperelliptic with
-# --genus 25,000-100,000; 2.0-2.6 us for construct --family cyclic-rp2,
-# whose report walks its few long cycles many times (--crosscaps
-# 1,600,000: 4.8M steps, 11.1 s, 811 MB). At the budget the slowest
-# builder, cyclic-rp2 with 1,333,301 crosscaps, takes 10.7 s and 598 MB.
-# stabilize --times T from a degree-2 datum costs 1.2-1.6 us per step of
-# stabilize_steps (T = 165-1396, 2-core Xeon, Python 3.11): at the budget,
-# T = 1396, it takes 6.3 s and 384 MB.
+# The builders' work in steps: one pass over a datum of k permutations of
+# degree d (a validation, a walk, a report) costs k * (d + _PERM_STEPS),
+# its entries plus a fixed per-permutation overhead, and a builder is
+# charged one pass per datum it builds plus one per input it checks.
+# Whole CLI runs on a 2-core Xeon, Python 3.11, one run each: 0.2-0.65 us
+# a step for universal-report --degree 2-7 at --genus-max 200-341 and
+# construct --family hyperelliptic at --genus 25,000-58,822; 1.2-1.5 us
+# for construct --family cyclic-rp2 at --crosscaps 300,000-1,333,301 and
+# stabilize --times 700-1396 from a degree-2 datum. At the budget the
+# slowest builders take 6.2 s and 402 MB (cyclic-rp2, 1,333,301
+# crosscaps) and 5.4 s and 384 MB (stabilize, 1396 times).
 _PERM_STEPS = 32
 _BUILD_STEPS = 4 * 10**6
 
 
-def tower_steps(k: int, d: int, times: int) -> int:
-    """Steps of one pass over a datum of k permutations of degree d and
-    over each of its next `times` stabilizations, which add two
-    permutations and one sheet each: the sum over t = 0..times of
-    (k + 2t)(d + t + _PERM_STEPS), in closed form."""
-    n = d + _PERM_STEPS
-    return (
-        (times + 1) * k * n
-        + (k + 2 * n) * times * (times + 1) // 2
-        + times * (times + 1) * (2 * times + 1) // 3
-    )
+def pass_steps(k: int, d: int) -> int:
+    """Steps of one pass over k permutations of degree d, in one datum or
+    in several."""
+    return k * (d + _PERM_STEPS)
 
 
 def stabilize_steps(k: int, d: int, times: int) -> int:
@@ -74,7 +65,7 @@ def stabilize_steps(k: int, d: int, times: int) -> int:
     permutations of degree d: one pass over the input, which is checked
     once, and one over the output, k + 2 times permutations of degree
     d + times."""
-    return tower_steps(k, d, 0) + (k + 2 * times) * (d + times + _PERM_STEPS)
+    return pass_steps(k, d) + pass_steps(k + 2 * times, d + times)
 
 
 def check_build(what: str, steps: int) -> None:
@@ -196,45 +187,58 @@ def _labeled_perms(datum: HurwitzData):
         yield f"meridian {j}", m
 
 
-def _restricted_cycle_count(p: Perm, orbit: set[int]) -> int:
-    # orbits of the full generator set are p-invariant for any generator p
-    return sum(1 for cyc in p.cycles(include_fixed=True) if cyc[0] in orbit)
-
-
-def _sign_double_cover(datum: HurwitzData) -> list[Perm]:
-    """The sign double cover on sheets (i, s) -> i + s*d: a crosscap c
-    sends (i, s) to (c(i), 1 - s), a meridian m to (m(i), s). A component
-    is orientable exactly when it lifts to two orbits."""
-    d = datum.degree
-    lifts = [Perm(tuple(c.images[i % d] + d * (i < d) for i in range(2 * d))) for c in datum.crosscaps]
-    return lifts + [Perm(m.images + tuple(x + d for x in m.images)) for m in datum.meridians]
-
-
 def total_space(datum: HurwitzData) -> CoverSummary:
+    """Classify the total space in one walk over the sheets in increasing
+    order, which labels each sheet with its component and its sign on the
+    sign double cover: a crosscap flips the sign, and a component is
+    orientable when no sheet is reached with both signs. Each meridian's
+    cycles are then read once, for chi and its branching index."""
     report = validate(datum)
     if not report.ok:
         raise InvalidData("; ".join(report.problems))
     d = datum.degree
-    chi_base = euler_characteristic(datum.base)
-    lift_orbit: dict[int, int] = {}
-    if not datum.base.orientable:
-        for k, orbit in enumerate(orbits(_sign_double_cover(datum), 2 * d)):
-            lift_orbit.update(dict.fromkeys(orbit, k))
-    components: list[tuple[ClosedSurface, int]] = []
-    for orbit in orbits(generators(datum), d):
-        orbit_set = set(orbit)
-        size = len(orbit)
-        chi = size * chi_base
-        for m in datum.meridians:
-            chi -= size - _restricted_cycle_count(m, orbit_set)
-        orientable = datum.base.orientable or lift_orbit[orbit[0]] != lift_orbit[orbit[0] + d]
-        components.append((classify(chi, orientable), size))
+    moves = [(p.images, 0) for pair in datum.handles for p in pair]
+    moves += [(c.images, 1) for c in datum.crosscaps]
+    moves += [(m.images, 0) for m in datum.meridians]
+    component, sign = [-1] * d, [0] * d
+    sizes: list[int] = []
+    twisted: set[int] = set()
+    for start in range(d):
+        if component[start] >= 0:
+            continue
+        k = len(sizes)
+        component[start] = k
+        sizes.append(1)
+        frontier = [start]
+        while frontier:
+            i = frontier.pop()
+            for images, flip in moves:
+                j, s = images[i], sign[i] ^ flip
+                # forward images suffice: permutations have finite order
+                if component[j] < 0:
+                    component[j], sign[j] = k, s
+                    sizes[k] += 1
+                    frontier.append(j)
+                elif sign[j] != s:
+                    twisted.add(k)
+    # a component of n sheets has chi n * chi(base) less, for each
+    # meridian, n minus the meridian's cycles on those sheets
+    per_sheet = euler_characteristic(datum.base) - len(datum.meridians)
+    chi = [n * per_sheet for n in sizes]
+    indices = []
+    for m in datum.meridians:
+        cycles = m.cycles(include_fixed=True)
+        for cyc in cycles:
+            chi[component[cyc[0]]] += 1
+        indices.append(tuple(sorted(map(len, cycles), reverse=True)))
     return CoverSummary(
         degree=d,
-        simple=all(m.is_transposition() for m in datum.meridians),
-        components=tuple(components),
+        simple=all(len(t) == d - 1 for t in indices),
+        components=tuple(
+            (classify(c, k not in twisted), n) for k, (c, n) in enumerate(zip(chi, sizes))
+        ),
         branch_point_count=len(datum.meridians),
-        branching_indices=tuple(m.cycle_type() for m in datum.meridians),
+        branching_indices=tuple(indices),
     )
 
 
@@ -247,7 +251,7 @@ def construct_hyperelliptic(g: int) -> HurwitzData:
     space is the closed orientable genus-g surface."""
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
-    check_build(f"the hyperelliptic datum of genus {g}", tower_steps(2 * g + 2, 2, 0))
+    check_build(f"the hyperelliptic datum of genus {g}", pass_steps(2 * g + 2, 2))
     swap = transposition(2, 0, 1)
     return HurwitzData(SPHERE, 2, meridians=(swap,) * (2 * g + 2))
 
@@ -261,7 +265,7 @@ def construct_cyclic_rp2(h: int) -> HurwitzData:
     """
     if h < 1:
         raise ValueError(f"crosscap number must be >= 1, got {h}")
-    check_build(f"the cyclic datum with {h} crosscaps", tower_steps(3, h, 0))
+    check_build(f"the cyclic datum with {h} crosscaps", pass_steps(3, h))
     if h == 1:
         return HurwitzData(PROJECTIVE_PLANE, 1, crosscaps=(identity(1),))
     sigma = from_cycles(h, [tuple(range(h))])

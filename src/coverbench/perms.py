@@ -57,10 +57,6 @@ class Perm:
             sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True)
         )
 
-    def num_cycles(self) -> int:
-        """Number of orbits, fixed points included."""
-        return len(self.cycles(include_fixed=True))
-
     def is_identity(self) -> bool:
         return all(self.images[i] == i for i in range(self.degree))
 

@@ -356,7 +356,7 @@ def test_group_table_matches_perm_definitions(d):
             assert T.mult[i, j] == index[compose(p, q)]
             assert T.conj[i, j] == index[compose_all([inverse(p), q, p])]
     assert [T.inv[i] for i in range(n)] == [index[inverse(p)] for p in perms]
-    assert T.ncycles.tolist() == [p.num_cycles() for p in perms]
+    assert T.ncycles.tolist() == [len(p.cycles(include_fixed=True)) for p in perms]
     assert T.transpositions.tolist() == [i for i, p in enumerate(perms) if p.is_transposition()]
     # image[x, S] is x(S) as a bit mask: the sum of 2^x(i) over i in S
     members = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1

@@ -987,18 +987,31 @@ def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels
     [
         (["stabilize", "--times", "100000"], "stabilizing 100000 times"),
         (["universal-report", "--degree", "3", "--genus-max", "100000"], "the sphere witnesses up to genus 100000"),
+        (["universal-report", "--degree", "2", "--genus-max", "342"], "the sphere witnesses up to genus 342"),
+        (["universal-report", "--degree", "3", "--genus-max", "336"], "the sphere witnesses up to genus 336"),
+        (["universal-report", "--degree", "7", "--genus-max", "314"], "the sphere witnesses up to genus 314"),
         (
             ["construct", "--family", "hyperelliptic", "--genus", "1000000000"],
             "the hyperelliptic datum of genus 1000000000",
         ),
         (["construct", "--family", "cyclic-rp2", "--crosscaps", "2000000"], "the cyclic datum with 2000000 crosscaps"),
     ],
-    ids=["stabilize", "universal-report", "hyperelliptic", "cyclic-rp2"],
+    ids=[
+        "stabilize",
+        "universal-report",
+        "universal-report-2-342",
+        "universal-report-3-336",
+        "universal-report-7-314",
+        "hyperelliptic",
+        "cyclic-rp2",
+    ],
 )
 def test_hurwitz_builders_are_bounded_before_any_permutation(tmp_path, argv, error):
     # repeated stabilization is cubic in --times, the universal report's
     # witnesses quadratic in --genus-max and the constructions linear in
     # their size: unbounded, each ran for minutes toward the whole machine
+    # (the universal report is charged one pass per witness: 313 is the
+    # last genus admitted at degree 7, 335 at degree 3, 341 at degree 2)
     if argv[0] == "stabilize":
         argv += ["--input", write_doc(tmp_path, "h.json", jsonio.hurwitz_to_json(construct_hyperelliptic(0)))]
     start = time.perf_counter()
