@@ -23,9 +23,11 @@ orientable base with b >= 2 reports its one row: every cover of an
 orientable base is orientable and Riemann-Hurwitz fixes chi = d chi(base)
 - b, so the row is that surface, the connected count as its raw count
 and Burnside's count of classes (characters.class_count). Neither lists
-a tuple, so neither has a peak to check: the memory admission that
-bounds enumeration does not apply to them, and s2/5/10 (169,271,260
-tuples) or s2/7/142 are answered at once.
+a tuple, so the memory admission that bounds enumeration, the peak and
+the tuple-count floor below, does not apply to them: s2/5/10
+(169,271,260 tuples), s2/7/142 and o5/6/8 are answered at once. A
+closed-form row is refused only when the floor shows its counts too long
+to print (past 4299 digits, as int.__repr__ stops at 4300).
 
 Every other cell is enumerated, and its raw total must equal the
 connected count; a simple one's class count must equal class_count for
@@ -59,6 +61,9 @@ _CHARACTER_STEPS = 10**6
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
 _SLACK_BYTES = 64 << 20
+# a closed-form cell's counts print with int.__repr__, which refuses more
+# than 4300 digits
+_PRINTED_DIGITS = 4299
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,8 @@ def _check_cell(base: ClosedSurface, d: int, b: int, simple_only: bool) -> None:
     """Refuse what closed forms bring out of reach, before any character
     sum: the group tables of S_d (d! grows step by step, so a huge d costs
     nothing), the character sums, about (d*b)^2 steps, and the cells
-    whose tuples alone provably overflow the budget."""
+    whose tuples alone provably overflow the budget, or, for a cell
+    answered from closed forms, whose counts are too long to print."""
     if d < 1 or b < 0:
         raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
     order = 1
@@ -126,14 +132,19 @@ def _check_cell(base: ClosedSurface, d: int, b: int, simple_only: bool) -> None:
     floor = _log2_tuples_floor(base, d, b, simple_only)
     if floor is None:
         return
+    digits = int(floor * log10(2) - 1e-9) + 1
+    cell = f"census cell ({base.name}, degree {d}, {b} branch points)"
+    cell += f" has a tuple count of at least {digits} digits"
+    if _closed_form(base, b, simple_only):
+        # nothing is listed, but the row's counts are printed: they are at
+        # most p(d)/2 <= 7.5 times the floor, so one digit longer at most
+        if digits > _PRINTED_DIGITS:
+            raise LimitExceeded(f"{cell}, over the {_PRINTED_DIGITS} digits a report prints")
+        return
     # one bit of slack: float rounding cannot refuse a cell that
     # _check_peak would admit
     if floor + log2((_generators(base) + b) * _ENTRY_BYTES) > log2(MEMORY_BUDGET) + 1:
-        digits = int(floor * log10(2) - 1e-9) + 1
-        raise LimitExceeded(
-            f"census cell ({base.name}, degree {d}, {b} branch points) has a tuple "
-            f"count of at least {digits} digits, over the {MEMORY_BUDGET >> 20} MiB budget"
-        )
+        raise LimitExceeded(f"{cell}, over the {MEMORY_BUDGET >> 20} MiB budget")
 
 
 def _log2_tuples_floor(

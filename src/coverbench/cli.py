@@ -39,6 +39,7 @@ from .hurwitz import (
     construct_cyclic_rp2,
     construct_hyperelliptic,
     generators,
+    pass_steps,
     stabilize,
     stabilize_steps,
     total_space,
@@ -96,8 +97,8 @@ def parse_cycles(text: str, degree: int) -> Perm:
         raise InvalidInput(str(exc)) from None
 
 
-def format_cycles(p: Perm) -> str:
-    cycles = p.cycles()
+def format_cycles(cycles) -> str:
+    """Cycle notation of a permutation's cycles of length 2 or more."""
     if not cycles:
         return "id"
     return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycles)
@@ -162,11 +163,23 @@ def _summary_json(summary) -> dict:
 
 
 def _datum_payload(datum: HurwitzData) -> dict:
-    return {
-        "datum": jsonio.hurwitz_to_json(datum),
-        "meridian_cycles": [format_cycles(m) for m in datum.meridians],
-        "summary": _summary_json(total_space(datum)),
-    }
+    # formatted and dropped before the datum's JSON exists, to keep the peak
+    summary = total_space(datum)
+    cycles = [format_cycles(c) for c in summary.meridian_cycles]
+    summary = _summary_json(summary)
+    return {"datum": jsonio.hurwitz_to_json(datum), "meridian_cycles": cycles, "summary": summary}
+
+
+def _check_input(k: int, d: int) -> None:
+    """Charge a Hurwitz input of k generators and degree d one pass, before
+    anything of degree d is built."""
+    check_build(f"reading the datum of degree {d}", pass_steps(max(k, 1), d))
+
+
+def _datum_from_doc(doc: dict) -> HurwitzData:
+    datum = jsonio.hurwitz_from_json(doc)
+    _check_input(len(generators(datum)), datum.degree)
+    return datum
 
 
 def _datum_from_flags(args) -> HurwitzData:
@@ -178,21 +191,23 @@ def _datum_from_flags(args) -> HurwitzData:
     def split(text):
         return [t for t in text.split(";") if t.strip()] if text else []
 
+    pairs, crosscaps, meridians = split(args.handles), split(args.crosscaps), split(args.meridians)
+    _check_input(2 * len(pairs) + len(crosscaps) + len(meridians), d)
     handles = []
-    for pair in split(args.handles):
+    for pair in pairs:
         halves = pair.split("|")
         if len(halves) != 2:
             raise InvalidInput("each handle is '<cycles>|<cycles>'")
         handles.append((parse_cycles(halves[0], d), parse_cycles(halves[1], d)))
-    crosscaps = [parse_cycles(t, d) for t in split(args.crosscaps)]
-    meridians = [parse_cycles(t, d) for t in split(args.meridians)]
+    crosscaps = [parse_cycles(t, d) for t in crosscaps]
+    meridians = [parse_cycles(t, d) for t in meridians]
     return HurwitzData(base, d, tuple(handles), tuple(crosscaps), tuple(meridians))
 
 
 def _hurwitz_input(args) -> tuple[HurwitzData, str]:
     if args.input:
         doc, digest = _load_doc(args.input)
-        return jsonio.hurwitz_from_json(doc), digest
+        return _datum_from_doc(doc), digest
     datum = _datum_from_flags(args)
     digest = _digest_params(jsonio.hurwitz_to_json(datum))
     return datum, digest
@@ -223,7 +238,7 @@ def _cmd_validate(args):
         doc, digest = _load_doc(args.input)
         kind = jsonio.sniff(doc)
         if kind == "hurwitz":
-            report = validate(jsonio.hurwitz_from_json(doc))
+            report = validate(_datum_from_doc(doc))
         elif kind == "exhaustion":
             report = validate_exhaustion(jsonio.exhaustion_from_json(doc))
         else:

@@ -11,6 +11,7 @@ with [a,b] = a.b.a^-1.b^-1 in the same convention.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .perms import (
     Perm,
-    compose_all,
     from_cycles,
     identity,
     inverse,
@@ -42,14 +42,13 @@ from .surfaces import (
 # The builders' work in steps: one pass over a datum of k permutations of
 # degree d (a validation, a walk, a report) costs k * (d + _PERM_STEPS),
 # its entries plus a fixed per-permutation overhead, and a builder is
-# charged one pass per datum it builds plus one per input it checks.
-# Whole CLI runs on a 2-core Xeon, Python 3.11, one run each: 0.2-0.65 us
-# a step for universal-report --degree 2-7 at --genus-max 200-341 and
-# construct --family hyperelliptic at --genus 25,000-58,822; 1.2-1.5 us
-# for construct --family cyclic-rp2 at --crosscaps 300,000-1,333,301 and
-# stabilize --times 700-1396 from a degree-2 datum. At the budget the
-# slowest builders take 6.2 s and 402 MB (cyclic-rp2, 1,333,301
-# crosscaps) and 5.4 s and 384 MB (stabilize, 1396 times).
+# charged one pass per datum it builds plus one per input it checks; the
+# CLI charges every Hurwitz input one pass before reading it. Whole CLI
+# runs at the budget edge on a 2-core Xeon, Python 3.11, medians of 5:
+# 0.18-0.45 us a step for universal-report --degree 2-7 and construct
+# --family hyperelliptic --genus 58822; 1.0 us for stabilize --times 1396
+# from a degree-2 datum (3.8 s, 355 MB) and 1.4 us for construct --family
+# cyclic-rp2 --crosscaps 1333301 (5.7 s, 403 MB), the slowest builders.
 _PERM_STEPS = 32
 _BUILD_STEPS = 4 * 10**6
 
@@ -101,6 +100,7 @@ class CoverSummary:
     components: tuple[tuple[ClosedSurface, int], ...]
     branch_point_count: int
     branching_indices: tuple[tuple[int, ...], ...]
+    meridian_cycles: tuple[tuple[tuple[int, ...], ...], ...]  # as Perm.cycles() lists them
 
     @property
     def connected(self) -> bool:
@@ -116,19 +116,6 @@ def generators(datum: HurwitzData) -> list[Perm]:
     gens.extend(datum.crosscaps)
     gens.extend(datum.meridians)
     return gens
-
-
-def relation_word(datum: HurwitzData) -> list[Perm]:
-    """The boundary word whose product must be the identity."""
-    word: list[Perm] = []
-    if datum.base.orientable:
-        for a, b in datum.handles:
-            word += [a, b, inverse(a), inverse(b)]
-    else:
-        for c in datum.crosscaps:
-            word += [c, c]
-    word.extend(datum.meridians)
-    return word
 
 
 def validate(datum: HurwitzData) -> ValidationReport:
@@ -165,11 +152,22 @@ def validate(datum: HurwitzData) -> ValidationReport:
             problems.append(f"meridian {j} is the identity")
 
     if degrees_ok:
-        product = compose_all(relation_word(datum), d)
-        if not product.is_identity():
-            problems.append(
-                f"surface relation fails: word product has images {list(product.images)}"
-            )
+        # the relation word's letters, folded left to right over images
+        letters = []
+        if datum.base.orientable:
+            for a, b in datum.handles:
+                back = [0] * d  # [a,b] sends x to the z with a(b(z)) = b(a(x))
+                for z, y in enumerate(b.images):
+                    back[a.images[y]] = z
+                letters += [a.images, b.images, back]
+        else:
+            letters += [c.images for c in datum.crosscaps for _ in range(2)]
+        letters += [m.images for m in datum.meridians]
+        product = letters[0] if letters else ()  # the empty word's is the identity
+        for images in letters[1:]:
+            product = [images[i] for i in product]
+        if any(map(operator.ne, product, range(d))):
+            problems.append(f"surface relation fails: word product has images {list(product)}")
 
     if not datum.meridians:
         notes.append("unbranched datum (no branch points)")
@@ -192,7 +190,7 @@ def total_space(datum: HurwitzData) -> CoverSummary:
     order, which labels each sheet with its component and its sign on the
     sign double cover: a crosscap flips the sign, and a component is
     orientable when no sheet is reached with both signs. Each meridian's
-    cycles are then read once, for chi and its branching index."""
+    cycles are then read once, for chi, its branching index and the summary."""
     report = validate(datum)
     if not report.ok:
         raise InvalidData("; ".join(report.problems))
@@ -221,16 +219,15 @@ def total_space(datum: HurwitzData) -> CoverSummary:
                     frontier.append(j)
                 elif sign[j] != s:
                     twisted.add(k)
-    # a component of n sheets has chi n * chi(base) less, for each
-    # meridian, n minus the meridian's cycles on those sheets
-    per_sheet = euler_characteristic(datum.base) - len(datum.meridians)
-    chi = [n * per_sheet for n in sizes]
-    indices = []
-    for m in datum.meridians:
-        cycles = m.cycles(include_fixed=True)
-        for cyc in cycles:
-            chi[component[cyc[0]]] += 1
-        indices.append(tuple(sorted(map(len, cycles), reverse=True)))
+    # a component of n sheets has chi n * chi(base) less, for each cycle
+    # of a meridian on its sheets, the cycle's length minus one
+    chi = [n * euler_characteristic(datum.base) for n in sizes]
+    cycles, indices = tuple(tuple(m.cycles()) for m in datum.meridians), []
+    for moved in cycles:
+        for cyc in moved:
+            chi[component[cyc[0]]] -= len(cyc) - 1
+        lengths = sorted(map(len, moved), reverse=True)
+        indices.append(tuple(lengths) + (1,) * (d - sum(lengths)))
     return CoverSummary(
         degree=d,
         simple=all(len(t) == d - 1 for t in indices),
@@ -239,6 +236,7 @@ def total_space(datum: HurwitzData) -> CoverSummary:
         ),
         branch_point_count=len(datum.meridians),
         branching_indices=tuple(indices),
+        meridian_cycles=cycles,
     )
 
 
@@ -297,14 +295,12 @@ def stabilize(datum: HurwitzData, times: int = 1) -> HurwitzData:
         raise ValueError(f"need times >= 0, got {times}")
     if not times:
         return datum
-    report = validate(datum)
-    if not report.ok:
-        raise InvalidData("; ".join(report.problems))
+    summary = total_space(datum)
     if not datum.base.orientable:
         raise NonorientableBase("stabilization needs an orientable base")
-    if not all(m.is_transposition() for m in datum.meridians):
+    if not summary.simple:
         raise NotSimple("stabilization needs simple branching")
-    if not is_connected(datum):
+    if not summary.connected:
         raise NotConnected("stabilization needs a connected total space")
     d = datum.degree
     n = d + times

@@ -6,6 +6,8 @@ permutation "apply p, then q", i.e. compose(p, q)(i) == q(p(i)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, ne
 from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch
@@ -37,7 +39,8 @@ class Perm:
         n = self.degree
         seen = [False] * n
         out: list[tuple[int, ...]] = []
-        for start in range(n):
+        starts = range(n) if include_fixed else compress(range(n), map(ne, self.images, range(n)))
+        for start in starts:
             if seen[start]:
                 continue
             cyc = [start]
@@ -58,7 +61,7 @@ class Perm:
         )
 
     def is_identity(self) -> bool:
-        return all(self.images[i] == i for i in range(self.degree))
+        return all(map(eq, self.images, range(self.degree)))
 
     def is_transposition(self) -> bool:
         return sum(1 for i in range(self.degree) if self.images[i] != i) == 2

@@ -137,6 +137,20 @@ def random_perm(rng: random.Random, d: int) -> Perm:
     return Perm(tuple(xs))
 
 
+def relation_word(datum: HurwitzData) -> list[Perm]:
+    """The boundary word whose product must be the identity, as Perms:
+    the reference for validate's fold over image tuples."""
+    word: list[Perm] = []
+    if datum.base.orientable:
+        for a, b in datum.handles:
+            word += [a, b, inverse(a), inverse(b)]
+    else:
+        for c in datum.crosscaps:
+            word += [c, c]
+    word.extend(datum.meridians)
+    return word
+
+
 def random_valid_datum(
     rng: random.Random, max_degree: int = 6, max_branch: int = 8
 ) -> HurwitzData:
@@ -152,17 +166,13 @@ def random_valid_datum(
     base = ClosedSurface(orientable, genus)
     handles: tuple[tuple[Perm, Perm], ...] = ()
     crosscaps: tuple[Perm, ...] = ()
-    word: list[Perm] = []
     if orientable:
         handles = tuple(
             (random_perm(rng, d), random_perm(rng, d)) for _ in range(genus)
         )
-        for a, b in handles:
-            word += [a, b, inverse(a), inverse(b)]
     else:
         crosscaps = tuple(random_perm(rng, d) for _ in range(genus))
-        for c in crosscaps:
-            word += [c, c]
+    word = relation_word(HurwitzData(base, d, handles, crosscaps))
     lead: list[Perm] = []
     target = rng.randint(1, max_branch)
     while len(lead) < target - 1:

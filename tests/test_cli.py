@@ -29,6 +29,7 @@ from coverbench.surfaces import (
     SPHERE,
     TORUS,
     ClosedSurface,
+    euler_characteristic,
 )
 from oracles import run_measured, stdlib_dumps
 
@@ -153,8 +154,8 @@ class TestCycleNotation:
 
     def test_format_round_trip(self):
         p = parse_cycles("(0 2 4)(1 3)", 5)
-        assert parse_cycles(format_cycles(p), 5) == p
-        assert format_cycles(Perm((0, 1, 2))) == "id"
+        assert parse_cycles(format_cycles(p.cycles()), 5) == p
+        assert format_cycles(Perm((0, 1, 2)).cycles()) == "id"
 
 
 class TestBaseTokens:
@@ -772,7 +773,7 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 
 @pytest.mark.parametrize(
-    "cell", [("rp2", 5, 8), ("rp2", 6, 8), ("o5", 6, 8), ("s2", 8, 2), ("s2", 2, 5000)]
+    "cell", [("rp2", 5, 8), ("rp2", 6, 8), ("s2", 8, 2), ("s2", 2, 5000), ("o30000", 6, 2)]
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
     # rp2/5/8 alone has 203,127,560 tuples: the refusal must come from the
@@ -866,10 +867,11 @@ def test_census_loads_numpy_only_for_cells_it_enumerates():
     ]
 
 
-@pytest.mark.parametrize("cell", [("s2", 5, 10), ("s2", 7, 142)])
+@pytest.mark.parametrize("cell", [("s2", 5, 10), ("s2", 7, 142), ("o5", 6, 8), ("torus", 6, 8)])
 def test_closed_form_cells_past_enumeration_answer_at_once(cell):
-    # the listing's peak refused both (s2/5/10 has 169,271,260 tuples,
-    # s2/7/142 a count of 185 digits); their one row takes a character sum
+    # the listing's peak refused the first two (s2/5/10 has 169,271,260
+    # tuples, s2/7/142 a count of 185 digits) and the tuple-count floor the
+    # last two (13 digits on torus/6/8); each row takes a character sum
     base, d, b = cell
     argv = ["enumerate", "--base", base, "--degree", str(d), "--branch-points", str(b)]
     start = time.perf_counter()
@@ -885,9 +887,30 @@ def test_closed_form_cells_past_enumeration_answer_at_once(cell):
     assert row["raw_count"] == connected_count(surface, d, b)
     assert row["class_count"] == class_count(surface, d, b)
     assert type(row["class_count"]) is int
-    assert row["surface"]["genus"] == (b - 2 * d + 2) // 2
+    assert row["surface"]["genus"] == (2 - d * euler_characteristic(surface) + b) // 2
     assert elapsed < 1
     assert peak < 100 << 20
+
+
+@pytest.mark.parametrize(("genus", "digits"), [(7140, 4299), (7141, None)])
+def test_closed_form_cells_are_answered_while_their_counts_print(genus, digits):
+    # a closed-form row lists no tuple, so the memory budget does not bound
+    # it; its counts print with int.__repr__, which stops at 4300 digits,
+    # and the cell is refused past a floor of 4299 (o7140/2/2 has 4299)
+    start = time.perf_counter()
+    rc, out, err = run_cli(["enumerate", "--base", f"o{genus}", "--degree", "2", "--branch-points", "2"])
+    assert time.perf_counter() - start < 1
+    if digits is None:
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: census cell (orientable genus-{genus} surface, degree 2, 2 branch points) "
+            "has a tuple count of at least 4300 digits, over the 4299 digits a report prints\n"
+        )
+        return
+    assert (rc, err) == (0, "")
+    (row,) = report_of(out)["result"]["rows"]
+    assert row["raw_count"] == connected_count(ClosedSurface(True, genus), 2, 2)
+    assert len(str(row["raw_count"])) == digits
 
 
 def test_high_genus_cells_of_any_meridians_are_refused_at_once():
@@ -1024,6 +1047,47 @@ def test_hurwitz_builders_are_bounded_before_any_permutation(tmp_path, argv, err
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == f"error: {error} would take more than the budget of 4000000 steps\n"
     assert peak < 100 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--input", "{doc}"],
+        ["total-space", "--input", "{doc}"],
+        ["compose-double", "--input", "{doc}"],
+        ["stabilize", "--input", "{doc}", "--times", "0"],
+        ["validate", "--base", "s2", "--degree", str(10**20)],
+        ["total-space", "--base", "s2", "--degree", str(10**20), "--meridians", "(0 1)"],
+        ["compose-double", "--base", "s2", "--degree", str(10**20), "--meridians", "(0 1);(0 1)"],
+        ["stabilize", "--base", "s2", "--degree", str(10**20), "--times", "0"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{'file' if argv[1] == '--input' else 'flags'}",
+)
+def test_huge_degrees_are_refused_before_any_permutation(tmp_path, argv):
+    # a datum of degree 10^20 with no generators to check its degree against
+    # ended in an OverflowError traceback (exit 1) once the relation check
+    # or the walk sized a list by it, and from flags parsing a cycle did
+    doc = {"format": "hurwitz", "version": 1, "base": {"orientable": True, "genus": 0}, "degree": 10**20}
+    argv = [a.format(doc=write_doc(tmp_path, "h.json", doc)) for a in argv]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: reading the datum of degree {10**20} would take more than the budget of 4000000 steps\n"
+    )
+
+
+def test_inputs_at_the_edge_of_one_pass_are_admitted(tmp_path):
+    # a built datum is one pass, so reading it back is admitted: the
+    # hyperelliptic datum of genus 58822 (117,646 meridians of degree 2)
+    # is the most generators construct admits; and a degree of 3,999,968
+    # is one pass with no generators, which validate checks building nothing
+    path = write_doc(tmp_path, "h.json", jsonio.hurwitz_to_json(construct_hyperelliptic(58822)))
+    rc, _, err = run_cli(["validate", "--input", path])
+    assert (rc, err) == (0, "")
+    rc, _, err = run_cli(["validate", "--base", "s2", "--degree", "3999968"])
+    assert (rc, err) == (0, "")
+    rc, _, err = run_cli(["validate", "--base", "s2", "--degree", "3999969"])
+    assert (rc, err) == (2, "error: reading the datum of degree 3999969 would take more than the budget of 4000000 steps\n")
 
 
 # --- mutated documents: every --input subcommand ends in a report or a

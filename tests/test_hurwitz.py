@@ -34,7 +34,7 @@ from coverbench.hurwitz import (
     total_space,
     validate,
 )
-from coverbench.perms import Perm, from_cycles, identity, inverse, orbits, transposition
+from coverbench.perms import Perm, compose_all, from_cycles, identity, inverse, orbits, transposition
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -50,6 +50,7 @@ from oracles import (
     random_perm,
     random_simple_sphere_datum,
     random_valid_datum,
+    relation_word,
     run_measured,
 )
 
@@ -311,7 +312,7 @@ def test_stabilize_steps_are_one_input_and_one_output_pass():
 def test_stabilize_budget_fits_the_one_pass_cost(tmp_path, times):
     # the tower's charge refused 166 steps from a degree-2 datum, which
     # take 0.25 s; the first refused count, 1397, is refused before any
-    # permutation is built (1396 takes about 6 s and 400 MB)
+    # permutation is built (1396 takes about 4 s and 355 MB)
     path = tmp_path / "h.json"
     path.write_text(jsonio.dumps(jsonio.hurwitz_to_json(construct_hyperelliptic(0))))
     argv = ["stabilize", "--input", str(path), "--times", str(times)]
@@ -393,6 +394,32 @@ def test_chi_matches_lifted_cell_count(seed):
         assert euler_characteristic(surface) == lifted_cell_chi(datum, orbit)
     assert summary.branching_indices == tuple(m.cycle_type() for m in datum.meridians)
     assert summary.simple == all(m.is_transposition() for m in datum.meridians)
+    assert summary.meridian_cycles == tuple(tuple(m.cycles()) for m in datum.meridians)
+    # validate folds the word over images; the reference multiplies Perms,
+    # here on the datum and on a copy with one generator redrawn
+    broken = _redrawn_last(rng, datum)
+    for x in (datum, broken):
+        product = compose_all(relation_word(x), x.degree)
+        fails = [p for p in validate(x).problems if p.startswith("surface relation fails")]
+        assert fails == ([] if product.is_identity() else [
+            f"surface relation fails: word product has images {list(product.images)}"
+        ])
+
+
+def _redrawn_last(rng, datum):
+    """The datum with its last meridian, else its first handle's second
+    image or first crosscap, redrawn; with no generator, the datum."""
+    if datum.meridians:
+        last = random_perm(rng, datum.degree)
+        return HurwitzData(datum.base, datum.degree, datum.handles, datum.crosscaps,
+                           datum.meridians[:-1] + (last,))
+    if datum.handles:
+        (a, _), *rest = datum.handles
+        return HurwitzData(datum.base, datum.degree, ((a, random_perm(rng, datum.degree)), *rest))
+    if not datum.crosscaps:
+        return datum
+    (_, *rest) = datum.crosscaps
+    return HurwitzData(datum.base, datum.degree, crosscaps=(random_perm(rng, datum.degree), *rest))
 
 
 @seed(20261019)

@@ -1,11 +1,15 @@
 """Golden report digests: the sha256 of the CLI's stdout and stderr, and
-its exit code, on a fixed set of census commands.
+its exit code, on a fixed set of census and Hurwitz commands.
 
 Reports must stay byte-identical across refactors; a change that alters
-any byte of these fails here and must say why. The commands are the
-census jobs of the benchmark, the parity audit and universal report at
-small sizes, two cells over bases with three and two crosscaps, and two
-refusals. They run in process and take about 1.5 s together.
+any byte of these fails here and must say why. The census commands are
+the census jobs of the benchmark, the parity audit and universal report
+at small sizes, two cells over bases with three and two crosscaps, and
+two refusals. The Hurwitz commands build, stabilize, classify and
+double small data from flags and from a file, check three data whose
+surface relation fails (exit 1), and refuse a datum for each of
+stabilize's checks and two builds over the step budget. They run in
+process and take about 1.5 s together.
 """
 from __future__ import annotations
 
@@ -89,8 +93,77 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(("command", "code", "stdout", "stderr"), GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_report_digest_is_unchanged(command, code, stdout, stderr):
+# the hyperelliptic datum of genus 1, read by the {h} commands below
+SPHERE_DOC = (
+    '{"format": "hurwitz", "version": 1, "base": {"orientable": true, "genus": 0}, '
+    '"degree": 2, "meridians": [[1, 0], [1, 0], [1, 0], [1, 0]]}\n'
+)
+
+HURWITZ_GOLDEN = [
+    ("construct --family hyperelliptic --genus 3", 0,
+     "01b12232aeb74a1a48b65d68b294167a0a100ce03e222930f52651df882feb6b",
+     EMPTY),
+    ("construct --family cyclic-rp2 --crosscaps 5", 0,
+     "08ca53fd11262f0eb576b2bf4fad0450d89925b22a25ee34b06337b6a7cfc062",
+     EMPTY),
+    ("construct --family cyclic-rp2 --crosscaps 1", 0,
+     "bf03512539a90aad62b86bf6bc5ab8712d9d4bfbb8ce6181d91f2742e6bb1bfe",
+     EMPTY),
+    ("stabilize --input {h} --times 3", 0,
+     "8cb25ea852cc65c3e47c7212f2bd3d595c3603af196b359745f55f0b4e5b9052",
+     EMPTY),
+    ("stabilize --base torus --degree 2 --handles (0,1)|id --meridians (0,1);(0,1) --times 2", 0,
+     "a2f3c751d242926c07251634fc3413aa3e361d82b259ecfff223120c9e720e95",
+     EMPTY),
+    ("total-space --base rp2 --degree 3 --crosscaps (0,1,2) --meridians (0,1,2)", 0,
+     "5d7af468b728a7043c7a1ead2900d7d6686fa67c277b0296e07d62cdad344acb",
+     EMPTY),
+    ("total-space --base n2 --degree 4 --crosscaps (0,1)(2,3);id --meridians (0,2);(0,2)", 0,
+     "9ef389a3b42127f8b960957ed18208d3b7d9b0ff6878793455d62a071d2ceb50",
+     EMPTY),
+    ("compose-double --base s2 --degree 3 --meridians (0,1);(1,2);(1,2);(0,1)", 0,
+     "3d65d8c12f45414d3d41cc7e96308e5dd78c550a6184ca8db1bd3264642b7543",
+     EMPTY),
+    ("validate --base torus --degree 3 --handles (0,1)|(1,2) --meridians (0,1,2)", 1,
+     "9443b684674b318c319ce5e6cb6dc3896eb15cd5de0cc8455e15e4e27d12b48e",
+     EMPTY),
+    ("validate --base o2 --degree 4 --handles (0,1)|(1,2,3);(0,3)|(2,3) --meridians (0,1)", 1,
+     "787534d12621c7f2f180a5b5ba811ecdf10bfc2f0af44c9cd9bd2a6c8af2719c",
+     EMPTY),
+    ("validate --base n2 --degree 3 --crosscaps (0,1);(1,2) --meridians (0,2)", 1,
+     "1d84e80f08c55f13238ffa8861530668bdd341a93d0bf32a7835987ca57c5094",
+     EMPTY),
+    ("stabilize --base s2 --degree 2 --meridians (0,1)", 2,
+     EMPTY,
+     "8559a008dfe782326b9e1ad25ca56a3369f0033522bc0c85e00d4ab4349d82eb"),
+    ("stabilize --base rp2 --degree 2 --crosscaps id --meridians (0,1);(0,1)", 2,
+     EMPTY,
+     "b55d2b469b3509c3156ac3c843b9ab3510814d7409d5538ab30e6da3b40dbccb"),
+    ("stabilize --base s2 --degree 3 --meridians (0,1,2);(0,2,1)", 2,
+     EMPTY,
+     "0ce5db3c9e452e832f7e01098f2a5ce3742e39cf226857fc58c9c4a7dfe59785"),
+    ("stabilize --base s2 --degree 4 --meridians (0,1);(0,1)", 2,
+     EMPTY,
+     "f40dc26c011f1fe7985640a1b66c260763431bfd172fbc88af967aedd532e828"),
+    ("construct --family cyclic-rp2 --crosscaps 2000000", 2,
+     EMPTY,
+     "8c5381a37ca3b7d9e31b87da096006a54e9807eb7675c97f707a3b00b87c8ca1"),
+    ("stabilize --input {h} --times 100000", 2,
+     EMPTY,
+     "6ad969388574cb84d4a9dd30424c3862fca338e10304a03b6ca462552a22f725"),
+]
+
+
+@pytest.mark.parametrize(
+    ("command", "code", "stdout", "stderr"),
+    GOLDEN + HURWITZ_GOLDEN,
+    ids=[g[0] for g in GOLDEN + HURWITZ_GOLDEN],
+)
+def test_report_digest_is_unchanged(tmp_path, command, code, stdout, stderr):
+    if "{h}" in command:
+        path = tmp_path / "h.json"
+        path.write_text(SPHERE_DOC)
+        command = command.format(h=path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(command.split())
