@@ -43,7 +43,8 @@ from .surfaces import (
 # degree d (a validation, a walk, a report) costs k * (d + _PERM_STEPS),
 # its entries plus a fixed per-permutation overhead, and a builder is
 # charged one pass per datum it builds plus one per input it checks; the
-# CLI charges every Hurwitz input one pass before reading it. Whole CLI
+# CLI charges every Hurwitz input one pass before reading it, and
+# total_space charges each component of its report _PERM_STEPS. Whole CLI
 # runs at the budget edge on a 2-core Xeon, Python 3.11, medians of 5:
 # 0.18-0.45 us a step for universal-report --degree 2-7 and construct
 # --family hyperelliptic --genus 58822; 1.0 us for stabilize --times 1396
@@ -219,6 +220,8 @@ def total_space(datum: HurwitzData) -> CoverSummary:
                     frontier.append(j)
                 elif sign[j] != s:
                     twisted.add(k)
+    # the report lists every component: charge each before any is classified
+    check_build(f"reporting {len(sizes)} components", len(sizes) * _PERM_STEPS)
     # a component of n sheets has chi n * chi(base) less, for each cycle
     # of a meridian on its sheets, the cycle's length minus one
     chi = [n * euler_characteristic(datum.base) for n in sizes]

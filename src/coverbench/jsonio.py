@@ -62,6 +62,11 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
+def _all_ints(items) -> bool:
+    # one pass in C; bools and numpy ints are not ints here
+    return {*map(type, items)} <= {int}
+
+
 def _encode(o, indent: str, out: list[str]) -> None:
     """Append the encoding of o to out. indent is the newline and spaces
     before o's closing bracket; its items sit two spaces further in."""
@@ -83,7 +88,7 @@ def _encode(o, indent: str, out: list[str]) -> None:
             return
         inner = indent + "  "
         sep = "," + inner
-        if all(type(x) is int for x in o):
+        if _all_ints(o):
             out.append("[" + inner + sep.join(map(_int, o)) + indent + "]")
             return
         head = "[" + inner
@@ -136,7 +141,7 @@ def _optional(doc: dict, key: str, kind: type, where: str, default):
 
 def _ints(value, where: str) -> tuple[int, ...]:
     # JSON integers decode as exact ints; bools are not ints here
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
+    if not isinstance(value, list) or not _all_ints(value):
         raise InvalidInput(f"{where} must be a list of integers")
     return tuple(value)
 

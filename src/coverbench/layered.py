@@ -16,20 +16,24 @@ level, one branch point per level, fiber count growing without bound.
 Both constructors write every block from these closed forms and
 multiply no permutations. All invariants checked here are combinatorial
 consequences of counting lifted cells, so verify_layered re-derives
-them from the raw block data, with its own boundary product, rather
-than trusting the constructors.
+them from the raw block data rather than trusting the constructors: it
+keeps its own boundary product of each block, the inbound cycle then
+the meridians, and checks the block's claimed outbound cycles against
+it instead of decomposing it.
 
 Both checkers read one level index, built on first use and cached on
 the cover: the blocks of each level in document order, the first level
 at which each sheet appears, and each block's relation verdict (whether
-the boundary product of its inbound cycle and meridians is exactly its
-outbound cycles, covering all its sheets). verify_layered is then
+each claimed outbound cycle, listed from its least sheet, is a cycle of
+the boundary product, and together they cover every sheet the product
+moves and every sheet of the block). verify_layered is then
 linear in the size of the cover, and restriction_compatibility(c, i)
 touches only levels i and i + 1, so a sweep over every level is linear
 as well.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,29 +161,6 @@ class ComposedReport:
 # --- permutation words on small sheet sets ---
 
 
-def _word_perm(
-    sheets: tuple[int, ...],
-    inbound: tuple[int, ...] | None,
-    meridians: tuple[tuple[int, int], ...],
-) -> dict[int, int] | None:
-    """Boundary product of a block: inbound cycle first, then the
-    meridian transpositions left to right. None when the inbound cycle
-    repeats a sheet or it or a meridian leaves the block's sheets."""
-    if not _within(sheets, inbound, meridians):
-        return None
-    perm = dict(zip(sheets, sheets))
-    if inbound:
-        perm.update(zip(inbound, inbound[1:] + inbound[:1]))
-    # following the product with (a b) swaps the images of a's and b's
-    # preimages, so each meridian costs O(1)
-    pre = dict(zip(perm.values(), perm))
-    for a, b in meridians:
-        x, y = pre[a], pre[b]
-        perm[x], perm[y] = b, a
-        pre[a], pre[b] = y, x
-    return perm
-
-
 def _within(sheets, inbound, meridians) -> bool:
     own = set(sheets)
     if inbound and (len(set(inbound)) != len(inbound) or not own.issuperset(inbound)):
@@ -188,33 +169,34 @@ def _within(sheets, inbound, meridians) -> bool:
 
 
 def _relation_problem(b: Block) -> str | None:
-    perm = _word_perm(b.sheets, b.inbound, b.meridians)
-    want = {cyc for _, cyc in b.outbound}
-    if perm is None:
+    """Why the boundary product of b, its inbound cycle first and then
+    its meridians left to right, is not exactly its outbound cycles
+    covering all its sheets; None when it is."""
+    if not _within(b.sheets, b.inbound, b.meridians):
         return "inbound cycle or a meridian is not a cycle on its sheets"
-    if set(_perm_cycles(perm)) != want:
+    # applying (a c) before a product swaps its images of a and c, so the
+    # meridians are taken right to left, and then the inbound cycle
+    perm = dict(zip(b.sheets, b.sheets))
+    for a, c in reversed(b.meridians):
+        perm[a], perm[c] = perm[c], perm[a]
+    if b.inbound:
+        perm.update(zip(b.inbound, [perm[s] for s in b.inbound[1:] + b.inbound[:1]]))
+    moved = sum(map(operator.ne, perm, perm.values()))
+    # each claimed cycle must be one of the product's, listed from its
+    # least sheet; distinct ones are then disjoint, so they are all of
+    # them when their lengths add up to the sheets the product moves
+    want = {cyc for _, cyc in b.outbound}
+    if sum(map(len, want)) != moved or not all(
+        len(cyc) > 1
+        and len(set(cyc)) == len(cyc)
+        and min(cyc) == cyc[0]
+        and all(map(operator.eq, map(perm.get, cyc), cyc[1:] + cyc[:1]))
+        for cyc in want
+    ):
         return "boundary product disagrees with outbound cycles"
-    if set().union(*want) != set(b.sheets):
+    if moved != len(perm):
         return "outbound cycles miss some sheets"
     return None
-
-
-def _perm_cycles(perm: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    seen: set[int] = set()
-    out = []
-    for s in sorted(perm):
-        if s in seen:
-            continue
-        cyc = [s]
-        seen.add(s)
-        x = perm[s]
-        while x != s:
-            cyc.append(x)
-            seen.add(x)
-            x = perm[x]
-        if len(cyc) > 1:
-            out.append(tuple(cyc))
-    return tuple(out)
 
 
 # --- canonical pants meridians ---

@@ -1090,6 +1090,25 @@ def test_inputs_at_the_edge_of_one_pass_are_admitted(tmp_path):
     assert (rc, err) == (2, "error: reading the datum of degree 3999969 would take more than the budget of 4000000 steps\n")
 
 
+@pytest.mark.parametrize("degree", [125001, 1000000, 3999968])
+def test_total_space_report_is_charged_per_component(degree):
+    # a degree-d datum with no generators is one pass of d + 32 steps, but
+    # its report lists d one-sheet components: 10^6 of them took 19.3 s and
+    # 1.55 GB before each was charged 32 steps (125,000 are admitted)
+    start = time.perf_counter()
+    child, _ = run_measured(
+        [sys.executable, "-m", "coverbench.cli", "total-space", "--base", "s2", "--degree", str(degree)],
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == (
+        f"error: reporting {degree} components would take more than the budget of 4000000 steps\n"
+    )
+    if degree <= 10**6:
+        assert time.perf_counter() - start < 3
+
+
 # --- mutated documents: every --input subcommand ends in a report or a
 # one-line error ---
 

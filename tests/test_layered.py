@@ -22,7 +22,9 @@ from coverbench.exhaustion import (
     total_chi,
 )
 from coverbench.layered import (
+    Block,
     _pants_meridians,
+    _relation_problem,
     build_cover,
     compose_with_staircase,
     restriction_compatibility,
@@ -30,7 +32,12 @@ from coverbench.layered import (
     verify_layered,
 )
 
-from oracles import quadratic_restriction_compatibility, quadratic_verify_layered
+from oracles import (
+    _quadratic_perm_cycles,
+    _quadratic_word_perm,
+    quadratic_restriction_compatibility,
+    quadratic_verify_layered,
+)
 from test_exhaustion import random_exhaustion
 
 
@@ -462,3 +469,88 @@ def test_staircase_800_restriction_sweep_is_linear():
     # the sweep that rebuilt the lower sheets per level took about 2 s on
     # a 2-core Xeon; over the level index it takes about 0.01 s
     assert time.perf_counter() - start < 1.0
+
+
+# --- one block's relation against the quadratic reference ---
+
+
+def _quadratic_relation(b):
+    """The verdict of quadratic_verify_layered on one block."""
+    perm = _quadratic_word_perm(b.sheets, b.inbound, b.meridians)
+    want = {cyc for _, cyc in b.outbound}
+    if perm is None:
+        return "inbound cycle or a meridian is not a cycle on its sheets"
+    if set(_quadratic_perm_cycles(perm)) != want:
+        return "boundary product disagrees with outbound cycles"
+    if {s for cyc in want for s in cyc} != set(b.sheets):
+        return "outbound cycles miss some sheets"
+    return None
+
+
+def _random_block(rng):
+    """A block with a few sheets whose outbound cycles are the true
+    product's, perturbed now and then: a rotated, reversed, dropped or
+    duplicated cycle, an empty or 1-cycle, a foreign or repeated sheet.
+    Its inbound cycle and meridians sometimes repeat a sheet or leave
+    the block's sheets; its sheets never repeat, which the reference's
+    product assumes."""
+    sheets = rng.sample(range(8), rng.randint(1, 6))
+    pool = sheets + [8] * (rng.random() < 0.1)
+    inbound = None
+    if rng.random() < 0.8:
+        inbound = rng.sample(sheets, rng.randint(0, len(sheets)))
+        if inbound and rng.random() < 0.05:
+            inbound.append(rng.choice(inbound))
+        if rng.random() < 0.05:
+            inbound.append(8)
+        inbound = tuple(inbound)
+    meridians = tuple(
+        (rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 4))
+    )
+    if rng.random() < 0.03:
+        meridians += ((rng.choice(sheets),),)
+    perm = _quadratic_word_perm(tuple(sheets), inbound, meridians)
+    cycles = list(_quadratic_perm_cycles(perm or {s: s for s in sheets}))
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+        kind = rng.choice(
+            ["rotate", "drop", "duplicate", "fixed", "empty", "foreign", "repeat", "reverse"]
+        )
+        k = rng.randrange(len(cycles)) if cycles else None
+        if kind == "rotate" and k is not None:
+            r = rng.randint(1, max(1, len(cycles[k]) - 1))
+            cycles[k] = cycles[k][r:] + cycles[k][:r]
+        elif kind == "drop" and k is not None:
+            del cycles[k]
+        elif kind == "duplicate" and k is not None:
+            cycles.append(cycles[k])
+        elif kind == "fixed":
+            cycles.append((rng.choice(sheets),))
+        elif kind == "empty":
+            cycles.append(())
+        elif kind == "foreign":
+            cycles.append(tuple(sorted(rng.sample(range(10), 2))))
+        elif kind == "repeat" and k is not None:
+            cycles[k] = cycles[k] * 2
+        elif kind == "reverse" and k is not None:
+            cycles[k] = cycles[k][:1] + cycles[k][:0:-1]
+    rng.shuffle(cycles)
+    return Block(
+        "x", 2, "pants", tuple(sheets), (), inbound, meridians, (),
+        tuple(enumerate(cycles)), "p", 1,
+    )
+
+
+def test_relation_verdicts_agree_with_quadratic_reference():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(6000):
+        b = _random_block(rng)
+        verdict = _quadratic_relation(b)
+        assert _relation_problem(b) == verdict, b
+        seen.add(verdict)
+    assert seen == {
+        None,
+        "inbound cycle or a meridian is not a cycle on its sheets",
+        "boundary product disagrees with outbound cycles",
+        "outbound cycles miss some sheets",
+    }

@@ -1,5 +1,5 @@
 """Golden report digests: the sha256 of the CLI's stdout and stderr, and
-its exit code, on a fixed set of census and Hurwitz commands.
+its exit code, on a fixed set of census, Hurwitz and plane commands.
 
 Reports must stay byte-identical across refactors; a change that alters
 any byte of these fails here and must say why. The census commands are
@@ -8,18 +8,29 @@ at small sizes, two cells over bases with three and two crosscaps, and
 two refusals. The Hurwitz commands build, stabilize, classify and
 double small data from flags and from a file, check three data whose
 surface relation fails (exit 1), and refuse a datum for each of
-stabilize's checks and two builds over the step budget. They run in
-process and take about 1.5 s together.
+stabilize's checks and two builds over the step budget. The plane
+commands build, verify, compose and normalize small layered and
+exhaustion documents, and verify four broken copies of the 4-level
+staircase whose relation check fails in each of its three ways (exit
+1): a repeated inbound sheet, a foreign meridian, a rotated outbound
+cycle and a sheet the outbound cycles miss. They run in process and
+take about 2 s together.
 """
 from __future__ import annotations
 
 import contextlib
+import copy
 import hashlib
 import io
 
 import pytest
 
+from coverbench import jsonio
 from coverbench.cli import main
+from coverbench.exhaustion import normalize
+from coverbench.layered import build_cover, staircase
+
+from test_cli import sample_graph
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -154,6 +165,81 @@ HURWITZ_GOLDEN = [
 ]
 
 
+
+
+def plane_documents() -> dict:
+    """The documents the {name} fields of PLANE_GOLDEN read."""
+    graph = sample_graph()
+    normal = normalize(graph)
+    stair = jsonio.layered_to_json(staircase(4))
+    docs = {
+        "graph": jsonio.exhaustion_to_json(graph),
+        "normal": jsonio.exhaustion_to_json(normal),
+        "cover": jsonio.layered_to_json(build_cover(normal, normal.stable_depth)),
+        "stair": stair,
+    }
+
+    def broken(level, **fields):
+        doc = copy.deepcopy(stair)
+        doc["blocks"][level - 1].update(fields)
+        return doc
+
+    # level 4's outbound cycle is (0 4 3 2 1) on sheets 0-4
+    docs["repeated_inbound"] = broken(2, inbound=[0, 0])
+    docs["foreign_meridian"] = broken(2, meridians=[[1, 7]])
+    docs["rotated_outbound"] = broken(4, outbound=[[4, [4, 3, 2, 1, 0]]])
+    docs["missed_sheet"] = broken(4, sheets=[0, 1, 2, 3, 4, 5])
+    return docs
+
+
+PLANE_GOLDEN = [
+    ("staircase --levels 6 --verify", 0,
+     "1e88bc6f518bf82e5b566a4811fa3a7f4436f3eade4479aa40463ebe98a55e36",
+     EMPTY),
+    ("verify --restrictions --input {stair}", 0,
+     "e4bd52d4fdfbf38d77e811024614aad5c9e78ca66b70c9cfbb739ddb4b6135ce",
+     EMPTY),
+    ("verify --restrictions --input {cover}", 0,
+     "1c8182eb6cb02d3162030059d2167b6c9047aa0f72dffe558a72788862821126",
+     EMPTY),
+    ("compose-staircase --input {cover} --levels 3", 0,
+     "1f19f7e301d9495a9e090cc665222637956286ba85d96ba1fbb7e094744622ef",
+     EMPTY),
+    ("normalize --input {graph}", 0,
+     "ca457e19dd8f0398e91431bfe39e9a090a05180a2d5f62c032621a20f3a5b90d",
+     EMPTY),
+    ("count-ends --input {normal} --levels 4 --remaining 0", 0,
+     "617db494924d49ac3a43043e890c2868491fed1436ad19efa97b1394eae78c26",
+     EMPTY),
+    ("build-cover --input {normal} --levels 4", 0,
+     "da3ff87166a373fefe76ffd84fdd351506c8631418934bd8b7e28ac844ca108d",
+     EMPTY),
+    ("verify --restrictions --input {repeated_inbound}", 1,
+     "2294b2a5e525fbfb23931c6cb421983a6ca20b1619bb210971ac2e73c1ca46d2",
+     EMPTY),
+    ("verify --restrictions --input {foreign_meridian}", 1,
+     "355655395b4d085cfa50e952f252ea88bf984c7addac96195c6d7f33591e2bc3",
+     EMPTY),
+    ("verify --restrictions --input {rotated_outbound}", 1,
+     "03c0acb9a419a4e8d906ee33da6f563e3b0dd0d9fd580b8b6045a2e195609e9e",
+     EMPTY),
+    ("verify --restrictions --input {missed_sheet}", 1,
+     "6a402306ec97238ae64a69dcc3841685669c55efcb0e54d3232ed2ac636df94d",
+     EMPTY),
+]
+
+
+def run_digests(command: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(command.split())
+    return (
+        rc,
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    )
+
+
 @pytest.mark.parametrize(
     ("command", "code", "stdout", "stderr"),
     GOLDEN + HURWITZ_GOLDEN,
@@ -164,9 +250,17 @@ def test_report_digest_is_unchanged(tmp_path, command, code, stdout, stderr):
         path = tmp_path / "h.json"
         path.write_text(SPHERE_DOC)
         command = command.format(h=path)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(command.split())
-    assert rc == code
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == stdout
-    assert hashlib.sha256(err.getvalue().encode()).hexdigest() == stderr
+    assert run_digests(command) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize(
+    ("command", "code", "stdout", "stderr"),
+    PLANE_GOLDEN,
+    ids=[g[0] for g in PLANE_GOLDEN],
+)
+def test_plane_report_digest_is_unchanged(tmp_path, command, code, stdout, stderr):
+    paths = {}
+    for name, doc in plane_documents().items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(jsonio.dumps(doc))
+    assert run_digests(command.format(**paths)) == (code, stdout, stderr)
