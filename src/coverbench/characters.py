@@ -26,14 +26,16 @@ Without the simple restriction it runs over sheets for free meridians,
 and inclusion-exclusion over the meridians forced to be the identity
 leaves those with every meridian nontrivial.
 
-Two more numbers of a simple row follow from these counts. Over any
-base and for b >= 2, Burnside's lemma counts the conjugation classes of
+More numbers of a simple row follow from these counts. Over any base
+and for b >= 2, Burnside's lemma counts the conjugation classes of
 connected tuples (class_count); over n_h, the orientation double cover
-counts the orientable ones (orientable_count). Over an orientable base
-every cover is orientable and Riemann-Hurwitz forces one total space,
-so these give a simple cell's whole row there (census.enumerate_covers
-answers it without enumerating); over n_h they check what the census
-enumerates.
+counts the orientable ones (orientable_count), and Burnside's lemma
+their classes (orientable_class_count). Riemann-Hurwitz forces one
+orientable and one nonorientable candidate total space, so these give a
+simple cell's whole row for b >= 2 over any base, and
+census.enumerate_covers answers it without enumerating. Without branch
+points, orientable_count still checks what the census enumerates over
+n_h.
 
 All arithmetic is exact: sums of Fractions whose denominators must
 cancel to 1, and integer quotients that must leave no remainder.
@@ -177,14 +179,39 @@ def class_count(base: ClosedSurface, d: int, b: int) -> int:
     over the sphere with m >= 2, which has no connected unbranched cover
     of degree m, so the arithmetic stays in integers. A remainder means
     the counts are wrong and raises InvalidData naming the cell."""
+    return _burnside(base, d, b, connected_count, "conjugation classes")
+
+
+def orientable_class_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The conjugation classes of connected simple tuples over n_h, b >= 2,
+    whose total space is orientable: class_count's sum over the tuples
+    orientable_count counts.
+
+    A tuple fixed by a fixed-point-free involution z is the double cover
+    of its quotient X' described in class_count. The orientation
+    character is trivial on the meridians, while the double cover's
+    monodromy around each of them is not, so the cover is orientable
+    exactly when X' is; and H^1(X'; Z/2) has 2^(2 - m chi) elements
+    either way. So the formula is class_count's with orientable_count in
+    place of connected_count, the unbranched quotients included:
+
+        (orientable_count(base, d, b) + [d = 2m] d!/(2^m m!)
+         * orientable_count(base, m, 0) * m^b * 2^(1 + m (1 - chi))) / d!.
+    """
+    return _burnside(base, d, b, orientable_count, "orientable conjugation classes")
+
+
+def _burnside(base: ClosedSurface, d: int, b: int, count, what: str) -> int:
+    """Burnside's class count of the connected simple tuples that
+    count(base, n, b) counts, for class_count and orientable_class_count."""
     if b < 2:
         raise ValueError(f"the class count needs b >= 2 branch points, got {b}")
     if b % 2:
         return 0  # no tuple at all, see _simple_homs
     chi = euler_characteristic(base)
-    total = connected_count(base, d, b)
+    total = count(base, d, b)
     m = d // 2
-    quotients = connected_count(base, m, 0) if d % 2 == 0 else 0
+    quotients = count(base, m, 0) if d % 2 == 0 else 0
     if quotients:
         involutions = factorial(d) // (2**m * factorial(m))
         total += involutions * quotients * m**b * 2 ** (1 + m * (1 - chi))
@@ -192,7 +219,7 @@ def class_count(base: ClosedSurface, d: int, b: int) -> int:
     if rest:
         raise InvalidData(
             f"census cell ({base.name}, degree {d}, {b} branch points): Burnside's "
-            f"lemma gives {total}/{factorial(d)} conjugation classes, not an integer"
+            f"lemma gives {total}/{factorial(d)} {what}, not an integer"
         )
     return classes
 

@@ -376,7 +376,7 @@ def _quadratic_word_perm(
         for a, b in zip(inbound, inbound[1:] + (inbound[0],)):
             perm[a] = b
     for a, b in meridians:
-        for s in sheets:
+        for s in perm:
             v = perm[s]
             perm[s] = b if v == a else a if v == b else v
     return perm

@@ -155,8 +155,9 @@ def test_repeated_runs_identical():
 @pytest.mark.parametrize(
     "base, d, b, simple_only",
     [
-        (PROJECTIVE_PLANE, 5, 8, True),  # 203,127,560 tuples
-        (PROJECTIVE_PLANE, 6, 8, True),
+        # a closed-form row whose counts pass the 4299 digits a report prints
+        (ClosedSurface(False, 5000), 5, 8, True),
+        (ClosedSurface(False, 5), 6, 0, True),  # enumerated, over the tuple floor
         (ClosedSurface(True, 5), 6, 8, False),
         (TORUS, 6, 4, False),
         (SPHERE, 8, 2, True),  # the tables of S_8 alone need 13 GB
@@ -174,7 +175,10 @@ def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
     assert _group_table.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("base, d, b", [(ClosedSurface(True, 5), 6, 8), (TORUS, 6, 8)])
+@pytest.mark.parametrize(
+    "base, d, b",
+    [(ClosedSurface(True, 5), 6, 8), (TORUS, 6, 8), (KLEIN_BOTTLE, 5, 6), (ClosedSurface(False, 3), 5, 4)],
+)
 def test_closed_form_cells_are_answered_past_the_tuple_floor(base, d, b):
     # the floor refuses the engine these cells, but their simple rows come
     # from closed forms and list no tuple
@@ -240,6 +244,8 @@ def test_empty_cell_builds_no_group_table():
         (ClosedSurface(True, 2), 3, 4, (ClosedSurface(True, 6), 34944, 5824)),
         # refused by the listing's peak: 169,271,260 tuples
         (SPHERE, 5, 10, (TORUS, 142_732_800, 1_189_440)),
+        # and 203,127,560 tuples, none of them orientable at odd degree
+        (PROJECTIVE_PLANE, 5, 8, (ClosedSurface(False, 5), 185_285_520, 1_544_046)),
     ],
 )
 def test_closed_form_cell_builds_no_group_table(base, d, b, row):

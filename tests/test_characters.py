@@ -9,16 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from coverbench.census import enumerate_covers
+from coverbench.census import _check_cell, _check_peak, enumerate_covers
 from coverbench.characters import (
     _irreducibles,
     class_count,
     connected_count,
     hom_count,
+    orientable_class_count,
     orientable_count,
 )
 from coverbench.cli import parse_base
-from coverbench.errors import InvalidData
+from coverbench.errors import InvalidData, LimitExceeded
 from coverbench.orderly import classify_shard, enumerate_shard
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
@@ -108,12 +109,39 @@ def test_engine_matches_the_closed_form_row(base, d, b):
     assert row[1:] == (connected_count(base, d, b), class_count(base, d, b))
 
 
-@pytest.mark.parametrize("base,d,b", list(_closed_form_cells(SWEEP_BASES[3:])))
+def _admitted_cells(bases):
+    """Non-empty simple cells with d <= 6 and even b in 2..8 that the
+    engine admits: about 5 s of enumeration over n_1..n_4."""
+    for base in bases:
+        for d in range(2, 7):
+            for b in range(2, 9, 2):
+                try:
+                    _check_cell(base, d, b, True)
+                    _check_peak(base, d, b, True)
+                except LimitExceeded:
+                    continue
+                if connected_count(base, d, b):
+                    yield base, d, b
+
+
+_N_H_CELLS = list(_closed_form_cells(SWEEP_BASES[3:]))
+_N_H_CELLS += [
+    cell for cell in _admitted_cells(SWEEP_BASES[3:] + (ClosedSurface(False, 4),))
+    if cell not in _N_H_CELLS
+]
+
+
+@pytest.mark.parametrize("base,d,b", _N_H_CELLS)
 def test_engine_matches_class_and_orientable_counts(base, d, b):
-    row = classify_shard(enumerate_shard(base, d, b, True))
-    assert sum(n for _, _, n in row.realized) == class_count(base, d, b)
-    orientable = sum(raw for s, raw, _ in row.realized if s.orientable)
-    assert orientable == orientable_count(base, d, b)
+    # enumerate_covers answers these cells over n_h from the raw and class
+    # counts split by orientability, orientable row first; the engine
+    # classifies every class, so it checks both the split and the order
+    engine = classify_shard(enumerate_shard(base, d, b, True))
+    assert engine == enumerate_covers(base, d, b, True)
+    assert sum(n for _, _, n in engine.realized) == class_count(base, d, b)
+    orientable = [row[1:] for row in engine.realized if row[0].orientable]
+    split = orientable_count(base, d, b), orientable_class_count(base, d, b)
+    assert orientable == ([split] if split[0] else [])
 
 
 @pytest.mark.parametrize("base", SWEEP_BASES[3:])

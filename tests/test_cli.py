@@ -433,20 +433,20 @@ class TestCensusCommands:
             raise AssertionError(f"cell {args[1:3]} enumerated before admission")
 
         monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
-        rc, out, err = run_cli(["parity-audit", "--dmax", "6", "--bmax", "8"])
+        rc, out, err = run_cli(["parity-audit", "--dmax", "8", "--bmax", "8"])
         assert (rc, out) == (2, "")
-        assert err.startswith("error: census cell (projective plane, degree 6, 8 branch points")
+        assert err == "error: degree 8: the group tables of S_8 exceed the memory budget\n"
 
     def test_enumeration_disagreeing_with_character_count_exits_2(self, monkeypatch):
-        # rp2/2/2 is enumerated; a simple cell over an orientable base with
+        # rp2/2/2 with any meridians is enumerated; a simple cell with
         # b >= 2 is answered from the counts themselves
         monkeypatch.setattr("coverbench.census.connected_count", lambda *args: 3)
         rc, out, err = run_cli(
-            ["enumerate", "--base", "rp2", "--degree", "2", "--branch-points", "2"]
+            ["enumerate", "--base", "rp2", "--degree", "2", "--branch-points", "2", "--all"]
         )
         assert (rc, out) == (2, "")
         assert err == (
-            "error: census cell (projective plane, degree 2, 2 branch points, simple) enumerates"
+            "error: census cell (projective plane, degree 2, 2 branch points, all) enumerates"
             " 2 connected tuples, but the characters of S_2 count 3\n"
         )
 
@@ -454,27 +454,23 @@ class TestCensusCommands:
         "name, count, error",
         [
             (
-                "class_count",
-                lambda *args: 31,
-                "enumerates 32 conjugation classes, but Burnside's lemma gives 31",
-            ),
-            (
                 "orientable_count",
-                lambda *args: 23041,
-                "enumerates 23040 orientable connected tuples, but the orientation double cover"
-                " gives 23041",
+                lambda *args: 19,
+                "enumerates 18 orientable connected tuples, but the orientation double cover"
+                " gives 19",
             ),
         ],
-        ids=["classes", "orientable"],
+        ids=["orientable"],
     )
     def test_enumeration_disagreeing_with_closed_forms_exits_2(self, monkeypatch, name, count, error):
+        # a simple cell over n_h is enumerated only without branch points
         monkeypatch.setattr(f"coverbench.census.{name}", count)
         rc, out, err = run_cli(
-            ["enumerate", "--base", "rp2", "--degree", "6", "--branch-points", "4"]
+            ["enumerate", "--base", "klein", "--degree", "4", "--branch-points", "0"]
         )
         assert (rc, out) == (2, "")
         assert err == (
-            f"error: census cell (projective plane, degree 6, 4 branch points, simple) {error}\n"
+            f"error: census cell (Klein bottle, degree 4, 0 branch points, simple) {error}\n"
         )
 
     def test_out_of_memory_exits_2_without_traceback(self, monkeypatch):
@@ -773,10 +769,11 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 
 @pytest.mark.parametrize(
-    "cell", [("rp2", 5, 8), ("rp2", 6, 8), ("s2", 8, 2), ("s2", 2, 5000), ("o30000", 6, 2)]
+    "cell", [("n5", 6, 0), ("n5000", 5, 8), ("s2", 8, 2), ("s2", 2, 5000), ("o30000", 6, 2)]
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
-    # rp2/5/8 alone has 203,127,560 tuples: the refusal must come from the
+    # n5/6/0 alone has over 10^11 tuples, and n5000/5/8's closed-form counts
+    # pass the 4299 digits a report prints: the refusal must come from the
     # cell's counts, before numpy is loaded and so before any group table
     # or tuple exists
     base, d, b = cell
@@ -829,10 +826,11 @@ def _row(orientable, genus, raw, classes):
 
 
 def test_census_loads_numpy_only_for_cells_it_enumerates():
-    # s2/6/6 and s2/7/2 are empty by their characters, s2/4/6 and
-    # torus/4/4 are answered from closed forms, and rp2/5/8 and o30000/6/0
-    # are refused by closed forms: none of them needs the engine, and none
-    # calls _group_table even once the engine is loaded
+    # s2/6/6 and s2/7/2 are empty by their characters, s2/4/6, torus/4/4,
+    # rp2/5/8 and rp2/5/4 are answered from closed forms, and n5/6/0 and
+    # o30000/6/0 are refused by closed forms: none of them needs the
+    # engine, and none calls _group_table even once the engine is loaded;
+    # rp2/2/0, without branch points, is enumerated
     script = (
         "import contextlib, io, json, sys\n"
         "from coverbench import census\n"
@@ -843,17 +841,18 @@ def test_census_loads_numpy_only_for_cells_it_enumerates():
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
         "        code = main(['enumerate', '--base', base, '--degree', str(d), '--branch-points', str(b)])\n"
         "    return code, out.getvalue() and json.loads(out.getvalue())['result']['rows']\n"
-        "got = [run('s2', 6, 6), run('s2', 7, 2), run('rp2', 5, 8), run('o30000', 6, 0)]\n"
+        "got = [run('s2', 6, 6), run('s2', 7, 2), run('n5', 6, 0), run('o30000', 6, 0)]\n"
         "assert got == [(0, []), (0, []), (2, ''), (2, '')], got\n"
-        "closed = [run('s2', 4, 6), run('torus', 4, 4)]\n"
+        "closed = [run('s2', 4, 6), run('torus', 4, 4), run('rp2', 5, 8)]\n"
         "print(json.dumps(closed))\n"
-        "assert 'numpy' not in sys.modules and 'coverbench.orderly' not in sys.modules\n"
         "assert run('rp2', 5, 4)[0] == 0\n"
+        "assert 'numpy' not in sys.modules and 'coverbench.orderly' not in sys.modules\n"
+        "assert run('rp2', 2, 0)[0] == 0\n"
         "assert 'numpy' in sys.modules\n"
         "from coverbench import orderly\n"
         "assert census.GroupTable is orderly.GroupTable\n"
         "calls = orderly._group_table.cache_info()\n"
-        "assert [run('s2', 4, 6), run('torus', 4, 4)] == closed\n"
+        "assert [run('s2', 4, 6), run('torus', 4, 4), run('rp2', 5, 8)] == closed\n"
         "assert orderly._group_table.cache_info() == calls\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -864,14 +863,26 @@ def test_census_loads_numpy_only_for_cells_it_enumerates():
     assert json.loads(done.stdout) == [
         [0, [_row(True, 0, 2880, 120)]],
         [0, [_row(True, 3, 58752, 2496)]],
+        [0, [_row(False, 5, 185_285_520, 1_544_046)]],
     ]
 
 
-@pytest.mark.parametrize("cell", [("s2", 5, 10), ("s2", 7, 142), ("o5", 6, 8), ("torus", 6, 8)])
+# the rows of a streamed enumeration of the two rp2 cells (ROADMAP item 2)
+STREAMED_ROWS = {
+    ("rp2", 5, 8): [_row(False, 5, 185_285_520, 1_544_046)],
+    ("rp2", 6, 8): [_row(True, 2, 33_546_240, 46_592), _row(False, 4, 4_207_089_600, 5_843_180)],
+}
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [("s2", 5, 10), ("s2", 7, 142), ("o5", 6, 8), ("torus", 6, 8), ("rp2", 5, 8), ("rp2", 6, 8)],
+)
 def test_closed_form_cells_past_enumeration_answer_at_once(cell):
-    # the listing's peak refused the first two (s2/5/10 has 169,271,260
-    # tuples, s2/7/142 a count of 185 digits) and the tuple-count floor the
-    # last two (13 digits on torus/6/8); each row takes a character sum
+    # the listing's peak refused s2/5/10 (169,271,260 tuples), s2/7/142 (a
+    # count of 185 digits) and the two rp2 cells (5,563,476,540 tuples on
+    # rp2/6/8), and the tuple-count floor o5/6/8 and torus/6/8 (13 digits);
+    # each row takes a character sum
     base, d, b = cell
     argv = ["enumerate", "--base", base, "--degree", str(d), "--branch-points", str(b)]
     start = time.perf_counter()
@@ -882,12 +893,12 @@ def test_closed_form_cells_past_enumeration_answer_at_once(cell):
     )
     elapsed = time.perf_counter() - start
     assert (child.returncode, child.stderr) == (0, "")
-    (row,) = report_of(child.stdout)["result"]["rows"]
+    rows = report_of(child.stdout)["result"]["rows"]
     surface = parse_base(base)
-    assert row["raw_count"] == connected_count(surface, d, b)
-    assert row["class_count"] == class_count(surface, d, b)
-    assert type(row["class_count"]) is int
-    assert row["surface"]["genus"] == (2 - d * euler_characteristic(surface) + b) // 2
+    genus = (2 - d * euler_characteristic(surface) + b) // 2
+    want = [_row(True, genus, connected_count(surface, d, b), class_count(surface, d, b))]
+    assert rows == STREAMED_ROWS.get(cell, want)
+    assert all(type(row["class_count"]) is int for row in rows)
     assert elapsed < 1
     assert peak < 100 << 20
 

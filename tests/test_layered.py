@@ -491,10 +491,11 @@ def _random_block(rng):
     """A block with a few sheets whose outbound cycles are the true
     product's, perturbed now and then: a rotated, reversed, dropped or
     duplicated cycle, an empty or 1-cycle, a foreign or repeated sheet.
-    Its inbound cycle and meridians sometimes repeat a sheet or leave
-    the block's sheets; its sheets never repeat, which the reference's
-    product assumes."""
+    Its sheets, inbound cycle and meridians sometimes repeat a sheet,
+    and the last two sometimes leave the block's sheets."""
     sheets = rng.sample(range(8), rng.randint(1, 6))
+    if rng.random() < 0.05:
+        sheets.insert(rng.randrange(len(sheets) + 1), rng.choice(sheets))
     pool = sheets + [8] * (rng.random() < 0.1)
     inbound = None
     if rng.random() < 0.8:
@@ -543,12 +544,16 @@ def _random_block(rng):
 def test_relation_verdicts_agree_with_quadratic_reference():
     rng = random.Random(20261019)
     seen = set()
+    repeated = set()
     for _ in range(6000):
         b = _random_block(rng)
         verdict = _quadratic_relation(b)
         assert _relation_problem(b) == verdict, b
         seen.add(verdict)
-    assert seen == {
+        if len(set(b.sheets)) < len(b.sheets):
+            repeated.add(verdict)
+    # blocks that repeat a sheet reach a verdict of each kind too
+    assert repeated == seen == {
         None,
         "inbound cycle or a meridian is not a cycle on its sheets",
         "boundary product disagrees with outbound cycles",

@@ -4,8 +4,8 @@ its exit code, on a fixed set of census, Hurwitz and plane commands.
 Reports must stay byte-identical across refactors; a change that alters
 any byte of these fails here and must say why. The census commands are
 the census jobs of the benchmark, the parity audit and universal report
-at small sizes, two cells over bases with three and two crosscaps, and
-two refusals. The Hurwitz commands build, stabilize, classify and
+at small sizes, two cells over bases with three and two crosscaps, a
+closed-form rp2 cell past the reach of enumeration, and two refusals. The Hurwitz commands build, stabilize, classify and
 double small data from flags and from a file, check three data whose
 surface relation fails (exit 1), and refuse a datum for each of
 stabilize's checks and two builds over the step budget. The plane
@@ -95,9 +95,12 @@ GOLDEN = [
     ("enumerate --base klein --degree 5 --branch-points 4", 0,
      "153e7e77a716710d72b5b9be046e89ae9d87b09ddc2f44d3d4f4bf86ffd9a46e",
      EMPTY),
-    ("enumerate --base rp2 --degree 5 --branch-points 8", 2,
+    ("enumerate --base rp2 --degree 5 --branch-points 8", 0,
+     "7104303508653aad1d7d46d101bb551b118ef03ceddbfb61e6c5db14469dd7fa",
+     EMPTY),
+    ("enumerate --base n5 --degree 6 --branch-points 0", 2,
      EMPTY,
-     "07081acc41cf793dce66c0fe2e9bf1aaa9cd4e7ff95a1a6e24bc86594264e66c"),
+     "f57b0f86cdf8d556f2d8e71734cea986854ab7ae1ace240dfa8c91ce64894001"),
     ("enumerate --base o30000 --degree 6 --branch-points 0", 2,
      EMPTY,
      "3b7e230788878cec7489987907c43828181b5631b3e305ed6fdde1c63bceb5ff"),
