@@ -5,7 +5,11 @@ sorted keys, two-space indent, a tool version, and a sha256 digest of
 the input (file bytes, or the canonical parameter encoding when the
 input comes from flags). Exit status is 0 on success and all-pass
 verification, 1 when a verification verdict is negative, 2 on usage or
-input errors and when the process runs out of memory.
+input errors, when the process runs out of memory and when stdout is
+closed before the report is written; each exit 2 prints one `error:`
+line on stderr. The report is streamed in chunks as it is encoded, so
+when memory runs out or the reader goes away while it is written, part
+of it may already be on stdout.
 
 Cycle notation like "(0 1)(2 3)" is accepted only here, as a flag
 convenience; files always use image sequences.
@@ -20,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 
@@ -145,7 +150,9 @@ def _digest_params(params: dict) -> str:
 
 def _load_doc(path: str) -> tuple[dict, str]:
     data, digest = _digest_file(path)
-    return jsonio.loads(data.decode("utf-8")), digest
+    text = data.decode("utf-8")
+    del data  # so that only the text and the parsed tree are alive together
+    return jsonio.loads(text), digest
 
 
 def _summary_json(summary) -> dict:
@@ -586,22 +593,30 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code, digest = args.func(args)
+        doc = {
+            "format": "report",
+            "version": jsonio.FORMAT_VERSION,
+            "tool": "coverbench",
+            "tool_version": __version__,
+            "command": args.subcommand,
+            "input_digest": digest,
+            "result": payload,
+        }
+        # sys.stdout is looked up now, so a redirect of it takes the report
+        jsonio.dump(doc, sys.stdout.write)
+        sys.stdout.flush()
     except (WorkbenchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"error: out of memory running {args.subcommand}", file=sys.stderr)
         return 2
-    doc = {
-        "format": "report",
-        "version": jsonio.FORMAT_VERSION,
-        "tool": "coverbench",
-        "tool_version": __version__,
-        "command": args.subcommand,
-        "input_digest": digest,
-        "result": payload,
-    }
-    sys.stdout.write(jsonio.dumps(doc))
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at exit
+        # does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout closed while writing the report of {args.subcommand}", file=sys.stderr)
+        return 2
     return code
 
 

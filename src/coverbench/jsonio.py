@@ -5,14 +5,17 @@ Permutations are stored as bare image lists, so degree is implicit in
 the list length. Serialization is deterministic: keys sorted, two
 space indent, trailing newline.
 
-`dumps` is byte-identical to `json.dumps(doc, sort_keys=True, indent=2)`
-plus a newline, for every document that call accepts, and raises
-TypeError where it does. The stdlib's C encoder runs only without an
+`dump(doc, write)` hands `write` the text of
+`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, for every
+document that call accepts, and raises TypeError where it does; `dumps`
+returns what `dump` writes. The stdlib's C encoder runs only without an
 indent, so that call would take the pure-Python path, which keeps one
-small string per token until its final join. `dumps` instead appends
-whole lines to one list and joins it once: a list of plain ints is one
-join, strings go through the stdlib's own escaper, and floats, non-str
-keys and the sort order follow the stdlib's rules.
+small string per token until its final join. `dump` instead encodes
+whole lines, a list of plain ints in one join, strings through the
+stdlib's own escaper, and floats, non-str keys and the sort order by
+the stdlib's rules; it joins them into chunks of at least `_CHUNK`
+characters, one `write` each, so the whole text is never held, neither
+joined nor line by line.
 """
 from __future__ import annotations
 
@@ -29,11 +32,54 @@ from .surfaces import ClosedSurface, euler_characteristic
 FORMAT_VERSION = 1
 
 
-def dumps(doc: dict) -> str:
-    out: list[str] = []
+# characters per write: a report is not held whole, and with an unbuffered
+# stdout each write is one system call
+_CHUNK = 1 << 18
+# lines between two measurements of what is held, so that most items of a
+# container are encoded without a call
+_LINES = 64
+
+
+class _Chunks(list):
+    """Encoded lines not yet written. _encode appends to it as to any list
+    and, after each item of a container, calls spill once `due` lines are
+    held; spill passes the lines to write, joined, once they reach _CHUNK
+    characters. A write runs past _CHUNK by at most the lines appended
+    since the last measurement, about _LINES of them, so only long lines,
+    such as a long list of ints, make it much larger."""
+
+    def __init__(self, write):
+        super().__init__()
+        self.write = write
+        self.seen = 0  # lines measured so far
+        self.size = 0  # their characters
+        self.due = _LINES
+
+    def spill(self) -> None:
+        self.size += sum(map(len, self[self.seen:]))
+        self.seen = len(self)
+        if self.size >= _CHUNK:
+            self.flush()
+        self.due = self.seen + _LINES
+
+    def flush(self) -> None:
+        text = "".join(self)
+        self.clear()
+        self.seen = self.size = 0
+        self.write(text)
+
+
+def dump(doc: dict, write) -> None:
+    out = _Chunks(write)
     _encode(doc, "\n", out)
     out.append("\n")
-    return "".join(out)
+    out.flush()
+
+
+def dumps(doc: dict) -> str:
+    chunks: list[str] = []
+    dump(doc, chunks.append)
+    return "".join(chunks)
 
 
 _int = int.__repr__
@@ -67,7 +113,7 @@ def _all_ints(items) -> bool:
     return {*map(type, items)} <= {int}
 
 
-def _encode(o, indent: str, out: list[str]) -> None:
+def _encode(o, indent: str, out: _Chunks) -> None:
     """Append the encoding of o to out. indent is the newline and spaces
     before o's closing bracket; its items sit two spaces further in."""
     if isinstance(o, dict):
@@ -80,6 +126,8 @@ def _encode(o, indent: str, out: list[str]) -> None:
             # a non-str key is quoted as the stdlib quotes it: "true", "1"
             out.append(sep + _string(k if isinstance(k, str) else _scalar(k)) + ": ")
             _encode(v, inner, out)
+            if len(out) >= out.due:
+                out.spill()
             sep = "," + inner
         out.append(indent + "}")
     elif isinstance(o, (list, tuple)):
@@ -95,6 +143,8 @@ def _encode(o, indent: str, out: list[str]) -> None:
         for item in o:
             out.append(head)
             _encode(item, inner, out)
+            if len(out) >= out.due:
+                out.spill()
             head = sep
         out.append(indent + "]")
     else:

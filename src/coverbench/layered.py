@@ -55,16 +55,18 @@ from .exhaustion import (
 
 BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 
-# peak bytes per branch point of a build-cover run, its report included:
-# about 590 at 2,000,001 branch points (1.19 GB peak ru_maxrss on a 2-core
-# Xeon, Python 3.11)
-_BRANCH_BYTES = 640
-# peak bytes of a staircase run, its report included: about 90 per squared
-# level from 1,000 to 6,600 levels (3.89 GB), as each level lists all its
-# sheets; and of a compose-staircase run, about 660 per staircase level
-# (1.93 GB at 3,000,000 levels); 2-core Xeon, Python 3.11
-_STAIRCASE_BYTES = 96
-_LEVEL_BYTES = 704
+# Peak bytes of a run, its streamed report included, fitted to ru_maxrss
+# on a 2-core Xeon, Python 3.11; each constant bounds every peak measured
+# from about 100 MB up, where the interpreter's 20 MB no longer dominates.
+# Per branch point of a build-cover run: 375 to 300 from 250,001 to
+# 2,000,001 branch points (94 to 600 MB).
+_BRANCH_BYTES = 384
+# Per squared level of a staircase run, each level listing all its sheets:
+# 27.1 to 21.7 from 2,000 to 6,000 levels with --verify (109 to 781 MB).
+_STAIRCASE_BYTES = 28
+# Per staircase level of a compose-staircase run: 294 to 220 from 250,000
+# to 2,000,000 levels (74 to 439 MB).
+_LEVEL_BYTES = 296
 
 
 @dataclass(frozen=True)
@@ -310,10 +312,12 @@ def staircase(J: int) -> LayeredCover:
         Block("s1", 1, "staircase", (0, 1), (), None, ((0, 1),), ((1, 1),), ((1, (0, 1)),), None, None)
     ]
     prev = (0, 1)
+    # every level's sheets and cycle are sliced from one tuple, so the
+    # levels share their int objects rather than making new ones
+    all_sheets = tuple(range(J + 1))
     for i in range(2, J + 1):
-        sheets = tuple(range(i + 1))
-        # the inbound cycle (0, i-1, ..., 1) followed by (i-1 i); slicing
-        # shares the sheets' int objects rather than making new ones
+        sheets = all_sheets[: i + 1]
+        # the inbound cycle (0, i-1, ..., 1) followed by (i-1 i)
         out_cycle = sheets[:1] + sheets[:0:-1]
         blocks.append(
             Block(f"s{i}", i, "staircase", sheets, (i,), prev, ((i - 1, i),), ((i, 1),), ((i, out_cycle),), f"s{i - 1}", i - 1)

@@ -275,6 +275,25 @@ def test_dumps_is_the_stdlib_encoding(x):
     assert jsonio.dumps(x) == stdlib_dumps(x)
 
 
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(_LEAVES, _containers, max_leaves=40),
+    st.integers(1, 12),
+    st.integers(1, 4),
+)
+def test_dump_writes_the_stdlib_encoding_in_chunks(x, chunk, lines):
+    # chunks of a few characters, measured every few lines, put chunk
+    # boundaries inside and between every kind of container
+    writes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "_CHUNK", chunk)
+        mp.setattr(jsonio, "_LINES", lines)
+        jsonio.dump(x, writes.append)
+    assert "".join(writes) == stdlib_dumps(x)
+    assert all(len(w) >= chunk for w in writes[:-1]) and writes[-1]
+
+
 @pytest.mark.parametrize(
     "x", [{1, 2}, object(), [1, {2}], {"a": object()}, {object(): 1}, {(1, 2): 3}]
 )
@@ -312,8 +331,8 @@ def test_every_subcommand_reports_the_stdlib_encoding(tmp_path, monkeypatch):
     subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
     assert {argv[0] for argv in runs} == set(subcommands)
     docs = []
-    encode = jsonio.dumps
-    monkeypatch.setattr(jsonio, "dumps", lambda doc: docs.append(doc) or encode(doc))
+    encode = jsonio.dump
+    monkeypatch.setattr(jsonio, "dump", lambda doc, write: docs.append(doc) or encode(doc, write))
     for argv in runs:
         docs.clear()
         rc, out, err = run_cli(argv)
@@ -751,6 +770,72 @@ def test_staircase_report_peaks_under_100_mb():
     assert peak < 100 << 20
 
 
+def test_staircase_report_is_streamed():
+    # staircase(2000)'s report is 112 MB: held whole, as a list of lines, their
+    # join and its encoding, it peaked at 363 MB
+    argv = ["staircase", "--levels", "2000"]
+    child, peak = run_measured([sys.executable, "-m", "coverbench.cli", *argv], timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert report_of(child.stdout)["result"]["cover"]["degree"] == 2001
+    assert peak < 200 << 20
+
+
+def test_verify_drops_the_input_bytes_before_the_parse(tmp_path):
+    # the 14 MB document of staircase(800): its bytes, its text and its
+    # parsed tree were alive together, and the report was held whole
+    path = write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(800)))
+    argv = [sys.executable, "-m", "coverbench.cli", "verify", "--restrictions", "--input", path]
+    child, peak = run_measured(argv, timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert report_of(child.stdout)["result"]["ok"] is True
+    assert peak < 62 << 20
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_2_with_one_line(unbuffered):
+    # the reader takes 100 bytes of a 17 MB report and goes away: a
+    # BrokenPipeError traceback ended the run with exit 1
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONUNBUFFERED": unbuffered}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "coverbench.cli", "staircase", "--levels", "800"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = child.stdout.read(100)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
+    assert head.startswith(b"{")
+    assert err == "error: stdout closed while writing the report of staircase\n"
+
+
+def test_running_out_of_memory_while_writing_exits_2_with_one_line():
+    # the address space is capped at its size once the report starts, so
+    # the encoder's first chunk cannot be allocated; the report was once
+    # encoded outside the handler and ended in a MemoryError traceback
+    script = (
+        "import resource, sys\n"
+        "from coverbench import cli, jsonio\n"
+        "dump = jsonio.dump\n"
+        "def capped(doc, write):\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (size, size))\n"
+        "    dump(doc, write)\n"
+        "jsonio.dump = capped\n"
+        "sys.exit(cli.main(['staircase', '--levels', '800']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (child.returncode, child.stderr) == (2, "error: out of memory running staircase\n")
+    # what was written before memory ran out is the start of the report
+    rc, out, _ = run_cli(["staircase", "--levels", "800"])
+    assert rc == 0 and out.startswith(child.stdout)
+
+
 def test_high_genus_cells_are_answered_before_any_character_sum():
     # the tuple count of o30000/6/0 has 171,438 digits: computing it took
     # 7 s and printing it failed, so the closed-form floor refuses the cell
@@ -974,7 +1059,7 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
     )
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == (
-        "error: the cover through level 2 has more than 6710886 branch points, "
+        "error: the cover through level 2 has more than 11184810 branch points, "
         "over the 4096 MiB budget\n"
     )
     assert peak < 100 << 20
@@ -983,20 +1068,20 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
 @pytest.mark.parametrize(
     "command, levels, error",
     [
-        ("staircase", 10**5, "the staircase through level 100000 needs about 915527 MiB"),
-        ("staircase", 10**8, "the staircase through level 100000000 needs about 915527343750 MiB"),
+        ("staircase", 10**5, "the staircase through level 100000 needs about 267028 MiB"),
+        ("staircase", 10**8, "the staircase through level 100000000 needs about 267028808593 MiB"),
         (
             "compose-staircase",
             10**8,
-            "the composite with the staircase through level 100000000 needs about 67138 MiB",
+            "the composite with the staircase through level 100000000 needs about 28228 MiB",
         ),
         ("compose-staircase", 10**5, None),
     ],
     ids=["staircase-1e5", "staircase-1e8", "compose-1e8", "compose-1e5"],
 )
 def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels, error):
-    # staircase(J) lists all J + 1 sheets at every level, about 90 J^2
-    # bytes, and compose-staircase keeps about 660 bytes a level: without
+    # staircase(J) lists all J + 1 sheets at every level, about 22 J^2
+    # bytes, and compose-staircase keeps about 220 bytes a level: without
     # a bound both grew toward the whole machine, so the children run
     # under a 1 GiB address-space cap
     argv = [sys.executable, "-m", "coverbench.cli", command, "--levels", str(levels)]
