@@ -221,7 +221,7 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
         if tuples >= 10**18:  # a count this long is told by its size
             raise LimitExceeded(f"{cell} has a tuple count of {_digits(tuples)} digits, over {budget}")
         raise LimitExceeded(
-            f"{cell} has {tuples} tuples and needs about {peak >> 20} MiB, over {budget}"
+            f"{cell} has {tuples} tuples and needs about {-(-peak >> 20)} MiB, over {budget}"
         )
     return peak
 

@@ -161,7 +161,7 @@ def _summary_json(summary) -> dict:
         "simple": summary.simple,
         "connected": summary.connected,
         "branch_points": summary.branch_point_count,
-        "branching_indices": [list(t) for t in summary.branching_indices],
+        "branching_indices": summary.branching_indices,
         "components": [
             {"surface": jsonio.surface_to_json(s), "sheets": k}
             for s, k in summary.components
@@ -258,8 +258,8 @@ def _cmd_validate(args):
     payload = {
         "kind": kind,
         "ok": report.ok,
-        "problems": list(report.problems),
-        "notes": list(report.notes),
+        "problems": report.problems,
+        "notes": report.notes,
     }
     return payload, 0 if report.ok else 1, digest
 
@@ -324,7 +324,7 @@ def _cmd_enumerate(args):
         "total_classes": sum(r["class_count"] for r in rows),
     }
     if not base.orientable:
-        payload["notes"] = list(_COUNT_LAW_NOTES)
+        payload["notes"] = _COUNT_LAW_NOTES
     params = {
         "base": args.base,
         "degree": args.degree,
@@ -349,7 +349,7 @@ def _cmd_parity_audit(args):
         "realized_rows": cells(report.rows),
         "violations": cells(report.violations),
         "passed": report.passed,
-        "notes": list(_COUNT_LAW_NOTES),
+        "notes": _COUNT_LAW_NOTES,
     }
     digest = _digest_params({"dmax": args.dmax, "bmax": args.bmax})
     return payload, 0 if report.passed else 1, digest
@@ -368,9 +368,9 @@ def _cmd_universal_report(args):
         ],
         "rp2_blocked_crosscaps": report.rp2_blocked_h,
         "rp2_forced_branch_points": report.rp2_forced_branch,
-        "rp2_exhaustive_cell": list(report.rp2_exhaustive_cell),
+        "rp2_exhaustive_cell": report.rp2_exhaustive_cell,
         "rp2_exhaustive_empty": report.rp2_exhaustive_empty,
-        "notes": list(report.notes),
+        "notes": report.notes,
     }
     digest = _digest_params({"degree": args.degree, "genus_max": args.genus_max})
     return payload, 0, digest
@@ -471,10 +471,10 @@ def _cmd_compose_staircase(args):
         "cover_degree": report.cover_degree,
         "staircase_depth": report.staircase_depth,
         "fiber_count": report.fiber_count,
-        "labels": [list(lab) for lab in report.labels],
+        "labels": report.labels,
         "potentially_nonsimple": report.potentially_nonsimple,
         "unbounded_in_depth": report.unbounded_in_depth,
-        "notes": list(report.notes),
+        "notes": report.notes,
     }
     return payload, 0, digest
 
@@ -531,9 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--branch-points", type=int, required=True, dest="branch_points")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--simple", action="store_true", help="simple covers only (default)")
-    group.add_argument("--all", action="store_true", help="include non-simple covers")
+    p.add_argument("--all", action="store_true", help="include non-simple covers")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("parity-audit", help="census-wide parity and count laws over rp2")

@@ -5,6 +5,10 @@ Permutations are stored as bare image lists, so degree is implicit in
 the list length. Serialization is deterministic: keys sorted, two
 space indent, trailing newline.
 
+The builders share the objects' own tuples, which `dump`, like
+`json.dumps`, writes as arrays; the readers take JSON documents and
+accept lists only, so every kind round-trips through text.
+
 `dump(doc, write)` hands `write` the text of
 `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, for every
 document that call accepts, and raises TypeError where it does; `dumps`
@@ -203,10 +207,6 @@ def _int_lists(value: list, where: str) -> tuple[tuple[int, ...], ...]:
 # --- permutations ---
 
 
-def perm_to_json(p: Perm) -> list[int]:
-    return list(p.images)
-
-
 def perm_from_json(data, where: str = "perm") -> Perm:
     images = _ints(data, where)
     try:
@@ -236,9 +236,9 @@ def hurwitz_to_json(d: HurwitzData) -> dict:
         "version": FORMAT_VERSION,
         "base": {"orientable": d.base.orientable, "genus": d.base.genus},
         "degree": d.degree,
-        "handles": [[perm_to_json(a), perm_to_json(b)] for a, b in d.handles],
-        "crosscaps": [perm_to_json(c) for c in d.crosscaps],
-        "meridians": [perm_to_json(m) for m in d.meridians],
+        "handles": [(a.images, b.images) for a, b in d.handles],
+        "crosscaps": [c.images for c in d.crosscaps],
+        "meridians": [m.images for m in d.meridians],
     }
 
 
@@ -284,8 +284,8 @@ def exhaustion_to_json(g: ExhaustionGraph) -> dict:
                 "id": p.id,
                 "level": p.level,
                 "genus": p.genus,
-                "inner": list(p.inner),
-                "outer": list(p.outer),
+                "inner": p.inner,
+                "outer": p.outer,
                 "orientable": p.orientable,
             }
             for p in g.pieces
@@ -325,10 +325,6 @@ def exhaustion_from_json(doc: dict) -> ExhaustionGraph:
 # --- layered covers ---
 
 
-def _cycle_to_json(cyc):
-    return None if cyc is None else list(cyc)
-
-
 def layered_to_json(c: LayeredCover) -> dict:
     return {
         "format": "layered",
@@ -340,12 +336,12 @@ def layered_to_json(c: LayeredCover) -> dict:
                 "piece": b.piece,
                 "level": b.level,
                 "kind": b.kind,
-                "sheets": list(b.sheets),
-                "caps": list(b.caps),
-                "inbound": _cycle_to_json(b.inbound),
-                "meridians": [list(m) for m in b.meridians],
-                "labels": [list(lab) for lab in b.labels],
-                "outbound": [[circle, list(cyc)] for circle, cyc in b.outbound],
+                "sheets": b.sheets,
+                "caps": b.caps,
+                "inbound": b.inbound,
+                "meridians": b.meridians,
+                "labels": b.labels,
+                "outbound": b.outbound,
                 "parent": b.parent,
                 "parent_circle": b.parent_circle,
             }

@@ -55,17 +55,20 @@ from .exhaustion import (
 
 BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 
-# Peak bytes of a run, its streamed report included, fitted to ru_maxrss
-# on a 2-core Xeon, Python 3.11; each constant bounds every peak measured
-# from about 100 MB up, where the interpreter's 20 MB no longer dominates.
-# Per branch point of a build-cover run: 375 to 300 from 250,001 to
-# 2,000,001 branch points (94 to 600 MB).
+# Peak bytes of a run, its streamed report included (ru_maxrss, 2-core
+# Xeon, Python 3.11), fitted when the report copied the cover's tuples.
+# Each now bounds the peaks below with room to spare; a refit should bound
+# time too, as runs near its limit take minutes. Each slope is taken
+# between the two largest runs.
+# Per branch point of a build-cover run: 202 to 124 from 250,001 to
+# 2,000,001 branch points (50 to 247 MB, 1.9 to 13.4 s); slope 112.
 _BRANCH_BYTES = 384
-# Per squared level of a staircase run, each level listing all its sheets:
-# 27.1 to 21.7 from 2,000 to 6,000 levels with --verify (109 to 781 MB).
+# Per squared level of a staircase run with --verify, each level listing
+# all its sheets: 16.2 to 10.9 from 2,000 to 6,000 levels (65 to 394 MB,
+# 3.5 to 34 s); slope 10.2.
 _STAIRCASE_BYTES = 28
-# Per staircase level of a compose-staircase run: 294 to 220 from 250,000
-# to 2,000,000 levels (74 to 439 MB).
+# Per staircase level of a compose-staircase run: 204 to 123 from 250,000
+# to 2,000,000 levels (51 to 246 MB, 1.7 to 12.1 s); slope 112.
 _LEVEL_BYTES = 296
 
 
@@ -296,7 +299,7 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
 def _check_staircase_levels(what: str, J: int, need: int) -> None:
     if need > MEMORY_BUDGET:
         raise LimitExceeded(
-            f"{what} through level {J} needs about {need >> 20} MiB, "
+            f"{what} through level {J} needs about {-(-need >> 20)} MiB, "
             f"over the {MEMORY_BUDGET >> 20} MiB budget"
         )
 

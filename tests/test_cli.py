@@ -89,8 +89,7 @@ class TestSpecExamples:
 
     def test_enumerate_parity_blocked_cell_is_empty(self):
         rc, out, _ = run_cli(
-            ["enumerate", "--base", "rp2", "--degree", "3",
-             "--branch-points", "3", "--simple"]
+            ["enumerate", "--base", "rp2", "--degree", "3", "--branch-points", "3"]
         )
         assert rc == 0
         res = report_of(out)["result"]
@@ -181,8 +180,9 @@ class TestBaseTokens:
 class TestJsonRoundTrips:
     def test_perm(self):
         p = Perm((2, 0, 1, 3))
-        doc = jsonio.perm_to_json(p)
-        assert jsonio.perm_from_json(doc) == p
+        assert jsonio.perm_from_json(json.loads(jsonio.dumps(p.images))) == p
+        with pytest.raises(InvalidInput):
+            jsonio.perm_from_json(p.images)  # readers take JSON documents
 
     def test_hurwitz(self):
         datum = construct_hyperelliptic(3)
@@ -198,7 +198,10 @@ class TestJsonRoundTrips:
             crosscaps=(Perm((1, 0)), Perm((1, 0))),
             meridians=(Perm((1, 0)), Perm((1, 0))),
         )
-        assert jsonio.hurwitz_from_json(jsonio.hurwitz_to_json(datum)) == datum
+        again = jsonio.hurwitz_from_json(
+            json.loads(jsonio.dumps(jsonio.hurwitz_to_json(datum)))
+        )
+        assert again == datum
 
     def test_exhaustion_plain_and_normalized(self):
         g = sample_graph()
@@ -207,7 +210,7 @@ class TestJsonRoundTrips:
         )
         assert back.pieces == g.pieces
         n = normalize(g)
-        doc = jsonio.exhaustion_to_json(n)
+        doc = json.loads(jsonio.dumps(jsonio.exhaustion_to_json(n)))
         assert doc["stable_depth"] == n.stable_depth
         back = jsonio.exhaustion_from_json(doc)
         assert back.stable_depth == n.stable_depth
@@ -223,7 +226,9 @@ class TestJsonRoundTrips:
     def test_built_cover_survives_round_trip(self):
         n = normalize(sample_graph())
         cover = build_cover(n, n.stable_depth)
-        back = jsonio.layered_from_json(jsonio.layered_to_json(cover))
+        back = jsonio.layered_from_json(
+            json.loads(jsonio.dumps(jsonio.layered_to_json(cover)))
+        )
         assert back == cover
 
     def test_sniff_rejects_unknown(self):
@@ -772,12 +777,24 @@ def test_staircase_report_peaks_under_100_mb():
 
 def test_staircase_report_is_streamed():
     # staircase(2000)'s report is 112 MB: held whole, as a list of lines, their
-    # join and its encoding, it peaked at 363 MB
+    # join and its encoding, it peaked at 363 MB, and with its JSON tree a
+    # list copy of every tuple of the cover, at 103 MB
     argv = ["staircase", "--levels", "2000"]
     child, peak = run_measured([sys.executable, "-m", "coverbench.cli", *argv], timeout=120)
     assert (child.returncode, child.stderr) == (0, "")
     assert report_of(child.stdout)["result"]["cover"]["degree"] == 2001
-    assert peak < 200 << 20
+    assert peak < 80 << 20
+
+
+def test_build_cover_report_shares_the_cover_tuples(tmp_path):
+    # 500,001 branch points over a genus-250,000 annulus: a list copy of
+    # every meridian and label in the report's JSON tree peaked at 158 MB
+    path = write_doc(tmp_path, "e.json", _one_piece_graph(250_000, (2,)))
+    argv = ["build-cover", "--input", path, "--levels", "2"]
+    child, peak = run_measured([sys.executable, "-m", "coverbench.cli", *argv], timeout=120)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert len(report_of(child.stdout)["result"]["cover"]["blocks"][1]["labels"]) == 500_000
+    assert peak < 110 << 20
 
 
 def test_verify_drops_the_input_bytes_before_the_parse(tmp_path):
@@ -1068,20 +1085,22 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
 @pytest.mark.parametrize(
     "command, levels, error",
     [
-        ("staircase", 10**5, "the staircase through level 100000 needs about 267028 MiB"),
-        ("staircase", 10**8, "the staircase through level 100000000 needs about 267028808593 MiB"),
+        ("staircase", 10**5, "the staircase through level 100000 needs about 267029 MiB"),
+        ("staircase", 10**8, "the staircase through level 100000000 needs about 267028808594 MiB"),
+        # the first level refused: its need, 4096.5 MiB, is rounded up
+        ("staircase", 12386, "the staircase through level 12386 needs about 4097 MiB"),
         (
             "compose-staircase",
             10**8,
-            "the composite with the staircase through level 100000000 needs about 28228 MiB",
+            "the composite with the staircase through level 100000000 needs about 28229 MiB",
         ),
         ("compose-staircase", 10**5, None),
     ],
-    ids=["staircase-1e5", "staircase-1e8", "compose-1e8", "compose-1e5"],
+    ids=["staircase-1e5", "staircase-1e8", "staircase-12386", "compose-1e8", "compose-1e5"],
 )
 def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels, error):
-    # staircase(J) lists all J + 1 sheets at every level, about 22 J^2
-    # bytes, and compose-staircase keeps about 220 bytes a level: without
+    # staircase(J) lists all J + 1 sheets at every level, about 11 J^2
+    # bytes, and compose-staircase keeps about 123 bytes a level: without
     # a bound both grew toward the whole machine, so the children run
     # under a 1 GiB address-space cap
     argv = [sys.executable, "-m", "coverbench.cli", command, "--levels", str(levels)]
@@ -1222,13 +1241,16 @@ def _valid_documents():
         ["build-cover", "--levels", depth],
     ]
     layered = [["verify"], ["verify", "--restrictions"], ["compose-staircase", "--levels", "2"]]
-    return {
+    docs = {
         "hurwitz": (jsonio.hurwitz_to_json(construct_hyperelliptic(1)), hurwitz),
         "hurwitz-rp2": (jsonio.hurwitz_to_json(construct_cyclic_rp2(2)), hurwitz),
         "exhaustion": (jsonio.exhaustion_to_json(sample_graph()), exhaustion),
         "normalized": (jsonio.exhaustion_to_json(normal), exhaustion),
         "layered": (jsonio.layered_to_json(build_cover(normal, normal.stable_depth)), layered),
     }
+    # the builders share the objects' tuples; through text they are lists,
+    # which _positions walks into and the mutations replace item by item
+    return {kind: (json.loads(jsonio.dumps(doc)), commands) for kind, (doc, commands) in docs.items()}
 
 
 _VALID_DOCUMENTS = _valid_documents()
@@ -1264,6 +1286,8 @@ def test_mutated_documents_reach_every_input_subcommand():
     subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
     reading = {name for name, p in subcommands.items() if any(a.dest == "input" for a in p._actions)}
     assert {argv[0] for _, commands in _VALID_DOCUMENTS.values() for argv in commands} == reading
+    for doc, _ in _VALID_DOCUMENTS.values():
+        assert doc == json.loads(json.dumps(doc))
 
 
 @seed(20261018)
