@@ -2,9 +2,11 @@
 
 A census cell is (base, degree, branch count, simple-or-not). This
 module is its numpy-free front: it admits or refuses a cell, answers
-the cells it can from closed forms, and hands the rest to the engine,
-module orderly, which counts raw tuples and conjugation classes by
-orderly generation and classifies the class representatives in numpy.
+every simple cell and every cell without branch points from closed
+forms, and hands the rest, the cells with any meridians allowed (--all)
+and b >= 1, to the engine, module orderly, which counts raw tuples and
+conjugation classes by orderly generation and classifies the class
+representatives in numpy.
 
 Every cell's connected raw total is known exactly from the characters
 of S_d (module characters): over a base of Euler characteristic chi
@@ -18,27 +20,28 @@ connected counts.
 
 Two kinds of cell are answered from these counts alone, without
 importing the engine, so without numpy or a group table. A cell whose
-connected count is 0 reports its empty row. A simple cell with b >= 2
-reports its rows: Riemann-Hurwitz fixes chi = d chi(base) - b, so there
-is at most an orientable and a nonorientable total space. Over an
-orientable base every cover is orientable, and the one row has the
-connected count as its raw count and Burnside's count of classes
-(characters.class_count). Over n_h the orientable row has
-characters.orientable_count and orientable_class_count, and the
-nonorientable row the rest. Neither kind lists a tuple, so the memory
-admission that bounds enumeration, the peak and the tuple-count floor
-below, does not apply to them: s2/5/10 (169,271,260 tuples), s2/7/142,
-o5/6/8 and rp2/6/8 (5,563,476,540 tuples) are answered at once. A
-closed-form row is refused only when the floor shows its counts too long
-to print (past 4299 digits, as int.__repr__ stops at 4300).
+connected count is 0 reports its empty row. A simple cell, or a cell
+without branch points (where --all changes nothing), reports its rows:
+Riemann-Hurwitz fixes chi = d chi(base) - b, so there is at most an
+orientable and a nonorientable total space. Over an orientable base
+every cover is orientable, and the one row has the connected count as
+its raw count and Burnside's count of classes (characters.class_count,
+Mednykh's count of conjugacy classes of subgroups when b = 0). Over n_h
+the orientable row has characters.orientable_count and
+orientable_class_count, and the nonorientable row the rest. Neither kind
+lists a tuple, so the memory admission that bounds enumeration, the peak
+and the tuple-count floor below, does not apply to them: s2/5/10
+(169,271,260 tuples), s2/7/142, o5/6/8, rp2/6/8 (5,563,476,540 tuples),
+o2/6/0 and n20/2/0 are answered at once. A closed-form row is refused
+only when the floor shows its counts too long to print (past 4299
+digits, as int.__repr__ stops at 4300).
 
-Every other cell, a simple one without branch points or one with any
-meridians allowed, is enumerated, and its raw total must equal the
-connected count; a simple one over n_h its orientable raw count
-characters.orientable_count, or the cell exits 2 naming itself. Over a
-base with chi <= 0, a closed-form floor on the tuple count refuses the
-cells out of memory reach before any character sum is taken, and every
-refusal comes before the engine is imported.
+Every other cell, one with any meridians allowed and b >= 1, is
+enumerated, and its raw total must equal the connected count, or the
+cell exits 2 naming itself. Over a base with chi <= 0, a closed-form
+floor on the tuple count refuses the cells out of memory reach before
+any character sum is taken, and every refusal comes before the engine is
+imported.
 """
 from __future__ import annotations
 
@@ -65,8 +68,8 @@ if TYPE_CHECKING:
 # to the peak ru_maxrss of listing every tuple (2-core Xeon, Python 3.11,
 # numpy 2.4: 14-14.5 per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6) and
 # now bound the orderly generator from above (rp2/6/6: predicted 3.3 GB,
-# measured 56 MB); the class dictionary dominates at degree 2 (n20/2/0:
-# 486 MB for 2^20 one-tuple classes of 20 entries).
+# measured 56 MB); the class dictionary dominates at degree 2 (n20/2/0,
+# when it was enumerated: 486 MB for 2^20 one-tuple classes of 20 entries).
 _CHARACTER_STEPS = 10**6
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
@@ -228,19 +231,19 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
 
 def _closed_form(base: ClosedSurface, b: int, simple_only: bool) -> bool:
     """Whether a non-empty cell's row follows from closed forms: that of
-    a simple cell with b >= 2 (_closed_form_row)."""
-    return simple_only and b >= 2
+    a simple cell or of a cell without branch points (_closed_form_row)."""
+    return simple_only or b == 0
 
 
 def _closed_form_row(
     base: ClosedSurface, d: int, b: int, raw: int
 ) -> tuple[tuple[ClosedSurface, int, int], ...]:
-    """The realized rows of a simple cell with b >= 2 and raw connected
-    tuples. Riemann-Hurwitz fixes chi = d chi(base) - b, so there is one
-    orientable and one nonorientable candidate. Over an orientable base
-    every cover is orientable; over n_h characters.orientable_count and
-    orientable_class_count split the raw and class counts. A row is kept
-    when its raw count is positive."""
+    """The realized rows of a simple cell or a cell without branch points
+    and raw connected tuples. Riemann-Hurwitz fixes chi = d chi(base) - b,
+    so there is one orientable and one nonorientable candidate. Over an
+    orientable base every cover is orientable; over n_h
+    characters.orientable_count and orientable_class_count split the raw
+    and class counts. A row is kept when its raw count is positive."""
     classes = class_count(base, d, b)
     if base.orientable:
         split = raw, classes
@@ -281,20 +284,14 @@ def merge_shards(shards) -> CensusShard:
     return replace(head, counts=merged)
 
 
-def _check_count(cell: str, found: int, what: str, expected: int, source: str) -> None:
-    if found != expected:
-        raise InvalidData(f"{cell} enumerates {found} {what}, but {source} {expected}")
-
-
 def enumerate_covers(
     base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusRow:
     """The cell's row. A cell whose exact connected count is 0 reports
-    its empty row without enumerating, and so does a simple cell with
-    b >= 2 its rows from closed forms. Any other (b = 0 or any meridians
-    allowed) is admitted and enumerated, and its raw total is checked
-    against that count; a simple one over n_h its orientable raw count
-    against orientable_count."""
+    its empty row without enumerating, and so does a simple cell or a
+    cell without branch points its rows from closed forms. Any other
+    (any meridians allowed and b >= 1) is admitted and enumerated, and
+    its raw total is checked against that count."""
     expected = _admit(base, d, b, simple_only)
     if expected == 0:
         return CensusRow(base, d, b, ())
@@ -303,25 +300,22 @@ def enumerate_covers(
     from .orderly import classify_shard, enumerate_shard
 
     row = classify_shard(enumerate_shard(base, d, b, simple_only))
-    kind = "simple" if simple_only else "all"
-    cell = f"census cell ({base.name}, degree {d}, {b} branch points, {kind})"
     found = sum(raw for _, raw, _ in row.realized)
-    _check_count(cell, found, "connected tuples", expected, f"the characters of S_{d} count")
-    if simple_only and not base.orientable:
-        found = sum(raw for s, raw, _ in row.realized if s.orientable)
-        expected = orientable_count(base, d, b)
-        _check_count(
-            cell, found, "orientable connected tuples", expected, "the orientation double cover gives"
+    if found != expected:
+        raise InvalidData(
+            f"census cell ({base.name}, degree {d}, {b} branch points, all) enumerates "
+            f"{found} connected tuples, but the characters of S_{d} count {expected}"
         )
     return row
 
 
 def parity_audit(d_max: int, b_max: int) -> AuditReport:
     """Take the row of every simple cell over the projective plane, from
-    closed forms for b >= 2 and by enumeration for b = 0, and check the
-    crosscap parity and count laws on each realized nonorientable total
-    space. Every cell is admitted before the first row is taken, the
-    largest first."""
+    closed forms, and check the crosscap parity and count laws on each
+    realized nonorientable total space. Every cell is admitted before the
+    first row is taken, the largest first."""
+    if d_max < 1 or b_max < 0:
+        raise ValueError(f"need --dmax >= 1 and --bmax >= 0, got {d_max} and {b_max}")
     for d in range(d_max, 0, -1):  # lazily: product() would list each range
         for b in range(b_max, -1, -1):
             _admit(PROJECTIVE_PLANE, d, b, True)

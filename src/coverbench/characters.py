@@ -26,16 +26,15 @@ Without the simple restriction it runs over sheets for free meridians,
 and inclusion-exclusion over the meridians forced to be the identity
 leaves those with every meridian nontrivial.
 
-More numbers of a simple row follow from these counts. Over any base
-and for b >= 2, Burnside's lemma counts the conjugation classes of
-connected tuples (class_count); over n_h, the orientation double cover
-counts the orientable ones (orientable_count), and Burnside's lemma
-their classes (orientable_class_count). Riemann-Hurwitz forces one
-orientable and one nonorientable candidate total space, so these give a
-simple cell's whole row for b >= 2 over any base, and
-census.enumerate_covers answers it without enumerating. Without branch
-points, orientable_count still checks what the census enumerates over
-n_h.
+More numbers of a simple row follow from these counts. Over any base,
+Burnside's lemma counts the conjugation classes of connected tuples
+(class_count, which for b = 0 is Mednykh's count of conjugacy classes
+of subgroups of index d); over n_h, the orientation double cover counts
+the orientable ones (orientable_count), and Burnside's lemma their
+classes (orientable_class_count). Riemann-Hurwitz forces one orientable
+and one nonorientable candidate total space, so these give the whole row
+of a simple cell, or of a cell without branch points, over any base, and
+census.enumerate_covers answers it without enumerating.
 
 All arithmetic is exact: sums of Fractions whose denominators must
 cancel to 1, and integer quotients that must leave no remainder.
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .errors import InvalidData
 from .surfaces import ClosedSurface, euler_characteristic
@@ -156,67 +155,115 @@ def _connected(chi: int, d: int, b: int, simple_only: bool) -> int:
 
 
 def class_count(base: ClosedSurface, d: int, b: int) -> int:
-    """The conjugation classes of connected simple tuples of a cell with
-    b >= 2 branch points, by Burnside's lemma: the average, over the d!
-    conjugators z, of the connected tuples z fixes.
-
-    A tuple z fixes commutes with z entry by entry. The centraliser of a
-    transitive tuple acts freely on the sheets, so a z != 1 fixing one is
-    semiregular; since it also commutes with a transposition (a b), it
-    swaps a and b. So only the d!/(2^m m!) fixed-point-free involutions z
-    of d = 2m contribute (at b = 0 longer cycles contribute too, and this
-    count does not apply). A tuple fixed by z is a double cover of the
-    quotient X' by z, a connected unbranched cover of degree m (chi' =
-    m chi), branched at one of the m lifts of each branch point. So
-
-        classes = (connected_count(base, d, b) + [d = 2m] d!/(2^m m!)
-                   * connected_count(base, m, 0) * m^b * 2^(2 - m chi)
-                   * 2^(m - 1)) / d!,
-
-    where 2^(2 - m chi) is the number of elements of H^1(X'; Z/2).
-
-    2^(2 - m chi) * 2^(m - 1) = 2^(1 + m (1 - chi)) is a fraction only
-    over the sphere with m >= 2, which has no connected unbranched cover
-    of degree m, so the arithmetic stays in integers. A remainder means
-    the counts are wrong and raises InvalidData naming the cell."""
-    return _burnside(base, d, b, connected_count, "conjugation classes")
+    """The conjugation classes of connected simple tuples of a cell, by
+    Burnside's lemma (_burnside)."""
+    return _burnside(base, d, b, False)
 
 
 def orientable_class_count(base: ClosedSurface, d: int, b: int) -> int:
-    """The conjugation classes of connected simple tuples over n_h, b >= 2,
-    whose total space is orientable: class_count's sum over the tuples
-    orientable_count counts.
-
-    A tuple fixed by a fixed-point-free involution z is the double cover
-    of its quotient X' described in class_count. The orientation
-    character is trivial on the meridians, while the double cover's
-    monodromy around each of them is not, so the cover is orientable
-    exactly when X' is; and H^1(X'; Z/2) has 2^(2 - m chi) elements
-    either way. So the formula is class_count's with orientable_count in
-    place of connected_count, the unbranched quotients included:
-
-        (orientable_count(base, d, b) + [d = 2m] d!/(2^m m!)
-         * orientable_count(base, m, 0) * m^b * 2^(1 + m (1 - chi))) / d!.
-    """
-    return _burnside(base, d, b, orientable_count, "orientable conjugation classes")
+    """The conjugation classes of connected simple tuples over n_h whose
+    total space is orientable, by Burnside's lemma (_burnside)."""
+    return _burnside(base, d, b, True)
 
 
-def _burnside(base: ClosedSurface, d: int, b: int, count, what: str) -> int:
-    """Burnside's class count of the connected simple tuples that
-    count(base, n, b) counts, for class_count and orientable_class_count."""
-    if b < 2:
-        raise ValueError(f"the class count needs b >= 2 branch points, got {b}")
+def _mobius(n: int) -> int:
+    """The Moebius function: (-1)^r if n >= 1 is a product of r distinct
+    primes, else 0."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def _epimorphisms(l: int, chi: int, orientable: bool, orientable_kernel: bool) -> int:
+    """|Epi(pi_1 X, Z_l)| for a closed surface X of Euler characteristic
+    chi, by Moebius inversion over the subgroups Z_k of Z_l of the
+    homomorphisms into them: k^(2 - chi) over o_g, and gcd(2, k) k^(1 - chi)
+    over n_h, whose h = 2 - chi crosscaps go to x_i with 2 sum x_i = 0.
+    With orientable_kernel, over n_h, only those whose kernel is
+    orientable: reduced mod 2 they give the orientation character, every
+    x_i odd. That needs l/k odd and k = 2j, and then sum x_i = 0 mod j:
+    j^(h - 1) for odd j, 2 j^(h - 1) for even j and h, none for even j
+    and odd h."""
+    h = 2 - chi
+
+    def homs(k: int) -> int:
+        if orientable:
+            return k ** (2 - chi)
+        if not orientable_kernel:
+            return gcd(2, k) * k ** (h - 1)
+        j, odd = divmod(k, 2)
+        if odd or l // k % 2 == 0:
+            return 0
+        if j % 2:
+            return j ** (h - 1)
+        return 2 * j ** (h - 1) if h % 2 == 0 else 0
+
+    return sum(_mobius(l // k) * homs(k) for k in range(1, l + 1) if l % k == 0)
+
+
+def _burnside(base: ClosedSurface, d: int, b: int, orientable: bool) -> int:
+    """The conjugation classes of the connected simple tuples of a cell,
+    or over n_h, with orientable, of those whose total space is
+    orientable: the average, over the d! conjugators z, of the tuples z
+    fixes.
+
+    A tuple z fixes commutes with z entry by entry. The centraliser of a
+    transitive tuple acts freely on the sheets, so a z fixing one has
+    cycle type l^m for some d = l m, and there are d!/(l^m m!) such z.
+    The identity fixes all of them, connected_count or orientable_count.
+    For l >= 2 a tuple fixed by z is a cyclic cover X -> X' of degree l,
+    z its deck transformation, over the quotient X', a connected cover of
+    degree m (chi' = m chi). X' is unbranched: a z without fixed points
+    commuting with a transposition (a c) swaps a and c. Each of the
+    connected_count(base, m, 0) tuples of X' and each such X -> X' give
+    l^(m - 1) tuples fixed by z, one per labelling of the sheets over
+    each sheet of X' but the first. Counting the X -> X':
+
+    - b = 0: X -> X' is unbranched, so it is an epimorphism
+      pi_1 X' -> Z_l (_epimorphisms). X is orientable when X' is and,
+      over a nonorientable X', when the kernel is orientable.
+    - b >= 2: z swaps the two sheets of each meridian, so l = 2, and
+      X -> X' is a double cover branched at one of the m lifts of each
+      branch point: m^b choices, times the 2^(2 - m chi) elements of
+      H^1(X'; Z/2). The orientation character is trivial on the
+      meridians, while the double cover's monodromy around each of them
+      is not, so X is orientable exactly when X' is.
+
+    Summed over the orientable and nonorientable X' (orientable_count and
+    the rest of connected_count over n_h), with b = 0 this is Mednykh's
+    count of conjugacy classes of subgroups of index d (J. Algebra 320,
+    2008; Sib. Math. J. 27, 1986, over n_h). A power 2^(2 - m chi) or
+    k^(1 - chi) is a fraction only for a surface X' that does not exist,
+    and such terms are skipped, so the arithmetic stays in integers. A
+    remainder means the counts are wrong and raises InvalidData naming
+    the cell."""
     if b % 2:
         return 0  # no tuple at all, see _simple_homs
     chi = euler_characteristic(base)
-    total = count(base, d, b)
-    m = d // 2
-    quotients = count(base, m, 0) if d % 2 == 0 else 0
-    if quotients:
-        involutions = factorial(d) // (2**m * factorial(m))
-        total += involutions * quotients * m**b * 2 ** (1 + m * (1 - chi))
+    total = orientable_count(base, d, b) if orientable else connected_count(base, d, b)
+    for l in range(2, d + 1 if b == 0 else 3):
+        m = d // l
+        covers = connected_count(base, m, 0) if m * l == d else 0
+        if not covers:
+            continue
+        up = covers if base.orientable else orientable_count(base, m, 0)
+        if b:
+            fixed = (up if orientable else covers) * m**b * 2 ** (2 - m * chi)
+        else:
+            quotients = ((True, up), (False, covers - up))
+            fixed = sum(
+                n * _epimorphisms(l, m * chi, o, orientable) for o, n in quotients if n
+            )
+        total += factorial(d) // (l**m * factorial(m)) * l ** (m - 1) * fixed
     classes, rest = divmod(total, factorial(d))
     if rest:
+        what = "orientable conjugation classes" if orientable else "conjugation classes"
         raise InvalidData(
             f"census cell ({base.name}, degree {d}, {b} branch points): Burnside's "
             f"lemma gives {total}/{factorial(d)} {what}, not an integer"

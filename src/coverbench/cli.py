@@ -15,8 +15,10 @@ Cycle notation like "(0 1)(2 3)" is accepted only here, as a flag
 convenience; files always use image sequences.
 
 The census is imported only by the subcommands that enumerate, and
-numpy only when one of them enumerates a cell: the other subcommands,
-and census cells that are empty or refused, start without it.
+numpy only when one of them enumerates a cell, which only an `enumerate
+--all` cell with branch points does: the other subcommands, and census
+cells that are empty, refused or answered from closed forms, start
+without it.
 """
 from __future__ import annotations
 

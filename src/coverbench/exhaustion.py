@@ -107,15 +107,6 @@ def total_chi(g: ExhaustionGraph) -> int:
     return sum(piece_chi(p) for p in g.pieces)
 
 
-def frontier_circles(g: ExhaustionGraph) -> tuple[int, ...]:
-    """Outer circles glued to nothing; in a valid truncation these all
-    sit at the deepest level and are where the surface keeps going."""
-    referenced = {c for p in g.pieces for c in p.inner}
-    return tuple(
-        sorted(c for p in g.pieces for c in p.outer if c not in referenced)
-    )
-
-
 def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
     problems: list[str] = []
     if not g.pieces:

@@ -18,9 +18,11 @@ column, the Euler characteristic comes from the meridians' cycle counts
 the orbit of sheet 0 on the sign double cover held as two sheet masks.
 
 census.enumerate_covers imports this module only for a cell it has
-admitted with a non-zero connected count and no closed-form row: a
-nonorientable base, any meridians (--all) or b = 0. Empty, refused and
-closed-form cells are answered without numpy.
+admitted with a non-zero connected count and no closed-form row: one
+with any meridians allowed (--all) and b >= 1. Empty, refused and
+closed-form cells, every simple cell and every cell without branch
+points among them, are answered without numpy; the engine's simple and
+b = 0 modes remain as the tests' reference for those closed forms.
 """
 from __future__ import annotations
 

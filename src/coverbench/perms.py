@@ -54,17 +54,8 @@ class Perm:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths including fixed points, sorted descending."""
-        return tuple(
-            sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True)
-        )
-
     def is_identity(self) -> bool:
         return all(map(eq, self.images, range(self.degree)))
-
-    def is_transposition(self) -> bool:
-        return sum(1 for i in range(self.degree) if self.images[i] != i) == 2
 
 
 def identity(n: int) -> Perm:
@@ -76,19 +67,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     if p.degree != q.degree:
         raise DegreeMismatch(f"degree {p.degree} vs {q.degree}")
     return Perm(tuple(q.images[p.images[i]] for i in range(p.degree)))
-
-
-def compose_all(perms: Sequence[Perm], n: int | None = None) -> Perm:
-    """Product of a word read left to right; identity for the empty word
-    (n must then be given)."""
-    if not perms:
-        if n is None:
-            raise ValueError("empty word needs an explicit degree")
-        return identity(n)
-    acc = perms[0]
-    for p in perms[1:]:
-        acc = compose(acc, p)
-    return acc
 
 
 def inverse(p: Perm) -> Perm:

@@ -5,7 +5,9 @@ Euler characteristics by counting cells of a lifted cell structure,
 orientability by brute-force search over sign assignments, sheet
 orbits of census class forms by min-label propagation, reports by
 the stdlib's JSON encoder, peak memory from a separate launcher.
-Agreement with the library is what the randomized tests assert.
+Agreement with the library is what the randomized tests assert. The
+permutation and exhaustion helpers here (compose_all, cycle_type,
+is_transposition, frontier_circles) are used by the tests alone.
 """
 from __future__ import annotations
 
@@ -28,8 +30,37 @@ from coverbench.exhaustion import (
 )
 from coverbench.hurwitz import HurwitzData
 from coverbench.layered import BLOCK_KINDS, Block, LayeredCover
-from coverbench.perms import Perm, compose_all, inverse
+from coverbench.perms import Perm, compose, identity, inverse
 from coverbench.surfaces import PROJECTIVE_PLANE, SPHERE, TORUS, ClosedSurface
+
+
+def compose_all(perms, n: int | None = None) -> Perm:
+    """Product of a word read left to right; identity for the empty word
+    (n must then be given)."""
+    if not perms:
+        if n is None:
+            raise ValueError("empty word needs an explicit degree")
+        return identity(n)
+    acc = perms[0]
+    for p in perms[1:]:
+        acc = compose(acc, p)
+    return acc
+
+
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """Cycle lengths including fixed points, sorted descending."""
+    return tuple(sorted((len(c) for c in p.cycles(include_fixed=True)), reverse=True))
+
+
+def is_transposition(p: Perm) -> bool:
+    return sum(1 for i in range(p.degree) if p.images[i] != i) == 2
+
+
+def frontier_circles(g: ExhaustionGraph) -> tuple[int, ...]:
+    """Outer circles glued to nothing; in a valid truncation these all
+    sit at the deepest level and are where the surface keeps going."""
+    referenced = {c for p in g.pieces for c in p.inner}
+    return tuple(sorted(c for p in g.pieces for c in p.outer if c not in referenced))
 
 
 def stdlib_dumps(doc) -> str:
@@ -220,7 +251,7 @@ def oracle_census(base: ClosedSurface, d: int, b: int, simple_only: bool):
     pool = [
         p
         for p in group
-        if (p.is_transposition() if simple_only else not p.is_identity())
+        if (is_transposition(p) if simple_only else not p.is_identity())
     ]
     r = 2 * base.genus if base.orientable else base.genus
     slots = [group] * r + [pool] * b
@@ -273,7 +304,7 @@ def conjugation_classes(base: ClosedSurface, d: int, b: int, simple_only: bool):
     pool = [
         p
         for p in group
-        if (p.is_transposition() if simple_only else not p.is_identity())
+        if (is_transposition(p) if simple_only else not p.is_identity())
     ]
     r = 2 * base.genus if base.orientable else base.genus
     classes: list[frozenset] = []
@@ -327,7 +358,7 @@ def random_simple_sphere_datum(
     for _ in range(500):
         lead = [random_transposition(rng, degree) for _ in range(branch - 1)]
         last = inverse(compose_all(lead, degree))
-        if not last.is_transposition():
+        if not is_transposition(last):
             continue
         datum = HurwitzData(SPHERE, degree, meridians=tuple(lead) + (last,))
         if require_connected and not is_connected(datum):

@@ -16,7 +16,6 @@ from coverbench.exhaustion import (
     NormalizedExhaustion,
     Piece,
     count_ends,
-    frontier_circles,
     is_normalized_through,
     normalize,
     piece_shape,
@@ -36,7 +35,7 @@ from coverbench.layered import build_cover, restriction_compatibility, staircase
 from coverbench.perms import orbits
 from coverbench.surfaces import PROJECTIVE_PLANE, SPHERE, euler_characteristic
 
-from oracles import lifted_cell_chi, random_valid_datum
+from oracles import frontier_circles, lifted_cell_chi, random_valid_datum
 from test_exhaustion import random_exhaustion
 
 

@@ -33,7 +33,7 @@ from coverbench.orderly import (
     classify_shard,
     enumerate_shard,
 )
-from coverbench.perms import Perm, compose, compose_all, identity, inverse
+from coverbench.perms import Perm, compose, identity, inverse
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -47,7 +47,9 @@ from coverbench.surfaces import (
 from oracles import (
     ORACLE_NONSIMPLE_CELLS,
     ORACLE_SIMPLE_CELLS,
+    compose_all,
     conjugation_classes,
+    is_transposition,
     label_verdicts,
     oracle_census,
     run_measured,
@@ -157,7 +159,8 @@ def test_repeated_runs_identical():
     [
         # a closed-form row whose counts pass the 4299 digits a report prints
         (ClosedSurface(False, 5000), 5, 8, True),
-        (ClosedSurface(False, 5), 6, 0, True),  # enumerated, over the tuple floor
+        # a row without branch points whose counts pass the digits a report prints
+        (ClosedSurface(False, 5000), 6, 0, True),
         (ClosedSurface(True, 5), 6, 8, False),
         (TORUS, 6, 4, False),
         (SPHERE, 8, 2, True),  # the tables of S_8 alone need 13 GB
@@ -375,7 +378,7 @@ def test_group_table_matches_perm_definitions(d):
             assert T.conj[i, j] == index[compose_all([inverse(p), q, p])]
     assert [T.inv[i] for i in range(n)] == [index[inverse(p)] for p in perms]
     assert T.ncycles.tolist() == [len(p.cycles(include_fixed=True)) for p in perms]
-    assert T.transpositions.tolist() == [i for i, p in enumerate(perms) if p.is_transposition()]
+    assert T.transpositions.tolist() == [i for i, p in enumerate(perms) if is_transposition(p)]
     # image[x, S] is x(S) as a bit mask: the sum of 2^x(i) over i in S
     members = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
     assert np.array_equal(T.image, (members[None] << P[:, None, :]).sum(axis=2))

@@ -144,13 +144,25 @@ def test_engine_matches_class_and_orientable_counts(base, d, b):
     assert orientable == ([split] if split[0] else [])
 
 
-@pytest.mark.parametrize("base", SWEEP_BASES[3:])
+@pytest.mark.parametrize("base", SWEEP_BASES[3:] + (ClosedSurface(False, 4),) + SWEEP_BASES[:3])
 def test_orientable_count_without_branch_points(base):
-    for d in range(1, 7):
-        if hom_count(base, d, 0) <= 3 * 10**6:
-            row = classify_shard(enumerate_shard(base, d, 0, True))
-            orientable = sum(raw for s, raw, _ in row.realized if s.orientable)
-            assert orientable == orientable_count(base, d, 0), d
+    # enumerate_covers answers every cell without branch points from
+    # closed forms, simple or not; the engine checks the raw, class and
+    # orientable counts on each such cell it admits up to degree 7
+    for d in range(1, 8):
+        try:
+            _check_cell(base, d, 0, True)
+            _check_peak(base, d, 0, True)
+        except LimitExceeded:
+            continue
+        engine = classify_shard(enumerate_shard(base, d, 0, True))
+        assert engine == enumerate_covers(base, d, 0, True) == enumerate_covers(base, d, 0, False), d
+        assert sum(raw for _, raw, _ in engine.realized) == connected_count(base, d, 0), d
+        assert sum(n for _, _, n in engine.realized) == class_count(base, d, 0), d
+        if not base.orientable:
+            orientable = [row[1:] for row in engine.realized if row[0].orientable]
+            split = orientable_count(base, d, 0), orientable_class_count(base, d, 0)
+            assert orientable == ([split] if split[0] else []), d
 
 
 def test_closed_forms_are_exact_integers():
@@ -162,8 +174,9 @@ def test_closed_forms_are_exact_integers():
     assert class_count(SPHERE, 2, 3) == 0  # odd b: no tuple at all
     assert orientable_count(PROJECTIVE_PLANE, 5, 4) == 0
     assert orientable_count(PROJECTIVE_PLANE, 6, 8) == 33_546_240
-    with pytest.raises(ValueError):
-        class_count(SPHERE, 4, 0)
+    # without branch points: Mednykh's count of the index-6 subgroup classes
+    assert class_count(ClosedSurface(True, 2), 6, 0) == 1_112_204
+    assert type(class_count(ClosedSurface(True, 2), 6, 0)) is int
     with pytest.raises(ValueError):
         orientable_count(TORUS, 4, 2)
 

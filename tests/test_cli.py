@@ -474,29 +474,6 @@ class TestCensusCommands:
             " 2 connected tuples, but the characters of S_2 count 3\n"
         )
 
-    @pytest.mark.parametrize(
-        "name, count, error",
-        [
-            (
-                "orientable_count",
-                lambda *args: 19,
-                "enumerates 18 orientable connected tuples, but the orientation double cover"
-                " gives 19",
-            ),
-        ],
-        ids=["orientable"],
-    )
-    def test_enumeration_disagreeing_with_closed_forms_exits_2(self, monkeypatch, name, count, error):
-        # a simple cell over n_h is enumerated only without branch points
-        monkeypatch.setattr(f"coverbench.census.{name}", count)
-        rc, out, err = run_cli(
-            ["enumerate", "--base", "klein", "--degree", "4", "--branch-points", "0"]
-        )
-        assert (rc, out) == (2, "")
-        assert err == (
-            f"error: census cell (Klein bottle, degree 4, 0 branch points, simple) {error}\n"
-        )
-
     def test_out_of_memory_exits_2_without_traceback(self, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -619,6 +596,10 @@ class TestExhaustionCommands:
         assert rc == 2
         rc, _, _ = run_cli(["classify", "--chi", "-2"])
         assert rc == 2
+        for dmax, bmax in (("-1", "3"), ("3", "-2")):
+            rc, out, err = run_cli(["parity-audit", "--dmax", dmax, "--bmax", bmax])
+            assert (rc, out) == (2, "")
+            assert err == f"error: need --dmax >= 1 and --bmax >= 0, got {dmax} and {bmax}\n"
 
     def test_validate_dispatches_on_format(self, tmp_path):
         path = write_doc(
@@ -862,7 +843,7 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
     assert (rc, out) == (2, "")
     assert err == (
         "error: census cell (orientable genus-30000 surface, degree 6, 0 branch points) "
-        "has a tuple count of at least 171438 digits, over the 4096 MiB budget\n"
+        "has a tuple count of at least 171438 digits, over the 4299 digits a report prints\n"
     )
     rc, out, err = run_cli(["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "1"])
     assert (rc, err) == (0, "")
@@ -871,13 +852,13 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 
 @pytest.mark.parametrize(
-    "cell", [("n5", 6, 0), ("n5000", 5, 8), ("s2", 8, 2), ("s2", 2, 5000), ("o30000", 6, 2)]
+    "cell", [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 8, 2), ("s2", 2, 5000), ("o30000", 6, 2)]
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
-    # n5/6/0 alone has over 10^11 tuples, and n5000/5/8's closed-form counts
-    # pass the 4299 digits a report prints: the refusal must come from the
-    # cell's counts, before numpy is loaded and so before any group table
-    # or tuple exists
+    # the closed-form counts of n5000/6/0 and n5000/5/8 pass the 4299
+    # digits a report prints: the refusal must come from the cell's
+    # counts, before numpy is loaded and so before any group table or
+    # tuple exists
     base, d, b = cell
     script = (
         "import sys\n"
@@ -929,32 +910,35 @@ def _row(orientable, genus, raw, classes):
 
 def test_census_loads_numpy_only_for_cells_it_enumerates():
     # s2/6/6 and s2/7/2 are empty by their characters, s2/4/6, torus/4/4,
-    # rp2/5/8 and rp2/5/4 are answered from closed forms, and n5/6/0 and
-    # o30000/6/0 are refused by closed forms: none of them needs the
-    # engine, and none calls _group_table even once the engine is loaded;
-    # rp2/2/0, without branch points, is enumerated
+    # rp2/5/8, rp2/5/4, and rp2/2/0, n5/6/0 and n20/2/0 without branch
+    # points, are answered from closed forms, and o30000/6/0 is refused by
+    # closed forms: none of them needs the engine, and none calls
+    # _group_table even once the engine is loaded; rp2/2/2 with any
+    # meridians allowed is enumerated
     script = (
         "import contextlib, io, json, sys\n"
         "from coverbench import census\n"
         "from coverbench.cli import main\n"
         "assert 'numpy' not in sys.modules\n"
-        "def run(base, d, b):\n"
+        "def run(base, d, b, *flags):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
-        "        code = main(['enumerate', '--base', base, '--degree', str(d), '--branch-points', str(b)])\n"
+        "        code = main(['enumerate', '--base', base, '--degree', str(d), '--branch-points', str(b), *flags])\n"
         "    return code, out.getvalue() and json.loads(out.getvalue())['result']['rows']\n"
-        "got = [run('s2', 6, 6), run('s2', 7, 2), run('n5', 6, 0), run('o30000', 6, 0)]\n"
-        "assert got == [(0, []), (0, []), (2, ''), (2, '')], got\n"
-        "closed = [run('s2', 4, 6), run('torus', 4, 4), run('rp2', 5, 8)]\n"
+        "got = [run('s2', 6, 6), run('s2', 7, 2), run('o30000', 6, 0)]\n"
+        "assert got == [(0, []), (0, []), (2, '')], got\n"
+        "closed = [run('s2', 4, 6), run('torus', 4, 4), run('rp2', 5, 8), run('rp2', 2, 0),\n"
+        "          run('n5', 6, 0), run('n20', 2, 0)]\n"
         "print(json.dumps(closed))\n"
         "assert run('rp2', 5, 4)[0] == 0\n"
         "assert 'numpy' not in sys.modules and 'coverbench.orderly' not in sys.modules\n"
-        "assert run('rp2', 2, 0)[0] == 0\n"
+        "assert run('rp2', 2, 2, '--all')[0] == 0\n"
         "assert 'numpy' in sys.modules\n"
         "from coverbench import orderly\n"
         "assert census.GroupTable is orderly.GroupTable\n"
         "calls = orderly._group_table.cache_info()\n"
-        "assert [run('s2', 4, 6), run('torus', 4, 4), run('rp2', 5, 8)] == closed\n"
+        "assert [run('s2', 4, 6), run('torus', 4, 4), run('rp2', 5, 8), run('rp2', 2, 0),\n"
+        "        run('n5', 6, 0), run('n20', 2, 0)] == closed\n"
         "assert orderly._group_table.cache_info() == calls\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -966,6 +950,9 @@ def test_census_loads_numpy_only_for_cells_it_enumerates():
         [0, [_row(True, 0, 2880, 120)]],
         [0, [_row(True, 3, 58752, 2496)]],
         [0, [_row(False, 5, 185_285_520, 1_544_046)]],
+        [0, [_row(True, 0, 1, 1)]],
+        [0, [_row(True, 10, 33_808_800, 48_285), _row(False, 20, 544_437_243_360, 756_627_698)]],
+        [0, [_row(True, 19, 1, 1), _row(False, 38, 1_048_574, 1_048_574)]],
     ]
 
 

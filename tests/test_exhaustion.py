@@ -13,7 +13,6 @@ from coverbench.exhaustion import (
     ExhaustionGraph,
     Piece,
     count_ends,
-    frontier_circles,
     is_normalized_through,
     normalize,
     piece_chi,
@@ -21,7 +20,7 @@ from coverbench.exhaustion import (
     total_chi,
     validate_exhaustion,
 )
-from oracles import quadratic_normalize
+from oracles import frontier_circles, quadratic_normalize
 
 
 def graph(*pieces):
