@@ -384,9 +384,13 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
 
 
 def __getattr__(name: str):
-    # the engine names bench/shim.py looks up, until it goes (ROADMAP item 1)
+    # the engine names bench/shim.py looks up; the shim then wraps every
+    # layer, which cli imports only in the handlers that use them, so the
+    # lookup loads the plane and Hurwitz layers too. A traced job's time
+    # pays for them and numpy, an untraced one does not. The hook is
+    # deleted with the shim (ROADMAP item 1)
     if name in ("GroupTable", "enumerate_shard", "classify_shard"):
-        from . import orderly
+        from . import exhaustion, hurwitz, layered, orderly  # noqa: F401
 
         return getattr(orderly, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,11 +14,15 @@ of it may already be on stdout.
 Cycle notation like "(0 1)(2 3)" is accepted only here, as a flag
 convenience; files always use image sequences.
 
-The census is imported only by the subcommands that enumerate, and
-numpy only when one of them enumerates a cell, which only an `enumerate
---all` cell with branch points does: the other subcommands, and census
-cells that are empty, refused or answered from closed forms, start
-without it.
+Each subcommand imports only the layers it uses, inside its handler:
+`enumerate`, `parity-audit` and `universal-report` the census (and the
+last the Hurwitz layer for its witnesses), the datum subcommands the
+Hurwitz layer and the permutations, `normalize`, `count-ends` and the
+validation of an exhaustion the exhaustion layer, and the layered-cover
+subcommands `layered`, which imports `exhaustion`; `classify` needs
+none. numpy comes only with the census engine, which only an `enumerate
+--all` cell with branch points runs: census cells that are empty,
+refused or answered from closed forms start without it.
 """
 from __future__ import annotations
 
@@ -29,37 +33,10 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__, jsonio
 from .errors import InvalidInput, WorkbenchError
-from .exhaustion import (
-    ExhaustionGraph,
-    count_ends,
-    normalize,
-    total_chi,
-    validate_exhaustion,
-)
-from .hurwitz import (
-    HurwitzData,
-    check_build,
-    compose_orientation_double,
-    construct_cyclic_rp2,
-    construct_hyperelliptic,
-    generators,
-    pass_steps,
-    stabilize,
-    stabilize_steps,
-    total_space,
-    validate,
-)
-from .layered import (
-    build_cover,
-    compose_with_staircase,
-    restriction_compatibility,
-    staircase,
-    verify_layered,
-)
-from .perms import Perm, from_cycles, identity
 from .surfaces import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -68,6 +45,11 @@ from .surfaces import (
     ClosedSurface,
     classify,
 )
+
+if TYPE_CHECKING:
+    from .exhaustion import ExhaustionGraph
+    from .hurwitz import HurwitzData
+    from .perms import Perm
 
 _COUNT_LAW = "crosscaps = 2 - degree + branch_points"
 _COUNT_LAW_NOTES = (
@@ -85,6 +67,8 @@ _CYCLE_CHUNK = re.compile(r"\(([^()]*)\)")
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
+    from .perms import from_cycles, identity
+
     text = text.strip()
     if text in ("", "id", "()"):
         return identity(degree)
@@ -172,6 +156,8 @@ def _summary_json(summary) -> dict:
 
 
 def _datum_payload(datum: HurwitzData) -> dict:
+    from .hurwitz import total_space
+
     # formatted and dropped before the datum's JSON exists, to keep the peak
     summary = total_space(datum)
     cycles = [format_cycles(c) for c in summary.meridian_cycles]
@@ -182,16 +168,22 @@ def _datum_payload(datum: HurwitzData) -> dict:
 def _check_input(k: int, d: int) -> None:
     """Charge a Hurwitz input of k generators and degree d one pass, before
     anything of degree d is built."""
+    from .hurwitz import check_build, pass_steps
+
     check_build(f"reading the datum of degree {d}", pass_steps(max(k, 1), d))
 
 
 def _datum_from_doc(doc: dict) -> HurwitzData:
+    from .hurwitz import generators
+
     datum = jsonio.hurwitz_from_json(doc)
     _check_input(len(generators(datum)), datum.degree)
     return datum
 
 
 def _datum_from_flags(args) -> HurwitzData:
+    from .hurwitz import HurwitzData
+
     if args.base is None or args.degree is None:
         raise InvalidInput("need --input, or --base and --degree with generator flags")
     base = parse_base(args.base)
@@ -247,12 +239,18 @@ def _cmd_validate(args):
         doc, digest = _load_doc(args.input)
         kind = jsonio.sniff(doc)
         if kind == "hurwitz":
+            from .hurwitz import validate
+
             report = validate(_datum_from_doc(doc))
         elif kind == "exhaustion":
+            from .exhaustion import validate_exhaustion
+
             report = validate_exhaustion(jsonio.exhaustion_from_json(doc))
         else:
             raise InvalidInput(f"cannot validate documents of format {kind!r}")
     else:
+        from .hurwitz import validate
+
         datum = _datum_from_flags(args)
         digest = _digest_params(jsonio.hurwitz_to_json(datum))
         kind = "hurwitz"
@@ -272,6 +270,8 @@ def _cmd_total_space(args):
 
 
 def _cmd_construct(args):
+    from .hurwitz import construct_cyclic_rp2, construct_hyperelliptic
+
     if args.family == "hyperelliptic":
         if args.genus is None:
             raise InvalidInput("hyperelliptic family needs --genus")
@@ -286,6 +286,8 @@ def _cmd_construct(args):
 
 
 def _cmd_stabilize(args):
+    from .hurwitz import check_build, generators, stabilize, stabilize_steps
+
     if args.times < 0:
         raise InvalidInput("--times cannot be negative")
     datum, digest = _hurwitz_input(args)
@@ -298,6 +300,8 @@ def _cmd_stabilize(args):
 
 
 def _cmd_compose_double(args):
+    from .hurwitz import compose_orientation_double
+
     datum, digest = _hurwitz_input(args)
     return _datum_payload(compose_orientation_double(datum)), 0, digest
 
@@ -379,6 +383,8 @@ def _cmd_universal_report(args):
 
 
 def _cmd_normalize(args):
+    from .exhaustion import normalize, total_chi
+
     graph, digest = _exhaustion_input(args)
     result = normalize(graph)
     payload = {
@@ -405,6 +411,8 @@ def _parse_remaining(text: str):
 
 
 def _cmd_count_ends(args):
+    from .exhaustion import count_ends
+
     graph, digest = _exhaustion_input(args)
     ec = count_ends(graph, args.levels, _parse_remaining(args.remaining))
     payload = {
@@ -417,6 +425,8 @@ def _cmd_count_ends(args):
 
 
 def _cmd_build_cover(args):
+    from .layered import build_cover
+
     graph, digest = _exhaustion_input(args)
     cover = build_cover(graph, args.levels)
     return {"cover": jsonio.layered_to_json(cover)}, 0, digest
@@ -433,6 +443,8 @@ def _report_json(report) -> dict:
 
 
 def _cmd_staircase(args):
+    from .layered import staircase, verify_layered
+
     cover = staircase(args.levels)
     payload = {"cover": jsonio.layered_to_json(cover)}
     code = 0
@@ -444,6 +456,8 @@ def _cmd_staircase(args):
 
 
 def _cmd_verify(args):
+    from .layered import restriction_compatibility, verify_layered
+
     cover, digest = _layered_input(args)
     report = verify_layered(cover)
     payload = _report_json(report)
@@ -467,6 +481,8 @@ def _cmd_verify(args):
 
 
 def _cmd_compose_staircase(args):
+    from .layered import compose_with_staircase
+
     cover, digest = _layered_input(args)
     report = compose_with_staircase(cover, args.levels)
     payload = {

@@ -7,7 +7,10 @@ space indent, trailing newline.
 
 The builders share the objects' own tuples, which `dump`, like
 `json.dumps`, writes as arrays; the readers take JSON documents and
-accept lists only, so every kind round-trips through text.
+accept lists only, so every kind round-trips through text. A codec that
+builds or tests a model class imports the class's module when called,
+so loading this module loads no layer but the surfaces, and a run
+reads and writes documents without the layers it does not use.
 
 `dump(doc, write)` hands `write` the text of
 `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, for every
@@ -25,13 +28,16 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _string
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInput
-from .exhaustion import ExhaustionGraph, NormalizedExhaustion, Piece
-from .hurwitz import HurwitzData
-from .layered import Block, LayeredCover
-from .perms import Perm
 from .surfaces import ClosedSurface, euler_characteristic
+
+if TYPE_CHECKING:
+    from .exhaustion import ExhaustionGraph
+    from .hurwitz import HurwitzData
+    from .layered import LayeredCover
+    from .perms import Perm
 
 FORMAT_VERSION = 1
 
@@ -208,6 +214,8 @@ def _int_lists(value: list, where: str) -> tuple[tuple[int, ...], ...]:
 
 
 def perm_from_json(data, where: str = "perm") -> Perm:
+    from .perms import Perm
+
     images = _ints(data, where)
     try:
         return Perm(images)
@@ -243,6 +251,8 @@ def hurwitz_to_json(d: HurwitzData) -> dict:
 
 
 def hurwitz_from_json(doc: dict) -> HurwitzData:
+    from .hurwitz import HurwitzData
+
     if sniff(doc) != "hurwitz":
         raise InvalidInput(f"expected a hurwitz document, got {doc.get('format')!r}")
     base_doc = _need(doc, "base", dict, "hurwitz")
@@ -276,6 +286,8 @@ def hurwitz_from_json(doc: dict) -> HurwitzData:
 
 
 def exhaustion_to_json(g: ExhaustionGraph) -> dict:
+    from .exhaustion import NormalizedExhaustion
+
     doc = {
         "format": "exhaustion",
         "version": FORMAT_VERSION,
@@ -297,6 +309,8 @@ def exhaustion_to_json(g: ExhaustionGraph) -> dict:
 
 
 def exhaustion_from_json(doc: dict) -> ExhaustionGraph:
+    from .exhaustion import ExhaustionGraph, NormalizedExhaustion, Piece
+
     if sniff(doc) != "exhaustion":
         raise InvalidInput(f"expected an exhaustion document, got {doc.get('format')!r}")
     raw = _need(doc, "pieces", list, "exhaustion")
@@ -351,6 +365,8 @@ def layered_to_json(c: LayeredCover) -> dict:
 
 
 def layered_from_json(doc: dict) -> LayeredCover:
+    from .layered import Block, LayeredCover
+
     if sniff(doc) != "layered":
         raise InvalidInput(f"expected a layered document, got {doc.get('format')!r}")
     blocks = []

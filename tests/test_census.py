@@ -267,13 +267,16 @@ def test_empty_cell_is_still_bounded_when_enumerated_in_full():
         enumerate_shard(SPHERE, 7, 10, True)
 
 
+# the engine itself: enumerate_covers answers the simple and the b = 0
+# cells from closed forms, which _check_peak does not price
 _PEAK_SCRIPT = """
 import sys
-from coverbench.census import _check_peak, enumerate_covers
+from coverbench import orderly
+from coverbench.census import _check_peak
 from coverbench.characters import hom_count
 from coverbench.cli import parse_base
 base, d, b, simple_only = parse_base(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
-enumerate_covers(base, d, b, simple_only)
+orderly.classify_shard(orderly.enumerate_shard(base, d, b, simple_only))
 print(hom_count(base, d, b, simple_only), _check_peak(base, d, b, simple_only))
 """
 

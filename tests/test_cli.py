@@ -884,21 +884,62 @@ def test_cells_out_of_reach_are_refused_at_once(cell):
     assert elapsed < 2
 
 
-def test_plane_commands_do_not_import_numpy(tmp_path):
-    path = write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(4)))
+# what every run loads: the package, the CLI, the codecs and the surfaces
+_FRONT = {"coverbench", "coverbench.cli", "coverbench.errors", "coverbench.jsonio", "coverbench.surfaces"}
+
+@pytest.mark.parametrize(
+    ("argv", "layers"),
+    [
+        (["classify", "--chi", "-2", "--orientable", "true"], set()),
+        # an empty cell, a closed-form cell and the audit take their rows
+        # from the characters: no engine, no numpy, no Hurwitz or plane code
+        (["enumerate", "--base", "s2", "--degree", "7", "--branch-points", "2"], {"census", "characters"}),
+        (["enumerate", "--base", "torus", "--degree", "4", "--branch-points", "4"], {"census", "characters"}),
+        (["parity-audit", "--dmax", "4", "--bmax", "6"], {"census", "characters"}),
+        (["normalize", "--input", "exhaustion.json"], {"exhaustion"}),
+        (["verify", "--restrictions", "--input", "layered.json"], {"exhaustion", "layered"}),
+        (["staircase", "--levels", "4", "--verify"], {"exhaustion", "layered"}),
+        (
+            ["total-space", "--base", "rp2", "--degree", "3", "--crosscaps", "(0 1 2)", "--meridians", "(0 1 2)"],
+            {"hurwitz", "perms"},
+        ),
+    ],
+    ids=[
+        "classify",
+        "enumerate-empty",
+        "enumerate-closed-form",
+        "parity-audit",
+        "normalize",
+        "verify",
+        "staircase-verify",
+        "total-space",
+    ],
+)
+def test_each_subcommand_loads_only_its_layer(tmp_path, argv, layers):
+    write_doc(tmp_path, "exhaustion.json", jsonio.exhaustion_to_json(sample_graph()))
+    write_doc(tmp_path, "layered.json", jsonio.layered_to_json(staircase(4)))
     script = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         "from coverbench.cli import main\n"
-        "codes = [main(['classify', '--chi', '-2', '--orientable', 'true']),\n"
-        f"         main(['verify', '--input', {path!r}, '--restrictions'])]\n"
-        "assert codes == [0, 0], codes\n"
-        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'coverbench')\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        cwd=tmp_path,
     )
-    assert done.returncode == 0, done.stderr
+    assert child.returncode == 0, child.stderr
+    code, loaded, numpy_loaded = json.loads(child.stdout)
+    assert code == 0
+    assert set(loaded) == _FRONT | {f"coverbench.{layer}" for layer in layers}
+    assert not numpy_loaded
 
 
 def _row(orientable, genus, raw, classes):
