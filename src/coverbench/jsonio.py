@@ -23,6 +23,18 @@ stdlib's own escaper, and floats, non-str keys and the sort order by
 the stdlib's rules; it joins them into chunks of at least `_CHUNK`
 characters, one `write` each, so the whole text is never held, neither
 joined nor line by line.
+
+`loads` returns the tree of `json.loads` with one int object per
+repeated value: each document's ints are decoded through a cache of its
+own, from digit string to int, which keeps the first `_SHARED` distinct
+values and goes with the parse. A layered document lists every sheet at
+every level, and without the cache every occurrence above 256 is a
+fresh int. `verify --restrictions` of the 800-level staircase document
+peaks at 47 MB with the cache and 55 MB without; its peak is now the
+file's bytes beside their decoded text, before the parse. The bound
+keeps the cost to a document of distinct values, which shares nothing,
+to about 6 MB. A document nested too deeply for the decoder is refused
+as invalid input.
 """
 from __future__ import annotations
 
@@ -161,11 +173,36 @@ def _encode(o, indent: str, out: _Chunks) -> None:
         out.append(_scalar(o))
 
 
+# distinct ints one document shares; their digit strings and the table
+# take about 6 MB
+_SHARED = 1 << 16
+
+
+class _Ints(dict):
+    """Digit string to int for one document, so that every repeated value
+    decodes to the object of its first occurrence. The scanner calls
+    __getitem__, which runs in C for a held string. Once _SHARED values
+    are held the instance becomes a _Full, whose __missing__ is int
+    itself, so a value it does not hold costs no Python call."""
+
+    def __missing__(self, digits: str) -> int:
+        value = self[digits] = int(digits)
+        if len(self) >= _SHARED:
+            self.__class__ = _Full
+        return value
+
+
+class _Full(dict):
+    __missing__ = staticmethod(int)
+
+
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_Ints().__getitem__)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInput("document nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise InvalidInput("expected a JSON object at top level")
     return doc

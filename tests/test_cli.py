@@ -299,6 +299,73 @@ def test_dump_writes_the_stdlib_encoding_in_chunks(x, chunk, lines):
     assert all(len(w) >= chunk for w in writes[:-1]) and writes[-1]
 
 
+# int tokens of every sign and size: the small ints every process shares,
+# values above 256 that a cache can share, -0 and ints of up to 4300 digits
+_INT_TOKENS = st.one_of(
+    st.integers(-300, 300).map(str),
+    st.integers().map(str),
+    st.integers(-(10**4300) + 1, 10**4300 - 1).map(str),
+    st.just("-0"),
+)
+
+
+def _ints_in(o):
+    if isinstance(o, dict):
+        for v in o.values():
+            yield from _ints_in(v)
+    elif isinstance(o, list):
+        for v in o:
+            yield from _ints_in(v)
+    else:
+        yield o
+
+
+@seed(20261023)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_INT_TOKENS, max_size=40), st.integers(1, 8))
+def test_loads_is_the_stdlib_decoding_with_shared_ints(tokens, shared):
+    # every token occurs twice, and a bound of a few values lets most
+    # documents hold more distinct values than the cache keeps
+    items = ", ".join(tokens)
+    text = f'{{"v": [{items}], "w": [[{items}], {{"n": [{items}]}}]}}'
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jsonio, "_SHARED", shared)
+        doc = jsonio.loads(text)
+    assert doc == json.loads(text)
+    values = list(_ints_in(doc))
+    assert {type(x) for x in values} <= {int}
+    # the first `shared` distinct tokens decode to one object each
+    kept = list(dict.fromkeys(tokens))[:shared]
+    first = {}
+    for token, x in zip(tokens * 3, values):
+        if token in kept:
+            assert first.setdefault(token, x) is x
+
+
+def test_loads_shares_ints_up_to_the_bound():
+    # past the bound every value still decodes to its int; the document's
+    # cache is its own, so a second document shares nothing with the first
+    values = range(1000, 1000 + jsonio._SHARED + 100)
+    text = json.dumps({"a": list(values), "b": list(values)})
+    doc = jsonio.loads(text)
+    assert doc == json.loads(text)
+    assert doc["a"][0] is doc["b"][0] and doc["a"][-101] is doc["b"][-101]
+    assert doc["a"][-100] == doc["b"][-100] and doc["a"][-100] is not doc["b"][-100]
+    assert jsonio.loads(text)["a"][0] is not doc["a"][0]
+
+
+def test_loads_refuses_an_int_as_the_stdlib_does():
+    # over the interpreter's 4300-digit limit, both decoders raise the same
+    # ValueError, which the CLI reports with exit 2
+    text = '{"n": ' + "7" * 5000 + "}"
+    with pytest.raises(ValueError) as stdlib:
+        json.loads(text)
+    with pytest.raises(ValueError) as ours:
+        jsonio.loads(text)
+    assert str(ours.value) == str(stdlib.value)
+    assert "Exceeds the limit (4300 digits)" in str(ours.value)
+
+
 @pytest.mark.parametrize(
     "x", [{1, 2}, object(), [1, {2}], {"a": object()}, {object(): 1}, {(1, 2): 3}]
 )
@@ -780,13 +847,32 @@ def test_build_cover_report_shares_the_cover_tuples(tmp_path):
 
 def test_verify_drops_the_input_bytes_before_the_parse(tmp_path):
     # the 14 MB document of staircase(800): its bytes, its text and its
-    # parsed tree were alive together, and the report was held whole
+    # parsed tree were alive together, and the report was held whole; then
+    # the tree held a fresh int for every sheet above 256 at every level
+    # (about 55 MB); with one int per repeated value the peak is reading
+    # the file, its bytes beside its text (about 47 MB)
     path = write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(800)))
     argv = [sys.executable, "-m", "coverbench.cli", "verify", "--restrictions", "--input", path]
     child, peak = run_measured(argv, timeout=120)
     assert (child.returncode, child.stderr) == (0, "")
     assert report_of(child.stdout)["result"]["ok"] is True
-    assert peak < 62 << 20
+    assert peak < 51 << 20
+
+
+@pytest.mark.parametrize("command", ["verify", "normalize", "validate"])
+@pytest.mark.parametrize("nesting", ["array", "object"])
+def test_deeply_nested_documents_exit_2_with_one_line(tmp_path, nesting, command):
+    # 100,000 levels deep: the decoder's RecursionError ended the run in a
+    # traceback with exit 1, the code of a negative verdict
+    depth = 100_000
+    if nesting == "array":
+        text = "[" * depth + "]" * depth
+    else:
+        text = '{"a": ' * depth + "1" + "}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    rc, out, err = run_cli([command, "--input", str(path)])
+    assert (rc, out, err) == (2, "", "error: document nested too deeply to decode\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
