@@ -29,53 +29,58 @@ its raw count and Burnside's count of classes (characters.class_count,
 Mednykh's count of conjugacy classes of subgroups when b = 0). Over n_h
 the orientable row has characters.orientable_count and
 orientable_class_count, and the nonorientable row the rest. Neither kind
-lists a tuple, so the memory admission that bounds enumeration, the peak
-and the tuple-count floor below, does not apply to them: s2/5/10
-(169,271,260 tuples), s2/7/142, o5/6/8, rp2/6/8 (5,563,476,540 tuples),
-o2/6/0 and n20/2/0 are answered at once. A closed-form row is refused
-only when the floor shows its counts too long to print (past 4299
+lists a tuple or builds a group table: s2/5/10 (169,271,260 tuples),
+s2/7/142, o5/6/8, rp2/6/8, rp2/8/8, o2/6/0 and n20/2/0 are answered at
+once. A row is refused when its counts are too long to print (past 4299
 digits, as int.__repr__ stops at 4300).
 
 Every other cell, one with any meridians allowed and b >= 1, is
 enumerated, and its raw total must equal the connected count, or the
-cell exits 2 naming itself. Over a base with chi <= 0, a closed-form
-floor on the tuple count refuses the cells out of memory reach before
-any character sum is taken, and every refusal comes before the engine is
-imported.
+cell exits 2 naming itself. Every cell is admitted by errors.admit, its
+character sums before any is taken and the engine, S_d's tables and the
+listing's peak, before it is imported.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import factorial, log2, log10
+from math import factorial, log10
 from typing import TYPE_CHECKING
 
 from .characters import (
-    _irreducibles,
     class_count,
     connected_count,
     hom_count,
     orientable_class_count,
     orientable_count,
 )
-from .errors import MEMORY_BUDGET, InvalidData, LimitExceeded
+from .errors import STEP_BUDGET, InvalidData, LimitExceeded, admit
 from .surfaces import PROJECTIVE_PLANE, ClosedSurface, classify, euler_characteristic
 
 if TYPE_CHECKING:
     from .orderly import CensusShard
 
-# Admission against the constant MEMORY_BUDGET. The byte costs were fitted
-# to the peak ru_maxrss of listing every tuple (2-core Xeon, Python 3.11,
-# numpy 2.4: 14-14.5 per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6) and
-# now bound the orderly generator from above (rp2/6/6: predicted 3.3 GB,
-# measured 56 MB); the class dictionary dominates at degree 2 (n20/2/0,
-# when it was enumerated: 486 MB for 2^20 one-tuple classes of 20 entries).
-_CHARACTER_STEPS = 10**6
+# Prices for errors.admit. The character sums (module characters) take,
+# for each n <= d, the hook lengths of the p(n) partitions of n, about n
+# steps each, and a term per partition and per even number of meridians up
+# to b, about _PARTITION_STEPS each; the connected counts then fold a
+# (d+1) x (b+1) table, about (d (b+1))^2 / 4 steps. A power of w words of
+# _POWER_BITS bits costs about w steps to multiply and w^2 to add as a
+# Fraction. Fitted in process to 488 cells over s2, rp2, torus, klein and
+# o_g, n_h up to genus 5000 (2-core Xeon, Python 3.11): 0.1 to 1.4 us a
+# step, 1.1 us on o5/24/22 (1.3 s); torus/35/0 takes 1.7 s as a CLI run.
+# The engine's bytes are the peak ru_maxrss of listing every tuple (14-14.5
+# per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6), which bounds the orderly
+# generator from above (rp2/6/6: predicted 3.3 GB, measured 56 MB); the
+# class dictionary dominates at degree 2 (n20/2/0, when it was enumerated:
+# 486 MB for 2^20 one-tuple classes of 20 entries).
+_PARTITION_STEPS = 10
+_POWER_BITS = 2048
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
 _SLACK_BYTES = 64 << 20
-# a closed-form cell's counts print with int.__repr__, which refuses more
-# than 4300 digits
+# a census row's counts print with int.__repr__, which refuses more than
+# 4300 digits
 _PRINTED_DIGITS = 4299
 
 
@@ -127,76 +132,41 @@ def _generators(base: ClosedSurface) -> int:
     return 2 * base.genus if base.orientable else base.genus
 
 
+def _cell(base: ClosedSurface, d: int, b: int) -> str:
+    return f"census cell ({base.name}, degree {d}, {b} branch points)"
+
+
+def _sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[int, int]:
+    """The bytes and steps of a cell's character sums (see the prices
+    above). A simple cell with odd b takes none: it has no tuple at all.
+    The partition counts p(n) come from Euler's pentagonal recurrence, up
+    to d or until the sums alone pass the step budget, so a huge degree
+    costs nothing to price; its powers are then left unpriced."""
+    if simple_only and b % 2:
+        return 0, 0
+    per_partition = d + _PARTITION_STEPS * (b // 2 + 1)
+    p = [1]
+    while len(p) <= d and per_partition * sum(p) <= STEP_BUDGET:
+        n = len(p)  # p(n) sums (-1)^(k+1) p(n - k(3k -+ 1)/2) over k >= 1
+        terms = ((k, n - k * (3 * k + s) // 2) for k in range(1, n + 1) for s in (-1, 1))
+        p.append(sum((-1) ** (k + 1) * p[m] for k, m in terms if m >= 0))
+    chi = euler_characteristic(base)
+    powers = 0  # bits of the largest power: (d!)^|chi| and c^b, c <= d(d-1)/2
+    if len(p) > d:
+        free = 0 if simple_only else b
+        powers = (abs(chi) + 1 + free) * (factorial(d) - 1).bit_length()
+        powers += (b - free) * (d * (d - 1) // 2).bit_length()
+    words = 1 + powers // _POWER_BITS
+    steps = per_partition * sum(p) * words**2 + (d * (b + 1)) ** 2 // 4 * words
+    return 2 * (d + 1) * (b + 1) * (powers // 8 + 32), steps
+
+
 def _check_cell(base: ClosedSurface, d: int, b: int, simple_only: bool) -> None:
-    """Refuse what closed forms bring out of reach, before any character
-    sum: the group tables of S_d (d! grows step by step, so a huge d costs
-    nothing), the character sums, about (d*b)^2 steps, and the cells
-    whose tuples alone provably overflow the budget, or, for a cell
-    answered from closed forms, whose counts are too long to print."""
+    """Admit a cell's character sums before any is taken."""
     if d < 1 or b < 0:
         raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
-    order = 1
-    for i in range(2, d + 1):
-        order *= i
-        if 8 * order**2 > MEMORY_BUDGET:
-            raise LimitExceeded(f"degree {d}: the group tables of S_{d} exceed the memory budget")
-    if (d * b) ** 2 > _CHARACTER_STEPS:
-        raise LimitExceeded(f"degree {d} with {b} branch points: the character sums are too long")
-    floor = _log2_tuples_floor(base, d, b, simple_only)
-    if floor is None:
-        return
-    digits = int(floor * log10(2) - 1e-9) + 1
-    cell = f"census cell ({base.name}, degree {d}, {b} branch points)"
-    cell += f" has a tuple count of at least {digits} digits"
-    if _closed_form(base, b, simple_only):
-        # nothing is listed, but the row's counts are printed: they are at
-        # most p(d)/2 <= 7.5 times the floor, so one digit longer at most
-        if digits > _PRINTED_DIGITS:
-            raise LimitExceeded(f"{cell}, over the {_PRINTED_DIGITS} digits a report prints")
-        return
-    # one bit of slack: float rounding cannot refuse a cell that
-    # _check_peak would admit
-    if floor + log2((_generators(base) + b) * _ENTRY_BYTES) > log2(MEMORY_BUDGET) + 1:
-        raise LimitExceeded(f"{cell}, over the {MEMORY_BUDGET >> 20} MiB budget")
-
-
-def _log2_tuples_floor(
-    base: ClosedSurface, d: int, b: int, simple_only: bool
-) -> float | None:
-    """log2 of a lower bound on the cell's tuples where one is proved,
-    over a base with chi <= 0: for d >= 2 and even b, simple or not, and
-    for d >= 3 and odd b without the simple restriction; None elsewhere.
-
-    With b even every term (f^lambda)^chi * c(lambda)^b of the character
-    sum is >= 0, and the trivial and sign characters have f = 1 and
-    c = +-d(d-1)/2, so there are at least 2 (d!)^(1-chi) (d(d-1)/2)^b
-    simple tuples. A transposition is not the identity, so every simple
-    tuple is also a tuple of the cell without the simple restriction.
-
-    With b odd and any meridians allowed, inclusion-exclusion gives
-    (d!)^(1-chi) ((d!-1)^b + 1 - sum_lambda (f^lambda)^chi) tuples. Each
-    (f^lambda)^chi is at most 1, so there are at least (d!)^(1-chi)
-    ((d!-1)^b + 1 - p(d)), p(d) the number of partitions of d: positive
-    for d >= 3.
-
-    A cell refused on this bound is one _check_peak would refuse: the
-    peak it predicts grows with the tuple count, and the cell is reached
-    because its connected count is positive. For chi <= 0 the base has a
-    handle or two crosscaps: with sigma a d-cycle, the handle (sigma, 1)
-    or the crosscaps (sigma, sigma^-1), identities elsewhere and the
-    meridians in equal pairs (1 2), (1 2) form a transitive tuple; with
-    b odd the first three meridians are (1 2 3) instead, or with b = 1
-    the handle is (sigma, (1 2)) or the crosscaps (sigma, 1) and the
-    meridian closes the relation."""
-    chi = euler_characteristic(base)
-    if d < 2 or chi > 0:
-        return None
-    if b % 2 == 0:
-        return 1 + (1 - chi) * log2(factorial(d)) + b * log2(d * (d - 1) // 2)
-    if simple_only or d < 3:
-        return None
-    n = factorial(d)
-    return (1 - chi) * log2(n) + log2((n - 1) ** b + 1 - len(_irreducibles(d)))
+    cost, steps = _sums_cost(base, d, b, simple_only)
+    admit(_cell(base, d, b), bytes=cost, steps=steps)
 
 
 def _digits(n: int) -> int:
@@ -209,23 +179,20 @@ def _digits(n: int) -> int:
 
 
 def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
-    """Peak bytes of listing every tuple of a cell, an upper bound on the
-    orderly generator's, refused over the budget. A class of connected
-    tuples holds at least (d-1)! of them, as a transitive group's
-    centraliser acts freely on the sheets."""
+    """Admit the engine on a cell and return its bytes: the S_d tables'
+    8 d!^2 and the peak of listing every tuple, an upper bound on the
+    orderly generator's. A class of connected tuples holds at least (d-1)!
+    of them, as a transitive group's centraliser acts freely on the
+    sheets. The engine's time is not priced yet: its cells are those the
+    listing admits."""
     k = _generators(base) + b
     tuples = hom_count(base, d, b, simple_only)
     classes = tuples // factorial(d - 1)
     peak = 8 * factorial(d) ** 2 + tuples * k * _ENTRY_BYTES + _SLACK_BYTES
     peak += classes * (8 * k + _CLASS_BYTES)
-    if peak > MEMORY_BUDGET:
-        cell = f"census cell ({base.name}, degree {d}, {b} branch points)"
-        budget = f"the {MEMORY_BUDGET >> 20} MiB budget"
-        if tuples >= 10**18:  # a count this long is told by its size
-            raise LimitExceeded(f"{cell} has a tuple count of {_digits(tuples)} digits, over {budget}")
-        raise LimitExceeded(
-            f"{cell} has {tuples} tuples and needs about {-(-peak >> 20)} MiB, over {budget}"
-        )
+    # a count this long is told by its size
+    count = f"a tuple count of {_digits(tuples)} digits" if tuples >= 10**18 else f"{tuples} tuples"
+    admit(f"{_cell(base, d, b)} has {count} and", bytes=peak)
     return peak
 
 
@@ -255,11 +222,17 @@ def _closed_form_row(
 
 
 def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
-    """The exact connected count of a cell enumerate_covers may answer. A
-    cell answered without enumerating, empty or from closed forms, has no
-    peak to check."""
+    """The exact connected count of a cell enumerate_covers may answer,
+    refused when it is too long to print. A cell answered without
+    enumerating, empty or from closed forms, reaches no engine to admit."""
     _check_cell(base, d, b, simple_only)
     expected = connected_count(base, d, b, simple_only)
+    digits = _digits(expected) if expected else 1
+    if digits > _PRINTED_DIGITS:
+        raise LimitExceeded(
+            f"{_cell(base, d, b)} has a tuple count of {digits} digits, "
+            f"over the {_PRINTED_DIGITS} digits a report prints"
+        )
     if expected and not _closed_form(base, b, simple_only):
         _check_peak(base, d, b, simple_only)
     return expected
@@ -316,9 +289,12 @@ def parity_audit(d_max: int, b_max: int) -> AuditReport:
     first row is taken, the largest first."""
     if d_max < 1 or b_max < 0:
         raise ValueError(f"need --dmax >= 1 and --bmax >= 0, got {d_max} and {b_max}")
+    cost = steps = 0
     for d in range(d_max, 0, -1):  # lazily: product() would list each range
         for b in range(b_max, -1, -1):
-            _admit(PROJECTIVE_PLANE, d, b, True)
+            cell_cost, cell_steps = _sums_cost(PROJECTIVE_PLANE, d, b, True)
+            cost, steps = max(cost, cell_cost), steps + cell_steps
+            admit(f"the parity audit up to degree {d_max} and {b_max} branch points", bytes=cost, steps=steps)
     rows = tuple(
         (d, b, s.genus)
         for d, b in itertools.product(range(1, d_max + 1), range(b_max + 1))
@@ -337,7 +313,7 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     with the forced cell's row, exact from closed forms, as witness: its
     branch count is odd, so the cell is empty. The report's notes keep
     their wording, "exhaustive enumeration" included."""
-    from .hurwitz import check_build, construct_hyperelliptic, pass_steps, stabilize, total_space
+    from .hurwitz import admit_passes, construct_hyperelliptic, pass_steps, stabilize, total_space
 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -349,7 +325,7 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     # one pass per witness built: witness g has 2g + 2n - 2 meridians of
     # degree n, (G + 1)(G + 2n - 2) in all for g = 0..G
     steps = pass_steps((genus_max + 1) * (genus_max + 2 * n - 2), n)
-    check_build(f"the sphere witnesses up to genus {genus_max}", steps)
+    admit_passes(f"the sphere witnesses up to genus {genus_max}", steps)
     witnesses = []
     for g in range(genus_max + 1):
         datum = stabilize(construct_hyperelliptic(g), n - 2)

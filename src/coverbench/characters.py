@@ -131,14 +131,17 @@ def _connected(chi: int, d: int, b: int, simple_only: bool) -> int:
         return 0  # no tuple at all, see _simple_homs
     if simple_only:
         # split off the orbit of sheet 1: k sheets carrying j of the meridians
+        # (odd counts of meridians have none), with Pascal's row of m
         homs = [[_simple_homs(chi, n, m) for m in range(b + 1)] for n in range(d + 1)]
         conn = [[0] * (b + 1) for _ in range(d + 1)]
-        for n in range(1, d + 1):
-            for m in range(b + 1):
+        row = [1]
+        for m in range(b + 1):
+            row = [1, *(x + y for x, y in zip(row, row[1:])), 1] if m else row
+            for n in range(1, d + 1) if m % 2 == 0 else ():
                 conn[n][m] = homs[n][m] - sum(
-                    comb(n - 1, k - 1) * comb(m, j) * conn[k][j] * homs[n - k][m - j]
+                    comb(n - 1, k - 1) * row[j] * conn[k][j] * homs[n - k][m - j]
                     for k in range(1, n)
-                    for j in range(m + 1)
+                    for j in range(0, m + 1, 2)
                 )
         return conn[d][b]
 

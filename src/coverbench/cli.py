@@ -168,9 +168,9 @@ def _datum_payload(datum: HurwitzData) -> dict:
 def _check_input(k: int, d: int) -> None:
     """Charge a Hurwitz input of k generators and degree d one pass, before
     anything of degree d is built."""
-    from .hurwitz import check_build, pass_steps
+    from .hurwitz import admit_passes, pass_steps
 
-    check_build(f"reading the datum of degree {d}", pass_steps(max(k, 1), d))
+    admit_passes(f"reading the datum of degree {d}", pass_steps(max(k, 1), d))
 
 
 def _datum_from_doc(doc: dict) -> HurwitzData:
@@ -286,13 +286,13 @@ def _cmd_construct(args):
 
 
 def _cmd_stabilize(args):
-    from .hurwitz import check_build, generators, stabilize, stabilize_steps
+    from .hurwitz import admit_passes, generators, stabilize, stabilize_steps
 
     if args.times < 0:
         raise InvalidInput("--times cannot be negative")
     datum, digest = _hurwitz_input(args)
     steps = stabilize_steps(len(generators(datum)), datum.degree, args.times)
-    check_build(f"stabilizing {args.times} times", steps)
+    admit_passes(f"stabilizing {args.times} times", steps)
     datum = stabilize(datum, args.times)
     payload = _datum_payload(datum)
     payload["times"] = args.times
@@ -445,7 +445,7 @@ def _report_json(report) -> dict:
 def _cmd_staircase(args):
     from .layered import staircase, verify_layered
 
-    cover = staircase(args.levels)
+    cover = staircase(args.levels, passes=1 + args.verify)
     payload = {"cover": jsonio.layered_to_json(cover)}
     code = 0
     if args.verify:

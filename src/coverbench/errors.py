@@ -1,12 +1,31 @@
-"""Exception types, the validation report and the memory budget shared
-across the workbench."""
+"""Exception types, the validation report and the one admission rule
+shared across the workbench."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 MEMORY_BUDGET = 4 << 30
-"""Bytes a run may be predicted to need before it is refused with
-LimitExceeded: a constant, so a verdict is the same on every machine."""
+"""Bytes a run may be predicted to need."""
+STEP_BUDGET = 4 * 10**6
+"""Steps a run may be predicted to take. A step is the unit of a Hurwitz
+pass, one entry of a permutation (module hurwitz); every other price is
+fitted to the wall time of whole CLI runs in that unit, 0.1 to 1.4 us a
+step on a 2-core Xeon with Python 3.11."""
+
+
+def admit(what: str, *, bytes: int = 0, steps: int = 0) -> None:
+    """Refuse with LimitExceeded, before it starts, a run predicted to
+    need more than MEMORY_BUDGET bytes or STEP_BUDGET steps. Both budgets
+    are constants, so a verdict is the same on every machine. The message
+    names the larger overrun, the need rounded up to whole MiB (a need
+    past 2^64 MiB as a power of two) or the step budget."""
+    if bytes <= MEMORY_BUDGET and steps <= STEP_BUDGET:
+        return
+    if bytes * STEP_BUDGET < steps * MEMORY_BUDGET:
+        raise LimitExceeded(f"{what} would take more than the budget of {STEP_BUDGET} steps")
+    mib = -(-bytes >> 20)
+    need = mib if mib.bit_length() <= 64 else f"2^{mib.bit_length() - 1}"
+    raise LimitExceeded(f"{what} needs about {need} MiB, over the {MEMORY_BUDGET >> 20} MiB budget")
 
 
 class WorkbenchError(Exception):
@@ -42,9 +61,8 @@ class WrongBase(WorkbenchError):
 
 
 class LimitExceeded(WorkbenchError):
-    """A census cell or a layered cover would exceed the memory budget, a
-    cell's character sums are too long, or a datum builder would take more
-    steps than its budget."""
+    """A run was refused before it started: admit predicted it over a
+    budget, or a census row's counts are too long to print."""
 
 
 class NotNormalized(WorkbenchError):

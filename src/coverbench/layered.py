@@ -38,13 +38,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    MEMORY_BUDGET,
     DepthExceeded,
     InvalidInput,
-    LimitExceeded,
     NonorientableInput,
     NotNormalized,
     UnverifiedInput,
+    admit,
 )
 from .exhaustion import (
     ExhaustionGraph,
@@ -55,21 +54,24 @@ from .exhaustion import (
 
 BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 
-# Peak bytes of a run, its streamed report included (ru_maxrss, 2-core
-# Xeon, Python 3.11), fitted when the report copied the cover's tuples.
-# Each now bounds the peaks below with room to spare; a refit should bound
-# time too, as runs near its limit take minutes. Each slope is taken
-# between the two largest runs.
-# Per branch point of a build-cover run: 202 to 124 from 250,001 to
-# 2,000,001 branch points (50 to 247 MB, 1.9 to 13.4 s); slope 112.
+# Prices for errors.admit per unit of the report, known before the cover
+# is built. Bytes bound the peak ru_maxrss of a run with room to spare
+# (2-core Xeon, Python 3.11); steps are fitted to the wall time of whole
+# CLI runs, 0.9-1.1 us a step at the edge, so the step budget binds first.
+# Per branch point of build-cover: 129 report bytes, 4.0-4.6 us and 147 to
+# 117 bytes of peak from 500,001 to 2,000,001 branch points (74 to 234 MB,
+# 2.0 to 8.3 s).
 _BRANCH_BYTES = 384
-# Per squared level of a staircase run with --verify, each level listing
-# all its sheets: 16.2 to 10.9 from 2,000 to 6,000 levels (65 to 394 MB,
-# 3.5 to 34 s); slope 10.2.
+_BRANCH_STEPS = 4
+# Per squared level of a staircase run, each level listing all its sheets:
+# 28 report bytes and 0.36-0.39 us, and as much again for --verify;
+# 11 to 15 bytes of peak from 2,000 to 4,000 levels.
 _STAIRCASE_BYTES = 28
-# Per staircase level of a compose-staircase run: 204 to 123 from 250,000
-# to 2,000,000 levels (51 to 246 MB, 1.7 to 12.1 s); slope 112.
+_SQUARED_LEVELS_PER_STEP = 3
+# Per level of compose-staircase: 64 report bytes, 4.1-4.4 us and 126 to
+# 117 bytes of peak from 10^6 to 2*10^6 levels (126 to 234 MB, 4.1 to 8.8 s).
 _LEVEL_BYTES = 296
+_LEVEL_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -246,12 +248,11 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
     branch_points = 1 + sum(
         2 * p.genus + 3 * (piece_shape(p) == "b") for p in e.pieces if 2 <= p.level <= J
     )
-    limit = MEMORY_BUDGET // _BRANCH_BYTES
-    if branch_points > limit:
-        raise LimitExceeded(
-            f"the cover through level {J} has more than {limit} branch points, "
-            f"over the {MEMORY_BUDGET >> 20} MiB budget"
-        )
+    admit(
+        f"the cover through level {J} with {branch_points} branch points",
+        bytes=_BRANCH_BYTES * branch_points,
+        steps=_BRANCH_STEPS * branch_points,
+    )
 
     blocks: list[Block] = []
     feeds: dict[int, tuple[str, tuple[int, ...]]] = {}
@@ -296,21 +297,19 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
     return LayeredCover(J, degree, tuple(blocks))
 
 
-def _check_staircase_levels(what: str, J: int, need: int) -> None:
-    if need > MEMORY_BUDGET:
-        raise LimitExceeded(
-            f"{what} through level {J} needs about {-(-need >> 20)} MiB, "
-            f"over the {MEMORY_BUDGET >> 20} MiB budget"
-        )
-
-
-def staircase(J: int) -> LayeredCover:
+def staircase(J: int, passes: int = 1) -> LayeredCover:
     """Connected cover over the standard disk/annulus exhaustion with
     one fresh sheet and one simple branch point per level; the fiber
-    count over stage J is J + 1."""
+    count over stage J is J + 1. Its admission charges the passes its
+    caller makes over it, its report and a verification each."""
     if J < 1:
         raise ValueError(f"need J >= 1, got {J}")
-    _check_staircase_levels("the staircase", J, _STAIRCASE_BYTES * J * J)
+    squares = J * J
+    admit(
+        f"the staircase through level {J}",
+        bytes=_STAIRCASE_BYTES * squares,
+        steps=passes * squares // _SQUARED_LEVELS_PER_STEP,
+    )
     blocks = [
         Block("s1", 1, "staircase", (0, 1), (), None, ((0, 1),), ((1, 1),), ((1, (0, 1)),), None, None)
     ]
@@ -533,7 +532,11 @@ def compose_with_staircase(c: LayeredCover, J: int) -> ComposedReport:
     and grows without bound in J."""
     if J < 0:
         raise ValueError(f"need J >= 0, got {J}")
-    _check_staircase_levels("the composite with the staircase", J, _LEVEL_BYTES * J)
+    admit(
+        f"the composite with the staircase through level {J}",
+        bytes=_LEVEL_BYTES * J,
+        steps=_LEVEL_STEPS * J,
+    )
     report = verify_layered(c)
     if not report.ok:
         raise UnverifiedInput(

@@ -5,7 +5,7 @@ import json
 import resource
 import sys
 from fractions import Fraction
-from math import factorial, log2
+from math import factorial
 
 import hypothesis.strategies as st
 import numpy as np
@@ -15,7 +15,6 @@ from hypothesis import given, seed, settings
 from coverbench.census import (
     AuditReport,
     CensusRow,
-    _log2_tuples_floor,
     enumerate_covers,
     merge_shards,
     parity_audit,
@@ -163,7 +162,8 @@ def test_repeated_runs_identical():
         (ClosedSurface(False, 5000), 6, 0, True),
         (ClosedSurface(True, 5), 6, 8, False),
         (TORUS, 6, 4, False),
-        (SPHERE, 8, 2, True),  # the tables of S_8 alone need 13 GB
+        # the character sums of s2/10^6/2 list partitions past the step budget
+        (SPHERE, 10**6, 2, True),
         (SPHERE, 10**18, 0, True),
         (SPHERE, 2, 5000, True),  # one tuple, but long character sums
         (SPHERE, 0, 2, True),
@@ -183,8 +183,8 @@ def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
     [(ClosedSurface(True, 5), 6, 8), (TORUS, 6, 8), (KLEIN_BOTTLE, 5, 6), (ClosedSurface(False, 3), 5, 4)],
 )
 def test_closed_form_cells_are_answered_past_the_tuple_floor(base, d, b):
-    # the floor refuses the engine these cells, but their simple rows come
-    # from closed forms and list no tuple
+    # the listing's peak refuses the engine these cells, but their simple
+    # rows come from closed forms and list no tuple
     _group_table.cache_clear()
     (row,) = enumerate_covers(base, d, b, True).realized
     assert row[1:] == (connected_count(base, d, b, True), class_count(base, d, b))
@@ -193,28 +193,8 @@ def test_closed_form_cells_are_answered_past_the_tuple_floor(base, d, b):
     assert _group_table.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("simple_only", [True, False])
-def test_tuple_floor_bounds_nonempty_cells_from_below(simple_only):
-    # the closed-form floor that refuses cells before any character sum;
-    # with b odd a simple cell is empty, and a cell of any meridians has
-    # a floor from degree 3 on
-    for base in (TORUS, KLEIN_BOTTLE, ClosedSurface(True, 3), ClosedSurface(False, 5)):
-        for d in range(2, 7):
-            for b in range(7):
-                floor = _log2_tuples_floor(base, d, b, simple_only)
-                if b % 2 and (simple_only or d < 3):
-                    assert floor is None, (base, d, b)
-                    continue
-                # equal where the other characters vanish: allow rounding
-                assert floor <= log2(hom_count(base, d, b, simple_only)) + 1e-9, (base, d, b)
-                assert connected_count(base, d, b, simple_only) > 0, (base, d, b)
-    odd = (TORUS, 4, 3) if simple_only else (TORUS, 2, 3)
-    for base, d, b in ((SPHERE, 4, 6), (PROJECTIVE_PLANE, 4, 2), (TORUS, 1, 2), odd):
-        assert _log2_tuples_floor(base, d, b, simple_only) is None
-
-
 def test_tuples_of_any_meridians_by_inclusion_exclusion():
-    # the identity behind the odd-b floor: with r = 2 - chi and b >= 1,
+    # the count of a cell of any meridians: with r = 2 - chi and b >= 1,
     # (d!)^(r-1) ((d!-1)^b - (-1)^b) + (-1)^b (d!)^(r-1) sum (f^lambda)^chi
     for base in (TORUS, ClosedSurface(True, 2), ClosedSurface(True, 3),
                  KLEIN_BOTTLE, ClosedSurface(False, 3), ClosedSurface(False, 4)):
@@ -334,14 +314,27 @@ def test_universal_report_degree3():
     assert all(w.branch_count == 2 * w.genus + 2 * 3 - 2 for w in report.sphere_witnesses)
 
 
-def test_universal_report_admits_degree_7_not_8():
-    report = universal_base_report_dim2(7, 1)
-    assert report.rp2_exhaustive_cell == (7, 7)
+def test_universal_report_admits_degree_984_not_985():
+    # the forced cell has an odd branch count, so it is empty without a
+    # character sum; the two witnesses of degree 984 are the last within
+    # the step budget (3,996,944 steps)
+    report = universal_base_report_dim2(984, 1)
+    assert report.rp2_exhaustive_cell == (984, 983)
     assert report.rp2_exhaustive_empty is True
-    with pytest.raises(LimitExceeded):
-        universal_base_report_dim2(8, 1)
+    with pytest.raises(LimitExceeded, match="the sphere witnesses up to genus 1 would take more"):
+        universal_base_report_dim2(985, 1)
     with pytest.raises(ValueError):
         universal_base_report_dim2(1, 1)
+
+
+def test_degree_8_closed_form_cell_reports():
+    # the S_8 tables refused every degree-8 cell, also those that build none
+    _group_table.cache_clear()
+    orientable, nonorientable = enumerate_covers(PROJECTIVE_PLANE, 8, 8, True).realized
+    assert orientable == (TORUS, 28_178_841_600, 698_880)
+    assert nonorientable == (KLEIN_BOTTLE, 387_754_859_520 - 28_178_841_600, 9_616_936 - 698_880)
+    assert parity_audit(8, 8).passed
+    assert _group_table.cache_info().currsize == 0
 
 
 def test_parity_audit_admits_huge_ranges_without_listing_them(monkeypatch):

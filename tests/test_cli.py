@@ -511,22 +511,45 @@ class TestCensusCommands:
         assert (rc, err) == (0, "")
         assert report_of(out)["result"]["rows"] == []
 
-    def test_universal_report_admits_degree_7_not_8(self):
-        rc, out, _ = run_cli(["universal-report", "--degree", "7", "--genus-max", "1"])
+    def test_universal_report_admits_degree_984_not_985(self):
+        # degree 8 was refused for the S_8 tables, which the report never
+        # builds: its census cell is empty by parity, and the witnesses'
+        # steps bound it now
+        rc, out, _ = run_cli(["universal-report", "--degree", "984", "--genus-max", "1"])
         assert rc == 0
-        assert report_of(out)["result"]["rp2_exhaustive_cell"] == [7, 7]
-        rc, out, err = run_cli(["universal-report", "--degree", "8", "--genus-max", "1"])
+        assert report_of(out)["result"]["rp2_exhaustive_cell"] == [984, 983]
+        rc, out, err = run_cli(["universal-report", "--degree", "985", "--genus-max", "1"])
         assert (rc, out) == (2, "")
-        assert err == "error: degree 8: the group tables of S_8 exceed the memory budget\n"
+        assert err == "error: the sphere witnesses up to genus 1 would take more than the budget of 4000000 steps\n"
+
+    def test_degree_8_closed_form_cell_and_audit_report(self):
+        rc, out, err = run_cli(["enumerate", "--base", "rp2", "--degree", "8", "--branch-points", "8"])
+        assert (rc, err) == (0, "")
+        res = report_of(out)["result"]
+        assert (res["total_raw"], res["total_classes"]) == (387_754_859_520, 9_616_936)
+        orientable = [(r["raw_count"], r["class_count"]) for r in res["rows"] if r["surface"]["orientable"]]
+        assert orientable == [(28_178_841_600, 698_880)]
+        rc, out, err = run_cli(["parity-audit", "--dmax", "8", "--bmax", "8"])
+        assert (rc, err) == (0, "")
+        assert report_of(out)["result"]["passed"] is True
 
     def test_parity_audit_refuses_before_enumerating(self, monkeypatch):
+        # the audit is charged the character sums of all its cells, the
+        # largest first: through degree 21 they take 3,622,550 steps, and
+        # degree 10^6 is priced without listing a partition of it
         def enumerated(*args):
             raise AssertionError(f"cell {args[1:3]} enumerated before admission")
 
         monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
-        rc, out, err = run_cli(["parity-audit", "--dmax", "8", "--bmax", "8"])
-        assert (rc, out) == (2, "")
-        assert err == "error: degree 8: the group tables of S_8 exceed the memory budget\n"
+        for dmax, bmax in ((22, 8), (10**6, 2)):
+            start = time.perf_counter()
+            rc, out, err = run_cli(["parity-audit", "--dmax", str(dmax), "--bmax", str(bmax)])
+            assert time.perf_counter() - start < 1
+            assert (rc, out) == (2, "")
+            assert err == (
+                f"error: the parity audit up to degree {dmax} and {bmax} branch points "
+                "would take more than the budget of 4000000 steps\n"
+            )
 
     def test_enumeration_disagreeing_with_character_count_exits_2(self, monkeypatch):
         # rp2/2/2 with any meridians is enumerated; a simple cell with
@@ -922,14 +945,14 @@ def test_running_out_of_memory_while_writing_exits_2_with_one_line():
 
 def test_high_genus_cells_are_answered_before_any_character_sum():
     # the tuple count of o30000/6/0 has 171,438 digits: computing it took
-    # 7 s and printing it failed, so the closed-form floor refuses the cell
-    # first; with one branch point the cell is empty by parity
+    # 3-7 s and printing it failed, so the price of its powers refuses the
+    # cell first; with one branch point the cell is empty by parity
     start = time.perf_counter()
     rc, out, err = run_cli(["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "0"])
     assert (rc, out) == (2, "")
     assert err == (
         "error: census cell (orientable genus-30000 surface, degree 6, 0 branch points) "
-        "has a tuple count of at least 171438 digits, over the 4299 digits a report prints\n"
+        "would take more than the budget of 4000000 steps\n"
     )
     rc, out, err = run_cli(["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "1"])
     assert (rc, err) == (0, "")
@@ -938,13 +961,15 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 
 @pytest.mark.parametrize(
-    "cell", [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 8, 2), ("s2", 2, 5000), ("o30000", 6, 2)]
+    "cell",
+    [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 2, 5000), ("o30000", 6, 2), ("torus", 40, 0)],
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
     # the closed-form counts of n5000/6/0 and n5000/5/8 pass the 4299
-    # digits a report prints: the refusal must come from the cell's
-    # counts, before numpy is loaded and so before any group table or
-    # tuple exists
+    # digits a report prints, and the character sums of the others pass
+    # the step budget (torus/40/0 took 7.7 s in them): the refusal must
+    # come before numpy is loaded and so before any group table or tuple
+    # exists
     base, d, b = cell
     script = (
         "import sys\n"
@@ -967,7 +992,7 @@ def test_cells_out_of_reach_are_refused_at_once(cell):
     error, numpy_loaded = child.stderr.splitlines()
     assert (child.returncode, child.stdout, numpy_loaded) == (2, "", "False")
     assert error.startswith("error: ")
-    assert elapsed < 2
+    assert elapsed < 1
 
 
 # what every run loads: the package, the CLI, the codecs and the surfaces
@@ -1123,7 +1148,7 @@ def test_closed_form_cells_past_enumeration_answer_at_once(cell):
 def test_closed_form_cells_are_answered_while_their_counts_print(genus, digits):
     # a closed-form row lists no tuple, so the memory budget does not bound
     # it; its counts print with int.__repr__, which stops at 4300 digits,
-    # and the cell is refused past a floor of 4299 (o7140/2/2 has 4299)
+    # and the cell is refused past 4299 (o7140/2/2 has 4299)
     start = time.perf_counter()
     rc, out, err = run_cli(["enumerate", "--base", f"o{genus}", "--degree", "2", "--branch-points", "2"])
     assert time.perf_counter() - start < 1
@@ -1131,7 +1156,7 @@ def test_closed_form_cells_are_answered_while_their_counts_print(genus, digits):
         assert (rc, out) == (2, "")
         assert err == (
             f"error: census cell (orientable genus-{genus} surface, degree 2, 2 branch points) "
-            "has a tuple count of at least 4300 digits, over the 4299 digits a report prints\n"
+            "has a tuple count of 4300 digits, over the 4299 digits a report prints\n"
         )
         return
     assert (rc, err) == (0, "")
@@ -1142,15 +1167,15 @@ def test_closed_form_cells_are_answered_while_their_counts_print(genus, digits):
 
 def test_high_genus_cells_of_any_meridians_are_refused_at_once():
     # o30000/6/1 is empty only for simple covers: with any meridians its
-    # character sums took 7 s before the refusal, which a closed-form
-    # floor for odd b now gives first
+    # character sums took 5-7 s before the refusal, which the price of
+    # their powers now gives first
     start = time.perf_counter()
     argv = ["enumerate", "--base", "o30000", "--degree", "6", "--branch-points", "1", "--all"]
     rc, out, err = run_cli(argv)
     assert (rc, out) == (2, "")
     assert err == (
         "error: census cell (orientable genus-30000 surface, degree 6, 1 branch points) "
-        "has a tuple count of at least 171440 digits, over the 4096 MiB budget\n"
+        "would take more than the budget of 4000000 steps\n"
     )
     assert time.perf_counter() - start < 1
 
@@ -1190,36 +1215,51 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
     )
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == (
-        "error: the cover through level 2 has more than 11184810 branch points, "
-        "over the 4096 MiB budget\n"
+        f"error: the cover through level 2 with {2 * genus + 1} branch points "
+        "would take more than the budget of 4000000 steps\n"
     )
     assert peak < 100 << 20
+
+
+_STEPS = "would take more than the budget of 4000000 steps"
 
 
 @pytest.mark.parametrize(
     "command, levels, error",
     [
-        ("staircase", 10**5, "the staircase through level 100000 needs about 267029 MiB"),
-        ("staircase", 10**8, "the staircase through level 100000000 needs about 267028808594 MiB"),
-        # the first level refused: its need, 4096.5 MiB, is rounded up
-        ("staircase", 12386, "the staircase through level 12386 needs about 4097 MiB"),
-        (
-            "compose-staircase",
-            10**8,
-            "the composite with the staircase through level 100000000 needs about 28229 MiB",
-        ),
+        ("staircase", 10**5, f"the staircase through level 100000 {_STEPS}"),
+        ("staircase", 10**8, f"the staircase through level 100000000 {_STEPS}"),
+        # once the first level refused, for its 4097 MiB
+        ("staircase", 12386, f"the staircase through level 12386 {_STEPS}"),
+        # the first levels refused: 3465^2 / 3 steps, and twice that with
+        # the verify pass at 2450
+        ("staircase", 3465, f"the staircase through level 3465 {_STEPS}"),
+        ("staircase --verify", 2450, f"the staircase through level 2450 {_STEPS}"),
+        ("compose-staircase", 10**8, f"the composite with the staircase through level 100000000 {_STEPS}"),
+        ("compose-staircase", 1000001, f"the composite with the staircase through level 1000001 {_STEPS}"),
         ("compose-staircase", 10**5, None),
     ],
-    ids=["staircase-1e5", "staircase-1e8", "staircase-12386", "compose-1e8", "compose-1e5"],
+    ids=[
+        "staircase-1e5",
+        "staircase-1e8",
+        "staircase-12386",
+        "staircase-3465",
+        "staircase-verify-2450",
+        "compose-1e8",
+        "compose-1000001",
+        "compose-1e5",
+    ],
 )
 def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels, error):
-    # staircase(J) lists all J + 1 sheets at every level, about 11 J^2
-    # bytes, and compose-staircase keeps about 123 bytes a level: without
-    # a bound both grew toward the whole machine, so the children run
-    # under a 1 GiB address-space cap
-    argv = [sys.executable, "-m", "coverbench.cli", command, "--levels", str(levels)]
+    # staircase(J) lists all J + 1 sheets at every level, about 28 J^2
+    # bytes of report, and compose-staircase writes about 64 bytes a level:
+    # without a bound both grew toward the whole machine, and with one on
+    # memory alone they ran for minutes, so the children run under a 1 GiB
+    # address-space cap and each refusal comes at once
+    argv = [sys.executable, "-m", "coverbench.cli", *command.split(), "--levels", str(levels)]
     if command == "compose-staircase":
         argv += ["--input", write_doc(tmp_path, "c.json", jsonio.layered_to_json(staircase(3)))]
+    start = time.perf_counter()
     child, peak = run_measured(
         argv,
         timeout=60,
@@ -1229,8 +1269,9 @@ def test_staircase_levels_are_bounded_before_any_block(tmp_path, command, levels
         assert (child.returncode, child.stderr) == (0, "")
         assert report_of(child.stdout)["result"]["staircase_depth"] == levels
         return
+    assert time.perf_counter() - start < 1
     assert (child.returncode, child.stdout) == (2, "")
-    assert child.stderr == f"error: {error}, over the 4096 MiB budget\n"
+    assert child.stderr == f"error: {error}\n"
     assert peak < 100 << 20
 
 

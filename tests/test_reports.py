@@ -104,7 +104,7 @@ GOLDEN = [
      EMPTY),
     ("enumerate --base o30000 --degree 6 --branch-points 0", 2,
      EMPTY,
-     "5108c17d622379cdeaaab494dc56408d61fd8bacec774372f71c0f1dfe610daa"),
+     "faf76356c33e83fa47ba0bf6e984f5ff588caa02216a2eb7d12f1513b44ce232"),
 ]
 
 
