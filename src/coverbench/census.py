@@ -63,18 +63,19 @@ if TYPE_CHECKING:
 # Prices for errors.admit. The character sums (module characters) take,
 # for each n <= d, the hook lengths of the p(n) partitions of n, about n
 # steps each, and a term per partition and per even number of meridians up
-# to b, about _PARTITION_STEPS each; the connected counts then fold a
-# (d+1) x (b+1) table, about (d (b+1))^2 / 4 steps. A power of w words of
-# _POWER_BITS bits costs about w steps to multiply and w^2 to add as a
-# Fraction. Fitted in process to 488 cells over s2, rp2, torus, klein and
-# o_g, n_h up to genus 5000 (2-core Xeon, Python 3.11): 0.1 to 1.4 us a
-# step, 1.1 us on o5/24/22 (1.3 s); torus/35/0 takes 1.7 s as a CLI run.
+# to b, the integer f h^(1-chi) c^b, about _PARTITION_STEPS each; the
+# connected counts then fold a (d+1) x (b+1) table, about (d (b+1))^2 / 4
+# steps. With powers of w words of _POWER_BITS bits, a partition's work
+# costs w^2 times as much (its powers are built by squaring) and a table
+# entry w times. Fitted on whole CLI runs of 120 random cells over s2, rp2,
+# torus, klein, o_g and n_h (2-core Xeon, Python 3.11): 0.095 to 1.16 us a
+# step; torus/36/0, the last torus cell without branch points, takes 2.1 s.
 # The engine's bytes are the peak ru_maxrss of listing every tuple (14-14.5
 # per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6), which bounds the orderly
 # generator from above (rp2/6/6: predicted 3.3 GB, measured 56 MB); the
 # class dictionary dominates at degree 2 (n20/2/0, when it was enumerated:
 # 486 MB for 2^20 one-tuple classes of 20 entries).
-_PARTITION_STEPS = 10
+_PARTITION_STEPS = 2
 _POWER_BITS = 2048
 _ENTRY_BYTES = 16
 _CLASS_BYTES = 256
@@ -196,12 +197,6 @@ def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
     return peak
 
 
-def _closed_form(base: ClosedSurface, b: int, simple_only: bool) -> bool:
-    """Whether a non-empty cell's row follows from closed forms: that of
-    a simple cell or of a cell without branch points (_closed_form_row)."""
-    return simple_only or b == 0
-
-
 def _closed_form_row(
     base: ClosedSurface, d: int, b: int, raw: int
 ) -> tuple[tuple[ClosedSurface, int, int], ...]:
@@ -233,7 +228,7 @@ def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
             f"{_cell(base, d, b)} has a tuple count of {digits} digits, "
             f"over the {_PRINTED_DIGITS} digits a report prints"
         )
-    if expected and not _closed_form(base, b, simple_only):
+    if expected and not (simple_only or b == 0):
         _check_peak(base, d, b, simple_only)
     return expected
 
@@ -268,7 +263,7 @@ def enumerate_covers(
     expected = _admit(base, d, b, simple_only)
     if expected == 0:
         return CensusRow(base, d, b, ())
-    if _closed_form(base, b, simple_only):
+    if simple_only or b == 0:
         return CensusRow(base, d, b, _closed_form_row(base, d, b, expected))
     from .orderly import classify_shard, enumerate_shard
 

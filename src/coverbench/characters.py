@@ -36,12 +36,12 @@ and one nonorientable candidate total space, so these give the whole row
 of a simple cell, or of a cell without branch points, over any base, and
 census.enumerate_covers answers it without enumerating.
 
-All arithmetic is exact: sums of Fractions whose denominators must
-cancel to 1, and integer quotients that must leave no remainder.
+All arithmetic is in integers (_simple_homs), and a quotient, the
+sphere's character sum by d! or Burnside's, that leaves a remainder
+raises InvalidData naming the cell.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
@@ -60,8 +60,8 @@ def _partitions(d: int, largest: int | None = None):
 
 
 @lru_cache(maxsize=None)
-def _irreducibles(d: int) -> tuple[tuple[int, int], ...]:
-    """(f^lambda, c(lambda)) for every partition lambda of d."""
+def _irreducibles(d: int) -> tuple[tuple[int, int, int], ...]:
+    """(f^lambda, its hook product h_lambda, c(lambda)) for every partition lambda of d."""
     out = []
     for lam in _partitions(d):
         columns = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
@@ -70,13 +70,8 @@ def _irreducibles(d: int) -> tuple[tuple[int, int], ...]:
             for j in range(row):
                 hooks *= row - j + columns[j] - i - 1
         contents = sum(row * (row - 1) // 2 - i * row for i, row in enumerate(lam))
-        out.append((factorial(d) // hooks, contents))
+        out.append((factorial(d) // hooks, hooks, contents))
     return tuple(out)
-
-
-def _exact(x: Fraction) -> int:
-    assert x.denominator == 1, f"character sum {x} is not an integer"
-    return x.numerator
 
 
 def _simple_homs(chi: int, d: int, b: int) -> int:
@@ -84,11 +79,20 @@ def _simple_homs(chi: int, d: int, b: int) -> int:
     are transpositions of S_d; the closed surface's homomorphisms when
     b = 0. There are none when b is odd: a product of commutators or of
     squares is even, and b transpositions multiply to an odd permutation
-    (S_0 and S_1 have no transpositions at all)."""
+    (S_0 and S_1 have no transpositions at all). For chi <= 1 a term
+    (d!)^(1 - chi) (f^lambda)^chi c(lambda)^b is the integer
+    f^lambda h_lambda^(1 - chi) c(lambda)^b, as h_lambda = d!/f^lambda;
+    the sphere's sum of (f^lambda)^2 c(lambda)^b is divided by d! once."""
     if b % 2:
         return 0
-    total = sum(Fraction(f) ** chi * c**b for f, c in _irreducibles(d))
-    return _exact(Fraction(factorial(d)) ** (1 - chi) * total)
+    if chi <= 1:
+        return sum(f * h ** (1 - chi) * c**b for f, h, c in _irreducibles(d))
+    total = sum(f * f * c**b for f, _, c in _irreducibles(d))
+    homs, rest = divmod(total, factorial(d))
+    if rest:
+        sums = f"the characters give {total}/{factorial(d)} tuples"
+        raise InvalidData(f"census cell (sphere, degree {d}, {b} branch points): {sums}, not an integer")
+    return homs
 
 
 def _free_homs(chi: int, d: int, b: int) -> int:

@@ -17,10 +17,13 @@ import random
 import subprocess
 import sys
 from collections import deque
+from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 import numpy as np
 
+from coverbench.characters import _irreducibles
 from coverbench.errors import DepthExceeded, InvalidInput
 from coverbench.exhaustion import (
     ExhaustionGraph,
@@ -288,6 +291,17 @@ def oracle_census(base: ClosedSurface, d: int, b: int, simple_only: bool):
         ((s, raw[s], len(classes[s])) for s in raw),
         key=lambda row: (not row[0].orientable, row[0].genus),
     )
+
+
+def fraction_simple_homs(chi: int, d: int, b: int) -> int:
+    """characters._simple_homs by Frobenius' formula as written, in
+    Fractions: (d!)^(1 - chi) * sum over lambda of (f^lambda)^chi *
+    c(lambda)^b, whose denominators must cancel to 1. There is no
+    shortcut for odd b: conjugate partitions then cancel term by term."""
+    total = sum(Fraction(f) ** chi * c**b for f, _, c in _irreducibles(d))
+    exact = Fraction(factorial(d)) ** (1 - chi) * total
+    assert exact.denominator == 1, f"character sum {exact} is not an integer"
+    return exact.numerator
 
 
 def conjugation_classes(base: ClosedSurface, d: int, b: int, simple_only: bool):

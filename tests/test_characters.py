@@ -7,11 +7,14 @@ import sys
 from math import factorial
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, seed, settings
 
 from coverbench.census import _check_cell, _check_peak, enumerate_covers
 from coverbench.characters import (
     _irreducibles,
+    _simple_homs,
     class_count,
     connected_count,
     hom_count,
@@ -29,7 +32,12 @@ from coverbench.surfaces import (
     ClosedSurface,
 )
 
-from oracles import ORACLE_NONSIMPLE_CELLS, ORACLE_SIMPLE_CELLS, oracle_census
+from oracles import (
+    ORACLE_NONSIMPLE_CELLS,
+    ORACLE_SIMPLE_CELLS,
+    fraction_simple_homs,
+    oracle_census,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SWEEP_BASES = (
@@ -49,11 +57,36 @@ def _generators(base: ClosedSurface) -> int:
 @pytest.mark.parametrize("d", range(0, 9))
 def test_irreducibles_sum_of_squares_and_contents(d):
     irreps = _irreducibles(d)
-    assert sum(f * f for f, _ in irreps) == factorial(d)
+    assert sum(f * f for f, _, _ in irreps) == factorial(d)
+    assert all(f * h == factorial(d) for f, h, _ in irreps)
     # transposing a partition negates its content sum; the sign
     # character's central value is -C(d, 2)
-    assert sorted(c for _, c in irreps) == sorted(-c for _, c in irreps)
-    assert min(c for _, c in irreps) == -d * (d - 1) // 2
+    assert sorted(c for _, _, c in irreps) == sorted(-c for _, _, c in irreps)
+    assert min(c for _, _, c in irreps) == -d * (d - 1) // 2
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-100, 2), st.integers(0, 14), st.integers(0, 40))
+@example(2, 14, 40)
+@example(2, 7, 3)
+@example(-100, 14, 40)
+def test_integer_character_sums_equal_the_fraction_formula(chi, d, b):
+    # the integer terms f h^(1 - chi) c^b, and the sphere's one division
+    # by d!, against Frobenius' formula in Fractions; odd b gives 0 both ways
+    count = _simple_homs(chi, d, b)
+    assert type(count) is int
+    assert count == fraction_simple_homs(chi, d, b)
+
+
+def test_sphere_sum_with_a_remainder_names_the_cell(monkeypatch):
+    monkeypatch.setattr("coverbench.characters._irreducibles", lambda d: ((1, 5, 1),))
+    with pytest.raises(InvalidData) as raised:
+        _simple_homs(2, 3, 2)
+    assert str(raised.value) == (
+        "census cell (sphere, degree 3, 2 branch points): the characters give "
+        "1/6 tuples, not an integer"
+    )
 
 
 @pytest.mark.parametrize(

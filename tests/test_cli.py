@@ -533,15 +533,40 @@ class TestCensusCommands:
         assert (rc, err) == (0, "")
         assert report_of(out)["result"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        ("admitted", "refused"),
+        [
+            # the audit, a high-genus cell and a sphere cell with many branch
+            # points at the edges of the integer sums' price; each was
+            # refused while a term was priced as a Fraction
+            (["parity-audit", "--dmax", "23", "--bmax", "8"], ["parity-audit", "--dmax", "24", "--bmax", "8"]),
+            (["enumerate", "--base", "o555", "--degree", "6", "--branch-points", "260"],
+             ["enumerate", "--base", "o555", "--degree", "6", "--branch-points", "262"]),
+            (["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "68"],
+             ["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "70"]),
+        ],
+    )
+    def test_integer_sums_admit_the_new_edges(self, admitted, refused):
+        rc, out, err = run_cli(admitted)
+        assert (rc, err) == (0, "")
+        res = report_of(out)["result"]
+        if admitted[0] == "parity-audit":
+            assert res["passed"] is True
+        else:
+            assert res["total_raw"] > 0
+        rc, out, err = run_cli(refused)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith("would take more than the budget of 4000000 steps\n")
+
     def test_parity_audit_refuses_before_enumerating(self, monkeypatch):
         # the audit is charged the character sums of all its cells, the
-        # largest first: through degree 21 they take 3,622,550 steps, and
+        # largest first: through degree 23 they take 3,392,890 steps, and
         # degree 10^6 is priced without listing a partition of it
         def enumerated(*args):
             raise AssertionError(f"cell {args[1:3]} enumerated before admission")
 
         monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
-        for dmax, bmax in ((22, 8), (10**6, 2)):
+        for dmax, bmax in ((24, 8), (10**6, 2)):
             start = time.perf_counter()
             rc, out, err = run_cli(["parity-audit", "--dmax", str(dmax), "--bmax", str(bmax)])
             assert time.perf_counter() - start < 1
@@ -962,12 +987,13 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 @pytest.mark.parametrize(
     "cell",
-    [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 2, 5000), ("o30000", 6, 2), ("torus", 40, 0)],
+    [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 2, 5000), ("o30000", 6, 2), ("torus", 40, 0), ("torus", 37, 0)],
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
     # the closed-form counts of n5000/6/0 and n5000/5/8 pass the 4299
     # digits a report prints, and the character sums of the others pass
-    # the step budget (torus/40/0 took 7.7 s in them): the refusal must
+    # the step budget (torus/40/0 took 7.7 s in them, and torus/37/0 is
+    # the first torus cell refused): the refusal must
     # come before numpy is loaded and so before any group table or tuple
     # exists
     base, d, b = cell
@@ -1035,7 +1061,8 @@ def test_each_subcommand_loads_only_its_layer(tmp_path, argv, layers):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'coverbench')\n"
-        "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n"
+        "exact = sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules)\n"
+        "print(json.dumps([code, loaded, 'numpy' in sys.modules, exact]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run(
@@ -1047,10 +1074,12 @@ def test_each_subcommand_loads_only_its_layer(tmp_path, argv, layers):
         cwd=tmp_path,
     )
     assert child.returncode == 0, child.stderr
-    code, loaded, numpy_loaded = json.loads(child.stdout)
+    code, loaded, numpy_loaded, exact = json.loads(child.stdout)
     assert code == 0
     assert set(loaded) == _FRONT | {f"coverbench.{layer}" for layer in layers}
     assert not numpy_loaded
+    # the character sums are integers: no run loads the Fraction machinery
+    assert exact == []
 
 
 def _row(orientable, genus, raw, classes):
