@@ -1,85 +1,66 @@
 """The census of monodromy data of bounded degree and branch count.
 
 A census cell is (base, degree, branch count, simple-or-not). This
-module is its numpy-free front: it admits or refuses a cell, answers
-every simple cell and every cell without branch points from closed
-forms, and hands the rest, the cells with any meridians allowed (--all)
-and b >= 1, to the engine, module orderly, which counts raw tuples and
-conjugation classes by orderly generation and classifies the class
-representatives in numpy.
-
-Every cell's connected raw total is known exactly from the characters
-of S_d (module characters): over a base of Euler characteristic chi
-there are (d!)^(1-chi) * sum_lambda (f^lambda)^chi * c(lambda)^b simple
+module admits or refuses a cell and answers it from closed forms, the
+characters of S_d (module characters), without listing a tuple or
+building a group table. Over a base of Euler characteristic chi there
+are (d!)^(1-chi) * sum_lambda (f^lambda)^chi * c(lambda)^b simple
 tuples, that is (d!)^(2g-1) sum (f^lambda)^(2-2g) c(lambda)^b over o_g
 and (d!)^(h-1) sum (f^lambda)^(2-h) c(lambda)^b over n_h, with f^lambda
-from the hook lengths and c(lambda) the sum of the contents; with any
-meridians allowed there are (d!)^(r+b-1) for b >= 1. The exponential
-formula and inclusion-exclusion over identity meridians give the
-connected counts.
+from the hook lengths and c(lambda) the sum of the contents. With any
+meridians allowed (--all), c(lambda)^b becomes P_lambda(t)^b, the
+product of 1 + c t over the contents, which grades the tuples by their
+total ramification V. The exponential formula and inclusion-exclusion
+over identity meridians give the connected counts.
 
-Two kinds of cell are answered from these counts alone, without
-importing the engine, so without numpy or a group table. A cell whose
-connected count is 0 reports its empty row. A simple cell, or a cell
-without branch points (where --all changes nothing), reports its rows:
-Riemann-Hurwitz fixes chi = d chi(base) - b, so there is at most an
-orientable and a nonorientable total space. Over an orientable base
-every cover is orientable, and the one row has the connected count as
-its raw count and Burnside's count of classes (characters.class_count,
-Mednykh's count of conjugacy classes of subgroups when b = 0). Over n_h
-the orientable row has characters.orientable_count and
-orientable_class_count, and the nonorientable row the rest. Neither kind
-lists a tuple or builds a group table: s2/5/10 (169,271,260 tuples),
-s2/7/142, o5/6/8, rp2/6/8, rp2/8/8, o2/6/0 and n20/2/0 are answered at
-once. A row is refused when its counts are too long to print (past 4299
-digits, as int.__repr__ stops at 4300).
+Riemann-Hurwitz fixes chi = d chi(base) - V, so each grade has at most
+an orientable and a nonorientable total space, and a simple cell has
+the one grade V = b. Over an orientable base every cover is orientable,
+and a row has the connected count as its raw count and Burnside's count
+of classes (characters.class_counts; Mednykh's count of conjugacy
+classes of subgroups when b = 0). Over n_h the orientable rows have the
+counts of the covers through the orientation double cover, and the
+nonorientable rows the rest. s2/5/10 (169,271,260 tuples), s2/7/142,
+o5/6/8, rp2/6/8, rp2/8/8, o2/6/0, n20/2/0 and s2/6/4 --all are answered
+at once. A cell is refused when its character sums are over the step
+budget (errors.admit, before any is taken) or its counts are too long
+to print (past 4299 digits, as int.__repr__ stops at 4300).
 
-Every other cell, one with any meridians allowed and b >= 1, is
-enumerated, and its raw total must equal the connected count, or the
-cell exits 2 naming itself. Every cell is admitted by errors.admit, its
-character sums before any is taken and the engine, S_d's tables and the
-listing's peak, before it is imported.
+The census engine, module orderly, which counts the classes by orderly
+generation in numpy, is the tests' reference for these rows; only
+__getattr__ reaches it, for the benchmark's tracing shim.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import factorial, log10
-from typing import TYPE_CHECKING
+from math import factorial, isqrt, log10
 
-from .characters import (
-    class_count,
-    connected_count,
-    hom_count,
-    orientable_class_count,
-    orientable_count,
-)
-from .errors import STEP_BUDGET, InvalidData, LimitExceeded, admit
+from .characters import class_counts, raw_counts
+from .errors import STEP_BUDGET, LimitExceeded, admit
 from .surfaces import PROJECTIVE_PLANE, ClosedSurface, classify, euler_characteristic
-
-if TYPE_CHECKING:
-    from .orderly import CensusShard
 
 # Prices for errors.admit. The character sums (module characters) take,
 # for each n <= d, the hook lengths of the p(n) partitions of n, about n
 # steps each, and a term per partition and per even number of meridians up
-# to b, the integer f h^(1-chi) c^b, about _PARTITION_STEPS each; the
-# connected counts then fold a (d+1) x (b+1) table, about (d (b+1))^2 / 4
-# steps. With powers of w words of _POWER_BITS bits, a partition's work
-# costs w^2 times as much (its powers are built by squaring) and a table
-# entry w times. Fitted on whole CLI runs of 120 random cells over s2, rp2,
-# torus, klein, o_g and n_h (2-core Xeon, Python 3.11): 0.095 to 1.16 us a
-# step; torus/36/0, the last torus cell without branch points, takes 2.1 s.
-# The engine's bytes are the peak ru_maxrss of listing every tuple (14-14.5
-# per tuple entry on rp2/5/6, s2/5/8 and rp2/6/6), which bounds the orderly
-# generator from above (rp2/6/6: predicted 3.3 GB, measured 56 MB); the
-# class dictionary dominates at degree 2 (n20/2/0, when it was enumerated:
-# 486 MB for 2^20 one-tuple classes of 20 entries).
+# to b, the integer f h^(1-chi) c^b, about _PARTITION_STEPS each. A simple
+# cell's connected count then folds, for each n <= d and even m <= b,
+# (n - 1)(m/2 + 1) products, about d^2 b^2 / 16 in all. A cell of any
+# meridians instead raises each product Q of content polynomials that the
+# exponential formula leaves to the b-th power (one product per coefficient
+# of (Q - 1)^b and power of t below d), and Burnside's lemma does the same
+# for fewer, smaller quotients: p(d)^(3/2) bounds the number of Q for
+# d <= 20 (13,602 at d = 20), and the price takes p(d) (isqrt(p(d)) + 1).
+# With powers of w words of _POWER_BITS bits, a partition's work costs w^2
+# times as much (its powers are built by squaring) and a product w times.
+# Fitted on runs of random cells over s2, rp2, torus, klein, o_g and n_h
+# (2-core Xeon, Python 3.11): 0.095 to 1.16 us a step over 120 whole CLI
+# runs before the fold was priced at its products, and, in process, 0.15
+# to 0.8 us a step for 30 simple cells at the price's boundary and 0.05 to
+# 0.6 us for 80 cells of any meridians taking over 10 ms; torus/36/0, the
+# last torus cell without branch points, takes 2.1 s.
 _PARTITION_STEPS = 2
 _POWER_BITS = 2048
-_ENTRY_BYTES = 16
-_CLASS_BYTES = 256
-_SLACK_BYTES = 64 << 20
 # a census row's counts print with int.__repr__, which refuses more than
 # 4300 digits
 _PRINTED_DIGITS = 4299
@@ -128,11 +109,6 @@ class UniversalBaseReport:
     notes: tuple[str, ...]
 
 
-def _generators(base: ClosedSurface) -> int:
-    """Surface generators of a tuple: handle pairs or crosscaps."""
-    return 2 * base.genus if base.orientable else base.genus
-
-
 def _cell(base: ClosedSurface, d: int, b: int) -> str:
     return f"census cell ({base.name}, degree {d}, {b} branch points)"
 
@@ -158,7 +134,11 @@ def _sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[
         powers = (abs(chi) + 1 + free) * (factorial(d) - 1).bit_length()
         powers += (b - free) * (d * (d - 1) // 2).bit_length()
     words = 1 + powers // _POWER_BITS
-    steps = per_partition * sum(p) * words**2 + (d * (b + 1)) ** 2 // 4 * words
+    if simple_only or b == 0:
+        products = d * (d - 1) // 2 * (b // 2 + 1) * (b // 2 + 2) // 2
+    else:
+        products = p[-1] * (isqrt(p[-1]) + 1) * (b * (d - 1) + 1) * (d - 1)
+    steps = per_partition * sum(p) * words**2 + products * words
     return 2 * (d + 1) * (b + 1) * (powers // 8 + 32), steps
 
 
@@ -179,61 +159,43 @@ def _digits(n: int) -> int:
     return k
 
 
-def _check_peak(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
-    """Admit the engine on a cell and return its bytes: the S_d tables'
-    8 d!^2 and the peak of listing every tuple, an upper bound on the
-    orderly generator's. A class of connected tuples holds at least (d-1)!
-    of them, as a transitive group's centraliser acts freely on the
-    sheets. The engine's time is not priced yet: its cells are those the
-    listing admits."""
-    k = _generators(base) + b
-    tuples = hom_count(base, d, b, simple_only)
-    classes = tuples // factorial(d - 1)
-    peak = 8 * factorial(d) ** 2 + tuples * k * _ENTRY_BYTES + _SLACK_BYTES
-    peak += classes * (8 * k + _CLASS_BYTES)
-    # a count this long is told by its size
-    count = f"a tuple count of {_digits(tuples)} digits" if tuples >= 10**18 else f"{tuples} tuples"
-    admit(f"{_cell(base, d, b)} has {count} and", bytes=peak)
-    return peak
-
-
 def _closed_form_row(
-    base: ClosedSurface, d: int, b: int, raw: int
+    base: ClosedSurface, d: int, b: int, simple_only: bool
 ) -> tuple[tuple[ClosedSurface, int, int], ...]:
-    """The realized rows of a simple cell or a cell without branch points
-    and raw connected tuples. Riemann-Hurwitz fixes chi = d chi(base) - b,
-    so there is one orientable and one nonorientable candidate. Over an
-    orientable base every cover is orientable; over n_h
-    characters.orientable_count and orientable_class_count split the raw
-    and class counts. A row is kept when its raw count is positive."""
-    classes = class_count(base, d, b)
-    if base.orientable:
-        split = raw, classes
-    else:
-        split = orientable_count(base, d, b), orientable_class_count(base, d, b)
-    chi = d * euler_characteristic(base) - b
-    rows = ((True, *split), (False, raw - split[0], classes - split[1]))
-    return tuple((classify(chi, o), n, c) for o, n, c in rows if n)
-
-
-def _admit(base: ClosedSurface, d: int, b: int, simple_only: bool) -> int:
-    """The exact connected count of a cell enumerate_covers may answer,
-    refused when it is too long to print. A cell answered without
-    enumerating, empty or from closed forms, reaches no engine to admit."""
+    """The realized rows of a cell, admitted first. characters.raw_counts
+    gives its connected tuples by their total ramification V (a simple
+    cell's all at V = b), and Riemann-Hurwitz fixes chi = d chi(base) - V,
+    so each grade has one orientable and one nonorientable candidate. Over
+    an orientable base every cover is orientable; over n_h the orientable
+    counts split the raw and class counts. A row is kept when its raw
+    count is positive, orientable rows first, each kind by genus. The cell
+    is refused when its counts are too long to print, before any class is
+    counted."""
     _check_cell(base, d, b, simple_only)
-    expected = connected_count(base, d, b, simple_only)
-    digits = _digits(expected) if expected else 1
+    raw = raw_counts(base, d, b, simple_only)
+    total = sum(raw)
+    digits = _digits(total) if total else 1
     if digits > _PRINTED_DIGITS:
         raise LimitExceeded(
             f"{_cell(base, d, b)} has a tuple count of {digits} digits, "
             f"over the {_PRINTED_DIGITS} digits a report prints"
         )
-    if expected and not (simple_only or b == 0):
-        _check_peak(base, d, b, simple_only)
-    return expected
+    if not total:
+        return ()
+    classes = class_counts(base, d, b, simple_only)
+    if base.orientable:
+        split = raw, classes
+    else:
+        split = raw_counts(base, d, b, simple_only, True), class_counts(base, d, b, simple_only, True)
+    up, up_classes, classes = (x + [0] * (len(raw) - len(x)) for x in (*split, classes))
+    chi = d * euler_characteristic(base)
+    rows = [(True, V, up[V], up_classes[V]) for V in range(len(raw))]
+    rows += [(False, V, raw[V] - up[V], classes[V] - up_classes[V]) for V in range(len(raw))]
+    return tuple((classify(chi - V, o), n, c) for o, V, n, c in rows if n)
 
 
-def merge_shards(shards) -> CensusShard:
+def merge_shards(shards):
+    """One orderly.CensusShard of a cell from several of its parts."""
     shards = list(shards)
     if not shards:
         raise ValueError("nothing to merge")
@@ -255,26 +217,9 @@ def merge_shards(shards) -> CensusShard:
 def enumerate_covers(
     base: ClosedSurface, d: int, b: int, simple_only: bool = True
 ) -> CensusRow:
-    """The cell's row. A cell whose exact connected count is 0 reports
-    its empty row without enumerating, and so does a simple cell or a
-    cell without branch points its rows from closed forms. Any other
-    (any meridians allowed and b >= 1) is admitted and enumerated, and
-    its raw total is checked against that count."""
-    expected = _admit(base, d, b, simple_only)
-    if expected == 0:
-        return CensusRow(base, d, b, ())
-    if simple_only or b == 0:
-        return CensusRow(base, d, b, _closed_form_row(base, d, b, expected))
-    from .orderly import classify_shard, enumerate_shard
-
-    row = classify_shard(enumerate_shard(base, d, b, simple_only))
-    found = sum(raw for _, raw, _ in row.realized)
-    if found != expected:
-        raise InvalidData(
-            f"census cell ({base.name}, degree {d}, {b} branch points, all) enumerates "
-            f"{found} connected tuples, but the characters of S_{d} count {expected}"
-        )
-    return row
+    """The cell's row, admitted and answered from closed forms
+    (_closed_form_row)."""
+    return CensusRow(base, d, b, _closed_form_row(base, d, b, simple_only))
 
 
 def parity_audit(d_max: int, b_max: int) -> AuditReport:

@@ -20,9 +20,8 @@ last the Hurwitz layer for its witnesses), the datum subcommands the
 Hurwitz layer and the permutations, `normalize`, `count-ends` and the
 validation of an exhaustion the exhaustion layer, and the layered-cover
 subcommands `layered`, which imports `exhaustion`; `classify` needs
-none. numpy comes only with the census engine, which only an `enumerate
---all` cell with branch points runs: census cells that are empty,
-refused or answered from closed forms start without it.
+none. The census answers every cell from closed forms, so no run loads
+numpy or the census engine, which only the tests use.
 """
 from __future__ import annotations
 

@@ -1,4 +1,5 @@
-"""The census engine: orderly generation and classification in numpy.
+"""The census engine, the tests' reference: orderly generation and
+classification in numpy.
 
 Tuples are counted raw and up to simultaneous conjugation, but never
 listed: orderly generation (McKay, Isomorph-free exhaustive generation,
@@ -17,12 +18,12 @@ column, the Euler characteristic comes from the meridians' cycle counts
 (Riemann-Hurwitz), and connectivity and orientability from one closure,
 the orbit of sheet 0 on the sign double cover held as two sheet masks.
 
-census.enumerate_covers imports this module only for a cell it has
-admitted with a non-zero connected count and no closed-form row: one
-with any meridians allowed (--all) and b >= 1. Empty, refused and
-closed-form cells, every simple cell and every cell without branch
-points among them, are answered without numpy; the engine's simple and
-b = 0 modes remain as the tests' reference for those closed forms.
+It admits nothing: the census answers every cell from the characters of
+S_d (module characters) and imports this module only through
+census.__getattr__, for the benchmark's tracing shim. The engine is the
+tests' reference for those closed forms, run only on the cells the tests
+choose, and numpy is a test dependency. Its S_d tables take 8 d!^2
+bytes (200 MB at d = 7), so the tests keep it to d <= 7.
 """
 from __future__ import annotations
 
@@ -34,9 +35,14 @@ from math import factorial
 
 import numpy as np
 
-from .census import CensusRow, _check_cell, _check_peak, _generators
+from .census import CensusRow
 from .errors import InvalidData
 from .surfaces import ClosedSurface, classify, euler_characteristic
+
+
+def _generators(base: ClosedSurface) -> int:
+    """Surface generators of a tuple: handle pairs or crosscaps."""
+    return 2 * base.genus if base.orientable else base.genus
 
 
 @dataclass(frozen=True)
@@ -291,8 +297,6 @@ def enumerate_shard(
 ) -> CensusShard:
     """One least tuple per conjugation class of a census cell, with the
     class's raw tuple count; classify_shard turns it into the cell's row."""
-    _check_cell(base, d, b, simple_only)
-    _check_peak(base, d, b, simple_only)
     T = _group_table(d)
     values = T.transpositions if simple_only else np.arange(1, T.order, dtype=np.int32)
     forms, raw = _least_tuples(T, base, b, values)

@@ -4,7 +4,9 @@ These recompute invariants by a different route than the library:
 Euler characteristics by counting cells of a lifted cell structure,
 orientability by brute-force search over sign assignments, sheet
 orbits of census class forms by min-label propagation, reports by
-the stdlib's JSON encoder, peak memory from a separate launcher.
+the stdlib's JSON encoder, peak memory from a separate launcher, and
+the census's tuple counts of any meridians as one scalar each
+(hom_count, all_connected_count) where the library grades them.
 Agreement with the library is what the randomized tests assert. The
 permutation and exhaustion helpers here (compose_all, cycle_type,
 is_transposition, frontier_circles) are used by the tests alone.
@@ -18,7 +20,7 @@ import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +36,7 @@ from coverbench.exhaustion import (
 from coverbench.hurwitz import HurwitzData
 from coverbench.layered import BLOCK_KINDS, Block, LayeredCover
 from coverbench.perms import Perm, compose, identity, inverse
-from coverbench.surfaces import PROJECTIVE_PLANE, SPHERE, TORUS, ClosedSurface
+from coverbench.surfaces import PROJECTIVE_PLANE, SPHERE, TORUS, ClosedSurface, euler_characteristic
 
 
 def compose_all(perms, n: int | None = None) -> Perm:
@@ -302,6 +304,44 @@ def fraction_simple_homs(chi: int, d: int, b: int) -> int:
     exact = Fraction(factorial(d)) ** (1 - chi) * total
     assert exact.denominator == 1, f"character sum {exact} is not an integer"
     return exact.numerator
+
+
+def hom_count(base: ClosedSurface, d: int, b: int, simple_only: bool = True) -> int:
+    """Every valid tuple of a census cell, connected or not: handle pairs
+    or crosscaps closing the surface relation with b meridians,
+    transpositions when simple_only (fraction_simple_homs), else any
+    non-identity permutations. With b >= 1 free meridians the last is
+    fixed by the others, (d!)^(1 - chi + b) tuples; inclusion-exclusion
+    over the meridians forced to be the identity leaves the rest."""
+    chi = euler_characteristic(base)
+    if simple_only:
+        return fraction_simple_homs(chi, d, b)
+    return _nontrivial(lambda k: _free_homs(chi, d, k), b)
+
+
+def _free_homs(chi: int, d: int, b: int) -> int:
+    return factorial(d) ** (1 - chi + b) if b else fraction_simple_homs(chi, d, 0)
+
+
+def _nontrivial(counts, b: int) -> int:
+    return sum((-1) ** j * comb(b, j) * counts(b - j) for j in range(b + 1))
+
+
+def all_connected_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The connected tuples of a cell of any meridians as one scalar:
+    the exponential formula over sheets for each number k of free
+    meridians, then inclusion-exclusion over the meridians forced to be
+    the identity. characters grades the same count by ramification."""
+    chi = euler_characteristic(base)
+
+    def transitive(k: int) -> int:
+        homs = [_free_homs(chi, n, k) for n in range(d + 1)]
+        conn = [0] * (d + 1)
+        for n in range(1, d + 1):
+            conn[n] = homs[n] - sum(comb(n - 1, m - 1) * conn[m] * homs[n - m] for m in range(1, n))
+        return conn[d]
+
+    return _nontrivial(transitive, b)
 
 
 def conjugation_classes(base: ClosedSurface, d: int, b: int, simple_only: bool):

@@ -19,7 +19,7 @@ from coverbench.census import (
     parity_audit,
     universal_base_report_dim2,
 )
-from coverbench.characters import class_count, connected_count, hom_count
+from coverbench.characters import class_count, connected_count
 from coverbench.errors import InvalidData, LimitExceeded
 from coverbench.hurwitz import HurwitzData, is_connected, total_space
 from coverbench.orderly import (
@@ -45,9 +45,11 @@ from coverbench.surfaces import (
 from oracles import (
     ORACLE_NONSIMPLE_CELLS,
     ORACLE_SIMPLE_CELLS,
+    all_connected_count,
     compose_all,
     conjugation_classes,
     fraction_simple_homs,
+    hom_count,
     is_transposition,
     label_verdicts,
     oracle_census,
@@ -160,8 +162,11 @@ def test_repeated_runs_identical():
         (ClosedSurface(False, 5000), 5, 8, True),
         # a row without branch points whose counts pass the digits a report prints
         (ClosedSurface(False, 5000), 6, 0, True),
-        (ClosedSurface(True, 5), 6, 8, False),
-        (TORUS, 6, 4, False),
+        # o5/6/8 and torus/6/4 of any meridians were refused for the
+        # listing's peak and now report (test_cells_once_refused_report);
+        # at genus 30000 the character sums' powers pass the step budget
+        (ClosedSurface(True, 30000), 6, 8, False),
+        (ClosedSurface(True, 30000), 6, 4, False),
         # the character sums of s2/10^6/2 list partitions past the step budget
         (SPHERE, 10**6, 2, True),
         (SPHERE, 10**18, 0, True),
@@ -172,9 +177,8 @@ def test_repeated_runs_identical():
 )
 def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
     _group_table.cache_clear()
-    for enumerate_cell in (enumerate_covers, enumerate_shard):
-        with pytest.raises(LimitExceeded):
-            enumerate_cell(base, d, b, simple_only)
+    with pytest.raises(LimitExceeded):
+        enumerate_covers(base, d, b, simple_only)
     assert _group_table.cache_info().currsize == 0
 
 
@@ -183,13 +187,11 @@ def test_admission_refuses_cells_out_of_reach(base, d, b, simple_only):
     [(ClosedSurface(True, 5), 6, 8), (TORUS, 6, 8), (KLEIN_BOTTLE, 5, 6), (ClosedSurface(False, 3), 5, 4)],
 )
 def test_closed_form_cells_are_answered_past_the_tuple_floor(base, d, b):
-    # the listing's peak refuses the engine these cells, but their simple
+    # the listing's peak refused the engine these cells, but their simple
     # rows come from closed forms and list no tuple
     _group_table.cache_clear()
     (row,) = enumerate_covers(base, d, b, True).realized
     assert row[1:] == (connected_count(base, d, b, True), class_count(base, d, b))
-    with pytest.raises(LimitExceeded):
-        enumerate_shard(base, d, b, True)
     assert _group_table.cache_info().currsize == 0
 
 
@@ -239,44 +241,97 @@ def test_closed_form_cell_builds_no_group_table(base, d, b, row):
 
 
 def test_empty_cell_is_still_bounded_when_enumerated_in_full():
-    # s2/7/10 has no connected cover, so enumerate_covers answers it from
-    # the characters; enumerate_shard lists all 11,052,356,721 tuples and
-    # must refuse
+    # s2/7/10 has no connected cover among its 11,052,356,721 tuples, so
+    # enumerate_covers answers it from the characters and lists none
+    _group_table.cache_clear()
     assert enumerate_covers(SPHERE, 7, 10, True) == CensusRow(SPHERE, 7, 10, ())
-    with pytest.raises(LimitExceeded):
-        enumerate_shard(SPHERE, 7, 10, True)
+    assert _group_table.cache_info().currsize == 0
 
 
-# the engine itself: enumerate_covers answers the simple and the b = 0
-# cells from closed forms, which _check_peak does not price
-_PEAK_SCRIPT = """
-import sys
-from coverbench import orderly
-from coverbench.census import _check_peak
-from coverbench.characters import hom_count
-from coverbench.cli import parse_base
-base, d, b, simple_only = parse_base(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
-orderly.classify_shard(orderly.enumerate_shard(base, d, b, simple_only))
-print(hom_count(base, d, b, simple_only), _check_peak(base, d, b, simple_only))
-"""
+def _rows(realized):
+    return [(s.orientable, s.genus, raw, classes) for s, raw, classes in realized]
 
 
-@pytest.mark.parametrize(
-    "cell",
-    [
-        ("rp2", 6, 4, True),
-        ("rp2", 4, 4, False),
-        # degree 2: every tuple is its own class, about 34 bytes an entry
-        ("n18", 2, 0, True),
+# the rows of cells of any meridians that the listing's peak refused; the
+# engine gave the same rows for the first four (1.1 to 4.9 s each)
+ONCE_REFUSED_ROWS = {
+    (SPHERE, 6, 4): [
+        (True, 0, 11137680, 15650), (True, 1, 72157440, 100852), (True, 2, 146998080, 204888),
+        (True, 3, 106381800, 148253), (True, 4, 22417920, 31252), (True, 5, 604800, 858),
     ],
-)
-def test_predicted_peak_bounds_measured_rss(cell):
-    argv = [str(x) for x in cell[:3]] + ["1" if cell[3] else "0"]
-    child, peak = run_measured([sys.executable, "-c", _PEAK_SCRIPT, *argv], timeout=120)
-    assert child.returncode == 0, child.stderr
-    tuples, predicted = map(int, child.stdout.split())
-    assert tuples >= 100_000
-    assert peak <= predicted
+    (PROJECTIVE_PLANE, 6, 3): [
+        (True, 0, 25920, 36), (True, 1, 164400, 231), (True, 2, 187920, 282), (True, 3, 46800, 75),
+        (True, 4, 1320, 8), (False, 2, 3046320, 4330), (False, 4, 43491600, 60708),
+        (False, 6, 152100720, 212262), (False, 8, 137787120, 191970), (False, 10, 23258880, 32472),
+    ],
+    (PROJECTIVE_PLANE, 5, 4): [
+        (False, 1, 10320, 86), (False, 3, 1520160, 12668), (False, 5, 21807960, 181733),
+        (False, 7, 75668160, 630568), (False, 9, 78169440, 651412), (False, 11, 21151680, 176264),
+        (False, 13, 675456, 5680),
+    ],
+    (TORUS, 5, 3): [
+        (True, 3, 2286720, 19056), (True, 4, 35962920, 299691), (True, 5, 101386080, 844884),
+        (True, 6, 57708000, 480900), (True, 7, 3273600, 27340),
+    ],
+    (TORUS, 6, 4): [
+        (True, 3, 65197440, 90768), (True, 4, 17435128320, 24223952),
+        (True, 5, 671685972480, 933022536), (True, 6, 8243123650560, 11449363472),
+        (True, 7, 39498085087680, 54859916756), (True, 8, 76581991529280, 106365405260),
+        (True, 9, 55377154344600, 76913722461), (True, 10, 11582184038400, 16086542352),
+        (True, 11, 299106017280, 415444872),
+    ],
+    # its 17 rows are pinned by their report in test_reports
+    (ClosedSurface(True, 5), 6, 8): None,
+}
+
+
+@pytest.mark.parametrize("cell", list(ONCE_REFUSED_ROWS), ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]}")
+def test_cells_once_refused_report(cell):
+    # each row total is the scalar count of any meridians, a second route
+    base, d, b = cell
+    _group_table.cache_clear()
+    row = enumerate_covers(base, d, b, False)
+    assert _group_table.cache_info().currsize == 0
+    want = ONCE_REFUSED_ROWS[cell]
+    if want is not None:
+        assert _rows(row.realized) == want
+    else:
+        assert len(row.realized) == 17
+    assert sum(raw for _, raw, _ in row.realized) == all_connected_count(base, d, b)
+
+
+_LAW_BASES = (SPHERE, TORUS, ClosedSurface(True, 2), PROJECTIVE_PLANE, KLEIN_BOTTLE,
+              ClosedSurface(False, 3), ClosedSurface(False, 4))
+
+
+def _law_rows(base, d, b):
+    """The rows (orientable, chi) that the branched-cover existence
+    theorem predicts for a cell of any meridians with b >= 1
+    (Husemoller 1962 over orientable bases; Edmonds, Kulkarni and Stong
+    1984): V = d chi(base) - chi is even with b <= V <= b (d - 1);
+    orientable total spaces have chi <= 2 and, over n_h, even d and
+    V <= b (d - 2), each meridian moving at most d/2 - 1 sheets of each
+    half of the orientation double cover; nonorientable ones need a
+    nonorientable base and chi <= 1."""
+    chi = euler_characteristic(base)
+    rows = set()
+    for V in range(b + b % 2, b * (d - 1) + 1, 2):
+        if d * chi - V <= 2 and (base.orientable or (d % 2 == 0 and V <= b * (d - 2))):
+            rows.add((True, d * chi - V))
+        if not base.orientable and d * chi - V <= 1:
+            rows.add((False, d * chi - V))
+    return rows
+
+
+@pytest.mark.parametrize("base", _LAW_BASES, ids=lambda s: s.name)
+def test_rows_of_any_meridians_obey_the_realizability_law(base):
+    # every realized row obeys the law and every row it predicts is
+    # realized: d <= 9 and 1 <= b <= 6, b <= 3 from degree 8
+    for d in range(1, 10):
+        for b in range(1, 4 if d >= 8 else 7):
+            realized = enumerate_covers(base, d, b, False).realized
+            got = {(s.orientable, euler_characteristic(s)) for s, _, _ in realized}
+            assert got == _law_rows(base, d, b), (d, b)
 
 
 def test_parity_audit_small():

@@ -4,25 +4,27 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, seed, settings
 
-from coverbench.census import _check_cell, _check_peak, enumerate_covers
+from coverbench.census import enumerate_covers
 from coverbench.characters import (
+    _fixed,
+    _free_homs,
     _irreducibles,
+    _power,
     _simple_homs,
     class_count,
     connected_count,
-    hom_count,
     orientable_class_count,
     orientable_count,
 )
 from coverbench.cli import parse_base
-from coverbench.errors import InvalidData, LimitExceeded
+from coverbench.errors import InvalidData
 from coverbench.orderly import classify_shard, enumerate_shard
 from coverbench.surfaces import (
     KLEIN_BOTTLE,
@@ -35,7 +37,9 @@ from coverbench.surfaces import (
 from oracles import (
     ORACLE_NONSIMPLE_CELLS,
     ORACLE_SIMPLE_CELLS,
+    all_connected_count,
     fraction_simple_homs,
+    hom_count,
     oracle_census,
 )
 
@@ -143,17 +147,12 @@ def test_engine_matches_the_closed_form_row(base, d, b):
 
 
 def _admitted_cells(bases):
-    """Non-empty simple cells with d <= 6 and even b in 2..8 that the
-    engine admits: about 5 s of enumeration over n_1..n_4."""
+    """Non-empty simple cells with d <= 6 and even b in 2..8 of at most
+    3*10^7 tuples: about 5 s of enumeration over n_1..n_4."""
     for base in bases:
         for d in range(2, 7):
             for b in range(2, 9, 2):
-                try:
-                    _check_cell(base, d, b, True)
-                    _check_peak(base, d, b, True)
-                except LimitExceeded:
-                    continue
-                if connected_count(base, d, b):
+                if hom_count(base, d, b) <= 3 * 10**7 and connected_count(base, d, b):
                     yield base, d, b
 
 
@@ -177,16 +176,72 @@ def test_engine_matches_class_and_orientable_counts(base, d, b):
     assert orientable == ([split] if split[0] else [])
 
 
+def _engine_cells():
+    """Cells over s2, torus, o2, rp2, klein, n3 and n4 with d <= 6 and
+    b <= 7, simple or of any meridians, of at most 3*10^6 tuples. A simple
+    cell with odd b has none by parity, but the engine would search every
+    prefix of it, so it is left out."""
+    for base in SWEEP_BASES + (ClosedSurface(False, 4),):
+        for d in range(1, 7):
+            for b in range(8):
+                for simple in (True, False) if b % 2 == 0 else (False,):
+                    if hom_count(base, d, b, simple) <= 3 * 10**6:
+                        yield base, d, b, simple
+
+
+_ENGINE_CELLS = list(_engine_cells())
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ENGINE_CELLS))
+@example((PROJECTIVE_PLANE, 4, 4, False))
+@example((ClosedSurface(False, 3), 4, 3, False))
+def test_rows_match_the_engine(cell):
+    # the census answers every cell from characters; the engine, which
+    # classifies the least tuple of every class, is the reference
+    base, d, b, simple = cell
+    assert enumerate_covers(base, d, b, simple) == classify_shard(enumerate_shard(base, d, b, simple))
+
+
+@pytest.mark.parametrize("base", SWEEP_BASES + (ClosedSurface(False, 4), ClosedSurface(True, 5)))
+def test_free_homs_sum_to_the_scalar_counts(base):
+    # d! times the tuples of any meridians is sum a_Q Q(t)^b: at t = 1
+    # (d!)^(1 - chi + b), and with the identity removed from each
+    # meridian, sum a_Q (Q(1) - 1)^b, the scalar inclusion-exclusion
+    chi = 2 - 2 * base.genus if base.orientable else 2 - base.genus
+    for d in range(1, 7):
+        at_one = {key: prod(1 + c for c in key) for key in _free_homs(chi, d)}
+        for b in range(0, 5):
+            free = sum(a * at_one[key] ** b for key, a in _free_homs(chi, d).items())
+            assert free == factorial(d) * (factorial(d) ** (1 - chi + b) if b else hom_count(base, d, 0))
+            nontrivial = sum(a * (at_one[key] - 1) ** b for key, a in _free_homs(chi, d).items())
+            assert nontrivial == factorial(d) * hom_count(base, d, b, False), (d, b)
+            if b:
+                assert connected_count(base, d, b, False) == all_connected_count(base, d, b), (d, b)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(0, 3), st.integers(0, 12))
+def test_power_matches_repeated_products(coefficients, low, n):
+    p = [0] * low + coefficients
+    want = [1]
+    for _ in range(n):
+        want = [sum(want[i] * p[k - i] for i in range(len(want)) if 0 <= k - i < len(p))
+                for k in range(len(want) + len(p) - 1)]
+    got = _power(p, n)
+    assert got + [0] * (len(want) - len(got)) == want
+
+
 @pytest.mark.parametrize("base", SWEEP_BASES[3:] + (ClosedSurface(False, 4),) + SWEEP_BASES[:3])
 def test_orientable_count_without_branch_points(base):
     # enumerate_covers answers every cell without branch points from
     # closed forms, simple or not; the engine checks the raw, class and
-    # orientable counts on each such cell it admits up to degree 7
+    # orientable counts on each such cell of at most 10^8 tuples up to
+    # degree 7
     for d in range(1, 8):
-        try:
-            _check_cell(base, d, 0, True)
-            _check_peak(base, d, 0, True)
-        except LimitExceeded:
+        if hom_count(base, d, 0) > 10**8:
             continue
         engine = classify_shard(enumerate_shard(base, d, 0, True))
         assert engine == enumerate_covers(base, d, 0, True) == enumerate_covers(base, d, 0, False), d
@@ -221,6 +276,22 @@ def test_non_integral_class_count_names_the_cell(monkeypatch):
     assert str(raised.value) == (
         "census cell (torus, degree 3, 4 branch points): Burnside's lemma gives "
         "1/6 conjugation classes, not an integer"
+    )
+
+
+def test_non_integral_graded_count_names_the_cell(monkeypatch):
+    # one product Q = 1 + t where d! times the tuples belong: the raw count
+    # of grade 2, the identity's fixed tuples, is then 1/3!
+    monkeypatch.setattr("coverbench.characters._connected_keys", lambda chi, d: {(1,): 1})
+    _fixed.cache_clear()
+    try:
+        with pytest.raises(InvalidData) as raised:
+            connected_count(TORUS, 3, 2, False)
+    finally:
+        _fixed.cache_clear()
+    assert str(raised.value) == (
+        "census cell (torus, degree 3, 2 branch points): a conjugator of cycle type 1^3 "
+        "fixes 1/6 tuples of grade 2, not an integer"
     )
 
 

@@ -6,7 +6,8 @@ any byte of these fails here and must say why. The census commands are
 the census jobs of the benchmark, the parity audit and universal report
 at small sizes, two cells over bases with three and two crosscaps, a
 closed-form rp2 cell past the reach of enumeration, one over n5 without
-branch points, and a refusal. The Hurwitz commands build, stabilize, classify and
+branch points, two cells of any meridians once refused for the listing's
+peak, and a refusal. The Hurwitz commands build, stabilize, classify and
 double small data from flags and from a file, check three data whose
 surface relation fails (exit 1), and refuse a datum for each of
 stabilize's checks and two builds over the step budget. The plane
@@ -101,6 +102,14 @@ GOLDEN = [
      EMPTY),
     ("enumerate --base n5 --degree 6 --branch-points 0", 0,
      "ba9737c36accce1d5fc8d824b09de1728f5f8918eee3fc4e089590c201b889e1",
+     EMPTY),
+    # cells of any meridians the listing's peak refused: the engine gives
+    # s2/6/4's rows, and o5/6/8's 17 rows sum to the scalar count
+    ("enumerate --base s2 --degree 6 --branch-points 4 --all", 0,
+     "df10ce17fbbd6ec16ecae9621c872968db2f0a10f3d9ab3e0ffbf7400e45eca0",
+     EMPTY),
+    ("enumerate --base o5 --degree 6 --branch-points 8 --all", 0,
+     "e373d20de6f774d56a4562b546598227bd30b3e090512fbc954658d737495d92",
      EMPTY),
     ("enumerate --base o30000 --degree 6 --branch-points 0", 2,
      EMPTY,
