@@ -11,7 +11,11 @@ from the hook lengths and c(lambda) the sum of the contents. With any
 meridians allowed (--all), c(lambda)^b becomes P_lambda(t)^b, the
 product of 1 + c t over the contents, which grades the tuples by their
 total ramification V. The exponential formula and inclusion-exclusion
-over identity meridians give the connected counts.
+over identity meridians give the connected counts. Every cell takes the
+one route: its products of content polynomials are keyed by their first
+T power sums (characters.cut), T = d with any meridians, 1 for a simple
+cell, whose one grade V = b needs only c(lambda), and 0 without branch
+points.
 
 Riemann-Hurwitz fixes chi = d chi(base) - V, so each grade has at most
 an orientable and a nonorientable total space, and a simple cell has
@@ -36,30 +40,26 @@ import itertools
 from dataclasses import dataclass, replace
 from math import factorial, isqrt, log10
 
-from .characters import class_counts, raw_counts
+from .characters import class_counts, connected_count, cut, raw_counts
 from .errors import STEP_BUDGET, LimitExceeded, admit
 from .surfaces import PROJECTIVE_PLANE, ClosedSurface, classify, euler_characteristic
 
-# Prices for errors.admit. The character sums (module characters) take,
-# for each n <= d, the hook lengths of the p(n) partitions of n, about n
-# steps each, and a term per partition and per even number of meridians up
-# to b, the integer f h^(1-chi) c^b, about _PARTITION_STEPS each. A simple
-# cell's connected count then folds, for each n <= d and even m <= b,
-# (n - 1)(m/2 + 1) products, about d^2 b^2 / 16 in all. A cell of any
-# meridians instead raises each product Q of content polynomials that the
-# exponential formula leaves to the b-th power (one product per coefficient
-# of (Q - 1)^b and power of t below d), and Burnside's lemma does the same
-# for fewer, smaller quotients: p(d)^(3/2) bounds the number of Q for
-# d <= 20 (13,602 at d = 20), and the price takes p(d) (isqrt(p(d)) + 1).
-# With powers of w words of _POWER_BITS bits, a partition's work costs w^2
-# times as much (its powers are built by squaring) and a product w times.
-# Fitted on runs of random cells over s2, rp2, torus, klein, o_g and n_h
-# (2-core Xeon, Python 3.11): 0.095 to 1.16 us a step over 120 whole CLI
-# runs before the fold was priced at its products, and, in process, 0.15
-# to 0.8 us a step for 30 simple cells at the price's boundary and 0.05 to
-# 0.6 us for 80 cells of any meridians taking over 10 ms; torus/36/0, the
-# last torus cell without branch points, takes 2.1 s.
-_PARTITION_STEPS = 2
+# Prices for errors.admit. The character sums (module characters) take
+# the hook lengths of the p(n) partitions of every n <= d, about d/2 steps
+# a partition, and once T >= 1 as many again for its contents and key and
+# the exponential formula's merges of keys: the key steps, shared by every
+# cell up to degree d. Each keyed product Q, at most p(d) (isqrt(p(d)) + 1)
+# of them (13,602 at d = 20) and cut at T = 1 at most the d(d - 1) + 1
+# values of c, then costs _KEY_STEPS, and (R - 1)^b the power of its
+# lowest coefficient, w steps a word of its w words of _POWER_BITS bits,
+# and Miller's recurrence, D = min(T, d - 1) products of one word by w for
+# each further coefficient: the power steps. A key step costs w^2 times as
+# much, so a cell whose count may be long cannot take long sums before its
+# digits are checked. Fitted on 260 whole CLI runs of cells over s2, rp2,
+# torus, klein, o_g and n_h at and below their edges (2-core Xeon,
+# Python 3.11): 0.26 to 1.6 us a step for the runs over 1 s, and at most
+# 4.0 s for a cell admitted.
+_KEY_STEPS = 32
 _POWER_BITS = 2048
 # a census row's counts print with int.__repr__, which refuses more than
 # 4300 digits
@@ -113,41 +113,43 @@ def _cell(base: ClosedSurface, d: int, b: int) -> str:
     return f"census cell ({base.name}, degree {d}, {b} branch points)"
 
 
-def _sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[int, int]:
-    """The bytes and steps of a cell's character sums (see the prices
-    above). A simple cell with odd b takes none: it has no tuple at all.
-    The partition counts p(n) come from Euler's pentagonal recurrence, up
-    to d or until the sums alone pass the step budget, so a huge degree
+def _sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[int, int, int]:
+    """The bytes, the key steps and the power steps of a cell's character
+    sums (see the prices above), the keys cut at T = characters.cut. A
+    simple cell with odd b takes none: it has no tuple at all. The
+    partition counts p(n) come from Euler's pentagonal recurrence, up to d
+    or until the key steps alone pass the step budget, so a huge degree
     costs nothing to price; its powers are then left unpriced."""
     if simple_only and b % 2:
-        return 0, 0
-    per_partition = d + _PARTITION_STEPS * (b // 2 + 1)
+        return 0, 0, 0
+    T = cut(d, b, simple_only)
+    per_partition = d * (1 + min(T, 1)) // 2
     p = [1]
     while len(p) <= d and per_partition * sum(p) <= STEP_BUDGET:
         n = len(p)  # p(n) sums (-1)^(k+1) p(n - k(3k -+ 1)/2) over k >= 1
         terms = ((k, n - k * (3 * k + s) // 2) for k in range(1, n + 1) for s in (-1, 1))
         p.append(sum((-1) ** (k + 1) * p[m] for k, m in terms if m >= 0))
-    chi = euler_characteristic(base)
-    powers = 0  # bits of the largest power: (d!)^|chi| and c^b, c <= d(d-1)/2
+    D = min(T, d - 1)
+    keys = p[-1] * (isqrt(p[-1]) + 1)
+    if T < 2:
+        keys = min(keys, (d * (d - 1) + 1) ** T)
+    powers = 0  # bits of the largest power: (d!)^(|chi| + 1) and Q(1)^b, or c^b
     if len(p) > d:
-        free = 0 if simple_only else b
-        powers = (abs(chi) + 1 + free) * (factorial(d) - 1).bit_length()
-        powers += (b - free) * (d * (d - 1) // 2).bit_length()
+        largest = factorial(d) if T > 1 else d * (d - 1) // 2
+        powers = (abs(euler_characteristic(base)) + 1) * (factorial(d) - 1).bit_length()
+        powers += b * (largest - 1).bit_length()
     words = 1 + powers // _POWER_BITS
-    if simple_only or b == 0:
-        products = d * (d - 1) // 2 * (b // 2 + 1) * (b // 2 + 2) // 2
-    else:
-        products = p[-1] * (isqrt(p[-1]) + 1) * (b * (d - 1) + 1) * (d - 1)
-    steps = per_partition * sum(p) * words**2 + products * words
-    return 2 * (d + 1) * (b + 1) * (powers // 8 + 32), steps
+    key_steps = per_partition * sum(p) * words**2
+    power_steps = keys * (_KEY_STEPS + words + b * (D - 1) * D) * words
+    return 2 * (sum(p) + b * max(D - 1, 0) + 1) * (powers // 8 + 32), key_steps, power_steps
 
 
 def _check_cell(base: ClosedSurface, d: int, b: int, simple_only: bool) -> None:
     """Admit a cell's character sums before any is taken."""
     if d < 1 or b < 0:
         raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
-    cost, steps = _sums_cost(base, d, b, simple_only)
-    admit(_cell(base, d, b), bytes=cost, steps=steps)
+    cost, key_steps, power_steps = _sums_cost(base, d, b, simple_only)
+    admit(_cell(base, d, b), bytes=cost, steps=key_steps + power_steps)
 
 
 def _digits(n: int) -> int:
@@ -163,17 +165,16 @@ def _closed_form_row(
     base: ClosedSurface, d: int, b: int, simple_only: bool
 ) -> tuple[tuple[ClosedSurface, int, int], ...]:
     """The realized rows of a cell, admitted first. characters.raw_counts
-    gives its connected tuples by their total ramification V (a simple
-    cell's all at V = b), and Riemann-Hurwitz fixes chi = d chi(base) - V,
-    so each grade has one orientable and one nonorientable candidate. Over
-    an orientable base every cover is orientable; over n_h the orientable
-    counts split the raw and class counts. A row is kept when its raw
-    count is positive, orientable rows first, each kind by genus. The cell
-    is refused when its counts are too long to print, before any class is
-    counted."""
+    gives its connected tuples by their total ramification V = b + i (a
+    simple cell's all at V = b), and Riemann-Hurwitz fixes
+    chi = d chi(base) - V, so each grade has one orientable and one
+    nonorientable candidate. Over an orientable base every cover is
+    orientable; over n_h the orientable counts split the raw and class
+    counts. A row is kept when its raw count is positive, orientable rows
+    first, each kind by genus. The cell is refused when its count is too
+    long to print, before any grade or class is counted."""
     _check_cell(base, d, b, simple_only)
-    raw = raw_counts(base, d, b, simple_only)
-    total = sum(raw)
+    total = connected_count(base, d, b, simple_only)
     digits = _digits(total) if total else 1
     if digits > _PRINTED_DIGITS:
         raise LimitExceeded(
@@ -182,16 +183,16 @@ def _closed_form_row(
         )
     if not total:
         return ()
-    classes = class_counts(base, d, b, simple_only)
+    raw, classes = raw_counts(base, d, b, simple_only), class_counts(base, d, b, simple_only)
     if base.orientable:
         split = raw, classes
     else:
         split = raw_counts(base, d, b, simple_only, True), class_counts(base, d, b, simple_only, True)
     up, up_classes, classes = (x + [0] * (len(raw) - len(x)) for x in (*split, classes))
-    chi = d * euler_characteristic(base)
-    rows = [(True, V, up[V], up_classes[V]) for V in range(len(raw))]
-    rows += [(False, V, raw[V] - up[V], classes[V] - up_classes[V]) for V in range(len(raw))]
-    return tuple((classify(chi - V, o), n, c) for o, V, n, c in rows if n)
+    chi = d * euler_characteristic(base) - b
+    rows = [(True, i, up[i], up_classes[i]) for i in range(len(raw))]
+    rows += [(False, i, raw[i] - up[i], classes[i] - up_classes[i]) for i in range(len(raw))]
+    return tuple((classify(chi - i, o), n, c) for o, i, n, c in rows if n)
 
 
 def merge_shards(shards):
@@ -226,15 +227,18 @@ def parity_audit(d_max: int, b_max: int) -> AuditReport:
     """Take the row of every simple cell over the projective plane, from
     closed forms, and check the crosscap parity and count laws on each
     realized nonorientable total space. Every cell is admitted before the
-    first row is taken, the largest first."""
+    first row is taken, the largest first. The cells share their keys,
+    cached for every degree up to d_max, so the audit is charged the key
+    steps of its dearest cell once, and the power steps of each cell."""
     if d_max < 1 or b_max < 0:
         raise ValueError(f"need --dmax >= 1 and --bmax >= 0, got {d_max} and {b_max}")
-    cost = steps = 0
+    what = f"the parity audit up to degree {d_max} and {b_max} branch points"
+    cost = keys = powers = 0
     for d in range(d_max, 0, -1):  # lazily: product() would list each range
         for b in range(b_max, -1, -1):
-            cell_cost, cell_steps = _sums_cost(PROJECTIVE_PLANE, d, b, True)
-            cost, steps = max(cost, cell_cost), steps + cell_steps
-            admit(f"the parity audit up to degree {d_max} and {b_max} branch points", bytes=cost, steps=steps)
+            cell_cost, key_steps, power_steps = _sums_cost(PROJECTIVE_PLANE, d, b, True)
+            cost, keys, powers = max(cost, cell_cost), max(keys, key_steps), powers + power_steps
+            admit(what, bytes=cost, steps=keys + powers)
     rows = tuple(
         (d, b, s.genus)
         for d, b in itertools.product(range(1, d_max + 1), range(b_max + 1))

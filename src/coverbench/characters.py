@@ -27,59 +27,76 @@ over the meridians, and Riemann-Hurwitz reads each total space's Euler
 characteristic d chi - V off its grade. c(lambda) is P_lambda's linear
 coefficient, so a simple cell is the grade V = b of the same count.
 
-Connected (transitive) counts come from the exponential formula. A
-simple tuple splits into its orbits, each transposition lying in
-exactly one, so the formula runs over sheets and meridians together.
-With any meridians it runs over sheets, on products Q of content
-polynomials (_connected_keys); as every count is then a sum of terms
-a_Q Q(t)^b, inclusion-exclusion over the meridians forced to be the
-identity turns each Q^b into (Q - 1)^b.
+One route counts every cell. A product Q of content polynomials is
+keyed by the first T power sums of its contents (_key), from which
+Newton's identities give Q's coefficients up to t^T, and every count is
+taken modulo t^(T + 1): T = d for a cell of any meridians, whose Q have
+degree below d, so nothing is cut; T = 1 for a simple cell, whose key
+is c(lambda); T = 0 for a cell without branch points, where only the
+number of tuples is left. Connected (transitive) counts come from the
+exponential formula over sheets, on these keys (_connected_keys): the
+key of a product is the sum of the keys. Every count is then a sum of
+terms a_Q Q(t)^b, and inclusion-exclusion over the meridians forced to
+be the identity turns each Q^b into (Q - 1)^b. As Q - 1 has no constant
+term, the grade V = b of (Q - 1)^b is Q's linear coefficient to the b,
+so the cut at T = 1 is exact for the one grade a simple cell has.
 
 More numbers of a row follow from these counts. Over any base,
 Burnside's lemma counts the conjugation classes of connected tuples
 (for b = 0 Mednykh's count of conjugacy classes of subgroups of index
 d); over n_h, the orientation double cover counts the orientable ones,
-and Burnside's lemma their classes. For a simple cell, or a cell without
-branch points, Riemann-Hurwitz leaves one orientable and one
-nonorientable candidate total space; with any meridians each grade V
-has its own pair. Either way these give the whole row of every census
-cell, and census.enumerate_covers answers it without enumerating.
+and Burnside's lemma their classes. Each grade V has one orientable and
+one nonorientable candidate total space. These give the whole row of
+every census cell, and census.enumerate_covers answers it without
+enumerating.
 
-All arithmetic is in integers, and a quotient, the sphere's character
-sum by d!, Burnside's by d! or a count's by the powers its terms were
-scaled by, that leaves a remainder raises InvalidData naming the cell.
+All arithmetic is in integers, and a quotient, Burnside's by d! or a
+count's by the powers its terms were scaled by (the sphere's character
+sum by d! among them), that leaves a remainder raises InvalidData
+naming the cell.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial, gcd
+from itertools import chain
+from math import comb, factorial, gcd, prod
+from operator import add, mul
 
 from .errors import InvalidData
 from .surfaces import ClosedSurface, euler_characteristic
 
 
-def _partitions(d: int, largest: int | None = None):
-    """Partitions of d as non-increasing tuples."""
-    if d == 0:
-        yield ()
-        return
-    for first in range(min(d, largest or d), 0, -1):
-        for rest in _partitions(d - first, first):
-            yield (first, *rest)
+def _partitions(d: int):
+    """Partitions of d as non-increasing tuples, the largest first: each
+    lowers the last part above 1 by one and spreads what follows it over
+    parts no larger."""
+    part = [d] if d else []
+    while True:
+        yield tuple(part)
+        ones = 0
+        while part and part[-1] == 1:
+            part.pop()
+            ones += 1
+        if not part:
+            return
+        k = part.pop() - 1
+        q, r = divmod(ones + 1, k)
+        part += [k] * (q + 1) + [r] * (r > 0)
 
 
 @lru_cache(maxsize=None)
-def _irreducibles(d: int) -> tuple[tuple[int, int, int], ...]:
-    """(f^lambda, its hook product h_lambda, c(lambda)) for every partition lambda of d."""
+def _irreducibles(d: int) -> tuple[tuple[int, int], ...]:
+    """(f^lambda, its hook product h_lambda) for every partition lambda of d."""
     out = []
     for lam in _partitions(d):
-        columns = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
-        hooks = 1
-        for i, row in enumerate(lam):
-            for j in range(row):
-                hooks *= row - j + columns[j] - i - 1
-        contents = sum(row * (row - 1) // 2 - i * row for i, row in enumerate(lam))
-        out.append((factorial(d) // hooks, hooks, contents))
+        columns, i = [], len(lam)
+        for j in range(lam[0] if lam else 0):
+            while lam[i - 1] <= j:
+                i -= 1
+            columns.append(i)
+        # the box (i, j) has hook length (row - j - i - 1) + columns[j]
+        hooks = prod(prod(map(add, range(row - i - 1, -i - 1, -1), columns)) for i, row in enumerate(lam))
+        out.append((factorial(d) // hooks, hooks))
     return tuple(out)
 
 
@@ -95,67 +112,96 @@ def _exact(n: int, q: int, cell: str, what: str, noun: str) -> int:
     return count
 
 
-def _simple_homs(chi: int, d: int, b: int) -> int:
-    """Tuples over a base of Euler characteristic chi whose b meridians
-    are transpositions of S_d; the closed surface's homomorphisms when
-    b = 0. There are none when b is odd: a product of commutators or of
-    squares is even, and b transpositions multiply to an odd permutation
-    (S_0 and S_1 have no transpositions at all). For chi <= 1 a term
-    (d!)^(1 - chi) (f^lambda)^chi c(lambda)^b is the integer
-    f^lambda h_lambda^(1 - chi) c(lambda)^b, as h_lambda = d!/f^lambda;
-    the sphere's sum of (f^lambda)^2 c(lambda)^b is divided by d! once."""
-    if b % 2:
-        return 0
-    if chi <= 1:
-        return sum(f * h ** (1 - chi) * c**b for f, h, c in _irreducibles(d))
-    total = sum(f * f * c**b for f, _, c in _irreducibles(d))
-    return _exact(total, factorial(d), f"census cell (sphere, degree {d}, {b} branch points)",
-                  "the characters give", "tuples")
+def cut(d: int, b: int, simple_only: bool) -> int:
+    """The number T of power sums a cell's keys hold: 0 without branch
+    points, 1 for a simple cell and d for a cell of any meridians."""
+    return 0 if b == 0 else 1 if simple_only else d
+
+
+def _digit_bits(T: int) -> int:
+    """The bits of each power sum but the last in a key (_key): T > 1
+    only for a cell of any meridians, where T = d, and a product of
+    degree n <= d has n contents of size below n, so |p_k| < T^T for
+    every k < T."""
+    return T * T.bit_length() + 1
+
+
+def _key(contents: list[int], T: int) -> int:
+    """The first T power sums p_k of contents as the digits of one
+    integer, p_1 lowest, in base 2^_digit_bits(T): the sum of p_k
+    2^((k - 1) _digit_bits(T)). The last digit is not bounded, so T = 1
+    keys a product by its c(lambda) itself. Adding two keys adds their
+    power sums digit by digit: the key of a product of two Q is the sum
+    of theirs, and doubling a key doubles its power sums."""
+    bits = _digit_bits(T)
+    key, powers = 0, contents
+    for k in range(T):
+        key += sum(powers) << k * bits
+        powers = list(map(mul, powers, contents))
+    return key
+
+
+def _power_sums(key: int, T: int) -> list[int]:
+    """The digits p_1..p_T of a key, each but the last read as the
+    balanced residue that _digit_bits(T) bounds."""
+    bits = _digit_bits(T)
+    half = 1 << bits - 1
+    sums = []
+    for _ in range(T - 1):
+        p = (key + half) % (2 * half) - half
+        sums.append(p)
+        key = (key - p) >> bits
+    return sums + [key]
 
 
 @lru_cache(maxsize=None)
-def _free_homs(chi: int, d: int) -> dict[tuple[int, ...], int]:
+def _free_homs(chi: int, d: int, T: int) -> dict[int, int]:
     """The tuples whose meridians may be any permutation, the identity
     included, by their grade: d! times their number with b meridians is
     the sum of a_Q Q(t)^b over this map's items, Q = P_lambda keyed by
-    lambda's nonzero contents (a content 0 adds the factor 1) and
+    the first T power sums of lambda's contents and
     a_Q = (d!)^(2 - chi) (f^lambda)^chi = (f^lambda)^2 h_lambda^(2 - chi).
     At t = 1 only P_(d) = d! is not 0, so the coefficients sum to
     (d!)^(1 - chi + b)."""
-    return {
-        tuple(sorted(j - i for i, row in enumerate(lam) for j in range(row) if j != i)): f * f * h ** (2 - chi)
-        for lam, (f, h, _) in zip(_partitions(d), _irreducibles(d))
-    }
+    keys: dict[int, int] = {}
+    for lam, (f, h) in zip(_partitions(d), _irreducibles(d)):
+        contents = chain.from_iterable(range(-i, row - i) for i, row in enumerate(lam))
+        key = _key(list(contents) if T else [], T)
+        keys[key] = keys.get(key, 0) + f * f * h ** (2 - chi)
+    return keys
 
 
 @lru_cache(maxsize=None)
-def _connected_keys(chi: int, d: int) -> dict[tuple[int, ...], int]:
+def _connected_keys(chi: int, d: int, T: int) -> dict[int, int]:
     """The transitive tuples of _free_homs, in its form: the exponential
     formula, splitting off the orbit of sheet 1 (k sheets), on d! times
-    the counts, so that a product of two keys is their merged contents."""
-    conn = dict(_free_homs(chi, d))
+    the counts, so that a product of two keys is their sum."""
+    conn = dict(_free_homs(chi, d, T))
     for k in range(1, d):
         scale = comb(d - 1, k - 1) * comb(d, k)
-        rest = _free_homs(chi, d - k).items()
-        for key, a in _connected_keys(chi, k).items():
+        rest = _free_homs(chi, d - k, T).items()
+        for key, a in _connected_keys(chi, k, T).items():
+            a *= scale
             for other, w in rest:
-                merged = tuple(sorted(key + other))
-                conn[merged] = conn.get(merged, 0) - scale * a * w
+                conn[key + other] = conn.get(key + other, 0) - a * w
     return {key: a for key, a in conn.items() if a}
 
 
 @lru_cache(maxsize=None)
-def _orientable_keys(chi: int, d: int) -> dict[tuple[int, ...], int]:
+def _orientable_keys(chi: int, d: int, T: int) -> dict[int, int]:
     """The transitive tuples over n_h (chi = 2 - h) whose total space is
-    orientable, in _free_homs' form: orientable_count's argument with each
-    meridian acting on both halves, so at the two lifts of its point to
-    o_(h-1): C(d, d/2)/2 (d/2)! times the degree-d/2 covers of o_(h-1)
-    with two meridians per point, each key taken twice. None for odd d."""
+    orientable, in _free_homs' form. Such a cover factors through the
+    orientation double cover o_(h-1) of the base: its d = 2m sheets split
+    into two halves of m, which every crosscap swaps and every meridian
+    keeps, and the split is unique. Each meridian acts on both halves, so
+    at the two lifts of its point to o_(h-1): C(d, m)/2 m! times the
+    degree-m covers of o_(h-1) with two meridians per point, each key
+    taken twice. None for odd d."""
     if d % 2:
         return {}
     m = d // 2
     scale = factorial(d) * comb(d, m) // 2
-    return {tuple(sorted(key + key)): scale * a for key, a in _connected_keys(2 * chi, m).items()}
+    return {2 * key: scale * a for key, a in _connected_keys(2 * chi, m, T).items()}
 
 
 def _mul(p: list[int], q: list[int]) -> list[int]:
@@ -192,6 +238,18 @@ def _power(p: list[int], n: int) -> list[int]:
     return [0] * (low * n) + a
 
 
+def _elementary(sums: list[int], n: int) -> list[int]:
+    """The coefficients e_0..e_n of the product of 1 + c t over the
+    contents c whose power sums are sums, by Newton's identities
+    k e_k = sum (-1)^(i-1) e_(k-i) p_i over 1 <= i <= k, whose quotients
+    are exact, as every e_k is an integer."""
+    signed = [-p if i % 2 else p for i, p in enumerate(sums)]
+    e = [1]
+    for k in range(1, n + 1):
+        e.append(sum(map(mul, reversed(e), signed)) // k)
+    return e
+
+
 def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
@@ -224,6 +282,7 @@ def _punctures(l: int, k: int, r: int) -> list[int]:
     return w
 
 
+@lru_cache(maxsize=None)
 def _epimorphisms(l: int, orientable: bool, orientable_kernel: bool):
     """|Epi(pi_1(X minus N points), Z_l)| for a closed surface X of Euler
     characteristic chi, graded by the punctures (_punctures), as terms
@@ -259,36 +318,28 @@ def _epimorphisms(l: int, orientable: bool, orientable_kernel: bool):
     return terms
 
 
-def _quotients(base: ClosedSurface, m: int, b: int):
-    """The connected degree-m covers X' of the base with b meridians,
-    (X' orientable, its tuples in _free_homs' form). Without branch
-    points only their number matters, m! times the closed-form count."""
-    if b == 0:
-        covers = connected_count(base, m, 0)
-        up = covers if base.orientable else orientable_count(base, m, 0)
-        quotients = ((True, {(): factorial(m) * up}), (False, {(): factorial(m) * (covers - up)}))
-    else:
-        chi = euler_characteristic(base)
-        every = _connected_keys(chi, m)
-        up = every if base.orientable else _orientable_keys(chi, m)
-        down = {key: every.get(key, 0) - up.get(key, 0) for key in every.keys() | up.keys()}
-        quotients = ((True, up), (False, {key: a for key, a in down.items() if a}))
+@lru_cache(maxsize=None)
+def _quotients(base: ClosedSurface, m: int, T: int):
+    """The connected degree-m covers X' of the base, (X' orientable, its
+    tuples in _free_homs' form with T power sums)."""
+    chi = euler_characteristic(base)
+    every = _connected_keys(chi, m, T)
+    up = every if base.orientable else _orientable_keys(chi, m, T)
+    down = {key: every.get(key, 0) - up.get(key, 0) for key in every.keys() | up.keys()}
+    quotients = ((True, up), (False, {key: a for key, a in down.items() if a}))
     return [(o, keys) for o, keys in quotients if any(keys.values())]
 
 
-def _content_poly(key: tuple[int, ...]) -> list[int]:
-    q = [1]
-    for c in key:
-        q = _mul(q, [1, c])
-    return q
-
-
 @lru_cache(maxsize=None)
-def _fixed(base: ClosedSurface, d: int, b: int, l: int, orientable: bool) -> list[int]:
-    """The connected tuples of a cell of any meridians, or of one without
-    branch points, fixed by one conjugator z of cycle type l^m (d = l m),
-    by their grade V; with orientable, over n_h, those whose total space
-    is orientable. l = 1 is the cell's raw count.
+def _fixed(
+    base: ClosedSurface, d: int, b: int, l: int, orientable: bool, simple_only: bool, graded: bool
+) -> list[int]:
+    """The connected tuples of a cell fixed by one conjugator z of cycle
+    type l^m (d = l m), by their grade V from V = b; with orientable,
+    over n_h, those whose total space is orientable. l = 1 is the cell's
+    raw count. A simple cell with odd b has none: a product of
+    commutators or of squares is even, and b transpositions multiply to
+    an odd permutation (S_0 and S_1 have no transpositions at all).
 
     A tuple z fixes commutes with z, so it lies in Z_l wr S_m: it is a
     cyclic cover X -> X' of degree l, z its deck transformation, over the
@@ -300,8 +351,8 @@ def _fixed(base: ClosedSurface, d: int, b: int, l: int, orientable: bool) -> lis
     and the tuple's meridian acts on the sheets over it as a lift of the
     cycle, so X -> X' is an epimorphism onto Z_l from pi_1 of X' minus
     these N punctures (_epimorphisms), and V is l V' plus the punctures'
-    grade. X is orientable when X' is and, over
-    a nonorientable X', when the kernel is orientable.
+    grade. X is orientable when X' is and, over a nonorientable X', when
+    the kernel is orientable.
 
     Summed over X' in _free_homs' form, a term c B^(1 - chi') w^N of
     _epimorphisms, with chi' = m chi - V', turns the grade t^V' of X' into
@@ -310,92 +361,55 @@ def _fixed(base: ClosedSurface, d: int, b: int, l: int, orientable: bool) -> lis
     B^(1 - m chi) is taken out once. Inclusion-exclusion over the
     meridians forced to be the identity then turns R^b into (R - 1)^b: a
     meridian of the tuple is the identity exactly when its quotient is
-    and its punctures have value 0, the terms of R without t. Without
-    branch points this is Mednykh's count (J. Algebra 320, 2008; Sib.
-    Math. J. 27, 1986, over n_h). A remainder of the quotient by B and m!
-    means the counts are wrong and raises InvalidData naming the cell."""
+    and its punctures have value 0, the terms of R without t, whose sum
+    is 1, so (R - 1)^b is t^b times the b-th power of (R - 1)/t and the
+    grades start at V = b. All of it is taken modulo t^(T + 1) (see the
+    module's docstring): with T = 1, R's linear coefficient
+    m w_1 + [l = 1] c(lambda) B is not 0 only for l <= 2, and with T = 0
+    this is Mednykh's count (J. Algebra 320, 2008; Sib. Math. J. 27,
+    1986, over n_h). Not graded, each R is taken at t = 1, and the one
+    item is the count over every grade, a power per key. A remainder of
+    the quotient by B and m! means the counts are wrong and raises
+    InvalidData naming the cell."""
+    if orientable and base.orientable:
+        raise ValueError(f"the orientable count needs a nonorientable base, got the {base.name}")
+    if simple_only and b % 2:
+        return []
+    T = cut(d, b, simple_only)
     m = d // l
     sums: dict[int, list[int]] = {}
-    for up, keys in _quotients(base, m, b):
+    for up, keys in _quotients(base, m, T):
         for c, B, w in _epimorphisms(l, up, orientable and not up):
             acc = sums.setdefault(B, [])
-            if not b:
-                _add(acc, [c * sum(keys.values())])
-                continue
             powers = [[1]]
             for _ in range(m):
-                powers.append(_mul(powers[-1], w))
+                powers.append(_mul(powers[-1], w)[: T + 1])
             for key, a in keys.items():
-                r = [0] * (d + 1)
-                for i, q in enumerate(_content_poly(key)):
-                    for j, x in enumerate(powers[m - i]):
-                        r[l * i + j] += q * B**i * x
-                r[0] -= 1
-                _add(acc, _power(r, b), c * a)
+                r = [0] * (T + 1)
+                for i, q in enumerate(_elementary(_power_sums(key, T), min(T // l, m - 1))):
+                    q *= B**i
+                    for j, x in enumerate(powers[m - i][: T + 1 - l * i], l * i):
+                        r[j] += q * x
+                _add(acc, _power(r[1:], b) if graded else [sum(r[1:]) ** b], c * a)
     fixed: list[int] = []
     exponent = 1 - m * euler_characteristic(base)
+    what = f"a conjugator of cycle type {l}^{m} fixes"
     for B, acc in sums.items():
         scale, quotient = (B**exponent, factorial(m)) if exponent >= 0 else (1, factorial(m) * B**-exponent)
-        what = f"a conjugator of cycle type {l}^{m} fixes"
-        _add(fixed, [_exact(n * scale, quotient, _cell(base, d, b), what, f"tuples of grade {V}")
-                     for V, n in enumerate(acc)])
+        noun = "tuples of grade {}" if graded else "tuples"
+        _add(fixed, [_exact(n * scale, quotient, _cell(base, d, b), what, noun.format(V))
+                     for V, n in enumerate(acc, b)])
     return fixed
-
-
-def connected_count(
-    base: ClosedSurface, d: int, b: int, simple_only: bool = True
-) -> int:
-    """The valid tuples of the census cell whose sheets form one orbit:
-    the census's total raw count."""
-    if simple_only or b == 0:
-        return _connected(euler_characteristic(base), d, b)
-    return sum(_fixed(base, d, b, 1, False))
-
-
-@lru_cache(maxsize=None)
-def _connected(chi: int, d: int, b: int) -> int:
-    """connected_count of a simple cell, which depends on the base only
-    through chi; cached, as the census and class_counts ask for the same
-    cell. It splits off the orbit of sheet 1: k sheets carrying j of the
-    meridians (odd counts of meridians have none), with Pascal's row of
-    m."""
-    if b % 2:
-        return 0  # no tuple at all, see _simple_homs
-    homs = [[_simple_homs(chi, n, m) for m in range(b + 1)] for n in range(d + 1)]
-    conn = [[0] * (b + 1) for _ in range(d + 1)]
-    row = [1]
-    for m in range(b + 1):
-        row = [1, *(x + y for x, y in zip(row, row[1:])), 1] if m else row
-        for n in range(1, d + 1) if m % 2 == 0 else ():
-            conn[n][m] = homs[n][m] - sum(
-                comb(n - 1, k - 1) * row[j] * conn[k][j] * homs[n - k][m - j]
-                for k in range(1, n)
-                for j in range(0, m + 1, 2)
-            )
-    return conn[d][b]
 
 
 def raw_counts(
     base: ClosedSurface, d: int, b: int, simple_only: bool = True, orientable: bool = False
 ) -> list[int]:
-    """The connected tuples of a cell by their total ramification V, a
-    simple cell's all at V = b; with orientable, over n_h, those whose
-    total space is orientable."""
-    if simple_only or b == 0:
-        return [0] * b + [orientable_count(base, d, b) if orientable else connected_count(base, d, b)]
-    return _fixed(base, d, b, 1, orientable)
-
-
-def class_count(base: ClosedSurface, d: int, b: int) -> int:
-    """The conjugation classes of connected simple tuples of a cell, by
-    Burnside's lemma (class_counts)."""
-    return class_counts(base, d, b)[b]
-
-
-def orientable_class_count(base: ClosedSurface, d: int, b: int) -> int:
-    """The conjugation classes of connected simple tuples over n_h whose
-    total space is orientable, by Burnside's lemma (class_counts)."""
-    return class_counts(base, d, b, True, True)[b]
+    """The connected tuples of a cell by their total ramification V, item
+    i for V = b + i, as every meridian moves a sheet: a simple cell's all
+    in item 0; with orientable, over n_h, those whose total space is
+    orientable."""
+    return _fixed(base, d, b, 1, orientable, simple_only, True)
 
 
 def class_counts(
@@ -408,56 +422,35 @@ def class_counts(
     transitive tuple acts freely on the sheets, so a z fixing one has
     cycle type l^m for some d = l m, and there are d!/(l^m m!) such z.
     _fixed counts the tuples each fixes, the identity's being the raw
-    count. For a simple cell with b >= 2 only l <= 2 fixes any: z swaps
-    the two sheets of each meridian, and X -> X' is a double cover of an
-    unbranched X' (_fixed) branched at one of the m lifts of each branch
-    point: m^b choices, times the 2^(2 - m chi) elements of
-    H^1(X'; Z/2). The orientation character is trivial on the meridians,
-    while the double cover's monodromy around each of them is not, so X
-    is orientable exactly when X' is. A power 2^(2 - m chi) is a fraction
-    only for a surface X' that does not exist, and such terms are
-    skipped, so the arithmetic stays in integers. A remainder means the
-    counts are wrong and raises InvalidData naming the cell."""
-    if simple_only and b % 2:
-        return [0] * (b + 1)  # no tuple at all, see _simple_homs
-    chi = euler_characteristic(base)
-    total = [0] * (b + 1)
+    count. A remainder means the counts are wrong and raises InvalidData
+    naming the cell."""
+    total: list[int] = []
     for l in _divisors(d):
         m = d // l
-        if not (simple_only and b):
-            fixed = _fixed(base, d, b, l, orientable)
-        elif l == 1:
-            fixed = raw_counts(base, d, b, True, orientable)
-        elif l == 2 and connected_count(base, m, 0):
-            covers = connected_count(base, m, 0)
-            up = covers if base.orientable else orientable_count(base, m, 0)
-            fixed = [0] * b + [(up if orientable else covers) * m**b * 2 ** (2 - m * chi)]
-        else:
-            continue
-        _add(total, fixed, factorial(d) // (l**m * factorial(m)) * l ** (m - 1))
+        conjugators = factorial(d) // (l**m * factorial(m))
+        _add(total, _fixed(base, d, b, l, orientable, simple_only, True), conjugators * l ** (m - 1))
     noun = "orientable conjugation classes" if orientable else "conjugation classes"
     return [_exact(n, factorial(d), _cell(base, d, b), "Burnside's lemma gives", noun) for n in total]
 
 
+def connected_count(base: ClosedSurface, d: int, b: int, simple_only: bool = True) -> int:
+    """The valid tuples of the census cell whose sheets form one orbit:
+    the census's total raw count, raw_counts at t = 1. Cut at T <= 1 the
+    counts have one grade, so the graded count is it."""
+    return sum(_fixed(base, d, b, 1, False, simple_only, cut(d, b, simple_only) < 2))
+
+
 def orientable_count(base: ClosedSurface, d: int, b: int) -> int:
-    """The connected simple tuples over n_h whose total space is
-    orientable.
+    """The connected simple tuples over n_h whose total space is orientable."""
+    return sum(raw_counts(base, d, b, True, True))
 
-    A connected cover is orientable exactly when it factors through the
-    orientation double cover o_(h-1) of the base. Then its d = 2m sheets
-    split into two halves of m, which every crosscap swaps and every
-    meridian keeps, and the split is unique. Counting the splits, the
-    matchings of the two halves, the lift of each branch point to
-    o_(h-1) that carries its transposition and the connected degree-m
-    covers of o_(h-1) branched there gives
 
-        C(2m, m)/2 * m! * 2^b * connected_count(o_(h-1), m, b),
+def class_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The conjugation classes of connected simple tuples of a cell."""
+    return sum(class_counts(base, d, b))
 
-    and 0 for odd d."""
-    if base.orientable:
-        raise ValueError(f"the orientable count needs a nonorientable base, got the {base.name}")
-    if d % 2:
-        return 0
-    m = d // 2
-    cover = ClosedSurface(True, base.genus - 1)
-    return comb(d, m) // 2 * factorial(m) * 2**b * connected_count(cover, m, b)
+
+def orientable_class_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The conjugation classes of connected simple tuples over n_h whose
+    total space is orientable."""
+    return sum(class_counts(base, d, b, True, True))

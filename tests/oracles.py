@@ -6,7 +6,10 @@ orientability by brute-force search over sign assignments, sheet
 orbits of census class forms by min-label propagation, reports by
 the stdlib's JSON encoder, peak memory from a separate launcher, and
 the census's tuple counts of any meridians as one scalar each
-(hom_count, all_connected_count) where the library grades them.
+(hom_count, all_connected_count) where the library grades them, and
+the simple and unbranched rows by the route the census took before it
+counted every cell from graded keys (simple_connected_count,
+simple_orientable_count, simple_class_count).
 Agreement with the library is what the randomized tests assert. The
 permutation and exhaustion helpers here (compose_all, cycle_type,
 is_transposition, frontier_circles) are used by the tests alone.
@@ -20,12 +23,13 @@ import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, gcd
 from typing import Iterable
 
 import numpy as np
 
-from coverbench.characters import _irreducibles
+from coverbench.characters import _irreducibles, _partitions
 from coverbench.errors import DepthExceeded, InvalidInput
 from coverbench.exhaustion import (
     ExhaustionGraph,
@@ -295,15 +299,138 @@ def oracle_census(base: ClosedSurface, d: int, b: int, simple_only: bool):
     )
 
 
+def irreducibles(d: int) -> list[tuple[int, int, int]]:
+    """(f^lambda, h_lambda, c(lambda)) for every partition lambda of d, the
+    content sum added here to the library's dimensions and hook products."""
+    return [
+        (f, h, sum(j - i for i, row in enumerate(lam) for j in range(row)))
+        for lam, (f, h) in zip(_partitions(d), _irreducibles(d))
+    ]
+
+
 def fraction_simple_homs(chi: int, d: int, b: int) -> int:
-    """characters._simple_homs by Frobenius' formula as written, in
+    """simple_homs by Frobenius' formula as written, in
     Fractions: (d!)^(1 - chi) * sum over lambda of (f^lambda)^chi *
     c(lambda)^b, whose denominators must cancel to 1. There is no
     shortcut for odd b: conjugate partitions then cancel term by term."""
-    total = sum(Fraction(f) ** chi * c**b for f, _, c in _irreducibles(d))
+    total = sum(Fraction(f) ** chi * c**b for f, _, c in irreducibles(d))
     exact = Fraction(factorial(d)) ** (1 - chi) * total
     assert exact.denominator == 1, f"character sum {exact} is not an integer"
     return exact.numerator
+
+
+def simple_homs(chi: int, d: int, b: int) -> int:
+    """The tuples over a base of Euler characteristic chi whose b
+    meridians are transpositions, in integers: for chi <= 1 a term
+    (d!)^(1 - chi) (f^lambda)^chi c(lambda)^b is f^lambda
+    h_lambda^(1 - chi) c(lambda)^b, and the sphere's sum of
+    (f^lambda)^2 c(lambda)^b is divided by d! once. None for odd b, as b
+    transpositions multiply to an odd permutation."""
+    if b % 2:
+        return 0
+    if chi <= 1:
+        return sum(f * h ** (1 - chi) * c**b for f, h, c in irreducibles(d))
+    total, rest = divmod(sum(f * f * c**b for f, _, c in irreducibles(d)), factorial(d))
+    assert not rest, f"the sphere's character sum at degree {d} is not a multiple of {d}!"
+    return total
+
+
+@lru_cache(maxsize=None)
+def simple_connected_count(chi: int, d: int, b: int) -> int:
+    """The connected simple tuples over a base of Euler characteristic
+    chi, by the exponential formula over sheets and meridians together:
+    split off the orbit of sheet 1, k sheets carrying j of the meridians
+    (an orbit takes an even number), the binomials C(m, j) from Pascal's
+    row of m."""
+    if b % 2:
+        return 0
+    homs = [[simple_homs(chi, n, m) for m in range(b + 1)] for n in range(d + 1)]
+    conn = [[0] * (b + 1) for _ in range(d + 1)]
+    row = [1]
+    for m in range(b + 1):
+        row = [1, *(x + y for x, y in zip(row, row[1:])), 1] if m else row
+        for n in range(1, d + 1) if m % 2 == 0 else ():
+            conn[n][m] = homs[n][m] - sum(
+                comb(n - 1, k - 1) * row[j] * conn[k][j] * homs[n - k][m - j]
+                for k in range(1, n)
+                for j in range(0, m + 1, 2)
+            )
+    return conn[d][b]
+
+
+def simple_orientable_count(base: ClosedSurface, d: int, b: int) -> int:
+    """The connected simple tuples over n_h whose total space is
+    orientable: such a cover factors through the orientation double
+    cover o_(h-1), and counting the splits of its d = 2m sheets into the
+    two halves, their matchings and the lift of each branch point gives
+    C(2m, m)/2 m! 2^b times the connected covers of o_(h-1) of degree m."""
+    assert not base.orientable
+    if d % 2:
+        return 0
+    m = d // 2
+    chi = euler_characteristic(base)
+    return comb(d, m) // 2 * factorial(m) * 2**b * simple_connected_count(2 * chi, m, b)
+
+
+def _divisors(n: int) -> list[int]:
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _mobius(n: int) -> int:
+    """(-1)^r for a product of r distinct primes, else 0, by trial division."""
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+
+def _epimorphisms(l: int, chi: int, orientable: bool, orientable_kernel: bool) -> Fraction:
+    """|Epi(pi_1 X, Z_l)| for a closed surface X of Euler characteristic
+    chi, by Moebius inversion from the k^(2 - chi) homomorphisms into Z_k
+    over an orientable X and the gcd(2, k) k^(1 - chi) over a
+    nonorientable one; with orientable_kernel only those that reduce mod
+    2 to the orientation character: for k = 2j with l/k odd, j^(h - 1)
+    for odd j and (1 + (-1)^h) j^(h - 1) for even j."""
+    total = Fraction(0)
+    for k in _divisors(l):
+        mu = _mobius(l // k)
+        if orientable:
+            total += mu * Fraction(k) ** (2 - chi)
+        elif not orientable_kernel:
+            total += mu * gcd(2, k) * Fraction(k) ** (1 - chi)
+        elif k % 2 == 0 and l // k % 2:
+            j = k // 2
+            total += mu * Fraction(j) ** (1 - chi) * (1 if j % 2 else 1 + (-1) ** (2 - chi))
+    return total
+
+
+def simple_class_count(base: ClosedSurface, d: int, b: int, orientable: bool = False) -> int:
+    """The conjugation classes of connected simple tuples by Burnside's
+    lemma, as the census took it before its counts were graded: a
+    conjugator of cycle type l^m fixing a tuple makes it a cyclic cover
+    of degree l over an unbranched connected cover X' of degree m, with
+    l^(m - 1) tuples for each. With b >= 2 only l = 2 fixes any, and the
+    double cover is branched at one of the m lifts of each branch point,
+    m^b 2^(2 - m chi) of them, orientable exactly when X' is; without
+    branch points it is any epimorphism onto Z_l (Mednykh's count), and
+    over a nonorientable X' an orientable one when its kernel is."""
+    if b % 2:
+        return 0
+    chi = euler_characteristic(base)
+    total = Fraction(simple_orientable_count(base, d, b) if orientable else simple_connected_count(chi, d, b))
+    for l in _divisors(d)[1:] if b == 0 else [2] if d % 2 == 0 else []:
+        m = d // l
+        covers = simple_connected_count(chi, m, 0)
+        up = covers if base.orientable else simple_orientable_count(base, m, 0)
+        if not covers:
+            continue
+        if b:
+            fixed = (up if orientable else covers) * m**b * Fraction(2) ** (2 - m * chi)
+        else:
+            fixed = up * _epimorphisms(l, m * chi, True, False)
+            fixed += (covers - up) * _epimorphisms(l, m * chi, False, orientable)
+        total += Fraction(factorial(d), l**m * factorial(m)) * l ** (m - 1) * fixed
+    classes = total / factorial(d)
+    assert classes.denominator == 1, f"Burnside's lemma gives {classes} classes"
+    return classes.numerator
 
 
 def hom_count(base: ClosedSurface, d: int, b: int, simple_only: bool = True) -> int:

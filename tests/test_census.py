@@ -170,7 +170,8 @@ def test_repeated_runs_identical():
         # the character sums of s2/10^6/2 list partitions past the step budget
         (SPHERE, 10**6, 2, True),
         (SPHERE, 10**18, 0, True),
-        (SPHERE, 2, 5000, True),  # one tuple, but long character sums
+        # c = 21 for the sphere's degree-7 cells: its power passes the step budget
+        (SPHERE, 7, 10**6, True),
         (SPHERE, 0, 2, True),
         (SPHERE, 2, -1, True),
     ],
@@ -214,6 +215,14 @@ def test_admission_reaches_past_eight_branch_points():
     assert enumerate_covers(SPHERE, 2, 9, True) == CensusRow(SPHERE, 2, 9, ())
     row = enumerate_covers(SPHERE, 2, 12, True)
     assert row.realized == ((ClosedSurface(True, 5), 1, 1),)
+
+
+@pytest.mark.parametrize("b", [5000, 10**18])
+def test_degree_2_cells_report_at_any_branch_count(b):
+    # one double cover of the sphere branched at b points: its one key's
+    # power is 1^b, and every count starts at the grade V = b, so the
+    # sums take no longer for b = 10^18 than for b = 2
+    assert enumerate_covers(SPHERE, 2, b, True).realized == ((ClosedSurface(True, b // 2 - 1), 1, 1),)
 
 
 def test_empty_cell_builds_no_group_table():

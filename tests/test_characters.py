@@ -13,15 +13,20 @@ from hypothesis import example, given, seed, settings
 
 from coverbench.census import enumerate_covers
 from coverbench.characters import (
+    _elementary,
     _fixed,
     _free_homs,
     _irreducibles,
+    _key,
+    _partitions,
     _power,
-    _simple_homs,
+    _power_sums,
+    _quotients,
     class_count,
     connected_count,
     orientable_class_count,
     orientable_count,
+    raw_counts,
 )
 from coverbench.cli import parse_base
 from coverbench.errors import InvalidData
@@ -32,6 +37,8 @@ from coverbench.surfaces import (
     SPHERE,
     TORUS,
     ClosedSurface,
+    classify,
+    euler_characteristic,
 )
 
 from oracles import (
@@ -40,7 +47,12 @@ from oracles import (
     all_connected_count,
     fraction_simple_homs,
     hom_count,
+    irreducibles,
     oracle_census,
+    simple_class_count,
+    simple_connected_count,
+    simple_homs,
+    simple_orientable_count,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -60,7 +72,8 @@ def _generators(base: ClosedSurface) -> int:
 
 @pytest.mark.parametrize("d", range(0, 9))
 def test_irreducibles_sum_of_squares_and_contents(d):
-    irreps = _irreducibles(d)
+    irreps = irreducibles(d)
+    assert [(f, h) for f, h, _ in irreps] == list(_irreducibles(d))
     assert sum(f * f for f, _, _ in irreps) == factorial(d)
     assert all(f * h == factorial(d) for f, h, _ in irreps)
     # transposing a partition negates its content sum; the sign
@@ -76,20 +89,39 @@ def test_irreducibles_sum_of_squares_and_contents(d):
 @example(2, 7, 3)
 @example(-100, 14, 40)
 def test_integer_character_sums_equal_the_fraction_formula(chi, d, b):
-    # the integer terms f h^(1 - chi) c^b, and the sphere's one division
-    # by d!, against Frobenius' formula in Fractions; odd b gives 0 both ways
-    count = _simple_homs(chi, d, b)
-    assert type(count) is int
-    assert count == fraction_simple_homs(chi, d, b)
+    # the simple keys c(lambda) with their integer terms
+    # a = f^2 h^(2 - chi), summed against c^b, are d! times Frobenius'
+    # formula in Fractions, and so is the oracle's integer sum; odd b
+    # gives 0 every way
+    keys = _free_homs(chi, d, 1)
+    assert all(type(a) is int for a in keys.values())
+    assert sorted(keys) == sorted({c for _, _, c in irreducibles(d)})
+    count = fraction_simple_homs(chi, d, b)
+    assert sum(a * c**b for c, a in keys.items()) == factorial(d) * count
+    assert simple_homs(chi, d, b) == count
 
 
-def test_sphere_sum_with_a_remainder_names_the_cell(monkeypatch):
-    monkeypatch.setattr("coverbench.characters._irreducibles", lambda d: ((1, 5, 1),))
+@pytest.fixture
+def fresh_counts():
+    # the counts are cached: a test that patches what they are made of
+    # clears them before and after
+    for cached in (_fixed, _quotients):
+        cached.cache_clear()
+    yield
+    for cached in (_fixed, _quotients):
+        cached.cache_clear()
+
+
+def test_sphere_sum_with_a_remainder_names_the_cell(monkeypatch, fresh_counts):
+    # the sphere's character sums are divided by d! once, as _fixed
+    # divides the identity's fixed tuples by m! B^(2m - 1) = 3!: one key,
+    # the content 1, Q = 1 + t, where d! times the tuples belong leaves 1/6
+    monkeypatch.setattr("coverbench.characters._connected_keys", lambda chi, d, T: {_key([1], T): 1})
     with pytest.raises(InvalidData) as raised:
-        _simple_homs(2, 3, 2)
+        raw_counts(SPHERE, 3, 2)
     assert str(raised.value) == (
-        "census cell (sphere, degree 3, 2 branch points): the characters give "
-        "1/6 tuples, not an integer"
+        "census cell (sphere, degree 3, 2 branch points): a conjugator of cycle type 1^3 "
+        "fixes 1/6 tuples of grade 2, not an integer"
     )
 
 
@@ -209,16 +241,45 @@ def test_free_homs_sum_to_the_scalar_counts(base):
     # d! times the tuples of any meridians is sum a_Q Q(t)^b: at t = 1
     # (d!)^(1 - chi + b), and with the identity removed from each
     # meridian, sum a_Q (Q(1) - 1)^b, the scalar inclusion-exclusion
+    # (Q(1) is the sum of the coefficients Newton's identities give from
+    # Q's d power sums)
     chi = 2 - 2 * base.genus if base.orientable else 2 - base.genus
     for d in range(1, 7):
-        at_one = {key: prod(1 + c for c in key) for key in _free_homs(chi, d)}
+        keys = _free_homs(chi, d, d)
+        at_one = {key: sum(_elementary(_power_sums(key, d), d)) for key in keys}
+        contents = [[j - i for i, row in enumerate(lam) for j in range(row)] for lam in _partitions(d)]
+        assert sorted(at_one.values()) == sorted(prod(1 + c for c in cs) for cs in contents)
         for b in range(0, 5):
-            free = sum(a * at_one[key] ** b for key, a in _free_homs(chi, d).items())
+            free = sum(a * at_one[key] ** b for key, a in keys.items())
             assert free == factorial(d) * (factorial(d) ** (1 - chi + b) if b else hom_count(base, d, 0))
-            nontrivial = sum(a * (at_one[key] - 1) ** b for key, a in _free_homs(chi, d).items())
+            nontrivial = sum(a * (at_one[key] - 1) ** b for key, a in keys.items())
             assert nontrivial == factorial(d) * hom_count(base, d, b, False), (d, b)
             if b:
                 assert connected_count(base, d, b, False) == all_connected_count(base, d, b), (d, b)
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.integers(1 - d, d - 1), max_size=d))))
+@example((1, [0]))
+@example((12, [-11] * 12))
+@example((12, [11] * 12))
+def test_keys_hold_the_power_sums_newton_reads(cell):
+    # a key holds the first T power sums of up to T contents of size below
+    # T, T = d for a cell of any meridians: the key of a merged product is
+    # the sum of keys, and the orientation double cover's twice a key;
+    # Newton's identities rebuild the product of 1 + c t
+    T, contents = cell
+    sums = [sum(c**k for c in contents) for k in range(1, T + 1)]
+    half = contents[: len(contents) // 2]
+    assert _power_sums(_key(half, T) + _key(contents[len(half):], T), T) == sums
+    assert _power_sums(2 * _key(half, T), T) == [2 * sum(c**k for c in half) for k in range(1, T + 1)]
+    want = [1]
+    for c in contents:
+        want = [x + c * y for x, y in zip(want + [0], [0] + want)]
+    assert _elementary(sums, T) == want + [0] * (T + 1 - len(want))
+    # T = 1 keys a product by its content sum, however large
+    assert _key(contents * 50, 1) == 50 * sum(contents) and _key(contents, 0) == 0
 
 
 @seed(20261019)
@@ -269,8 +330,9 @@ def test_closed_forms_are_exact_integers():
         orientable_count(TORUS, 4, 2)
 
 
-def test_non_integral_class_count_names_the_cell(monkeypatch):
-    monkeypatch.setattr("coverbench.characters.connected_count", lambda *args: 1)
+def test_non_integral_class_count_names_the_cell(monkeypatch, fresh_counts):
+    # one tuple fixed by the identity and none by any other conjugator
+    monkeypatch.setattr("coverbench.characters._fixed", lambda base, d, b, l, *flags: [1] if l == 1 else [])
     with pytest.raises(InvalidData) as raised:
         class_count(TORUS, 3, 4)
     assert str(raised.value) == (
@@ -279,20 +341,58 @@ def test_non_integral_class_count_names_the_cell(monkeypatch):
     )
 
 
-def test_non_integral_graded_count_names_the_cell(monkeypatch):
-    # one product Q = 1 + t where d! times the tuples belong: the raw count
-    # of grade 2, the identity's fixed tuples, is then 1/3!
-    monkeypatch.setattr("coverbench.characters._connected_keys", lambda chi, d: {(1,): 1})
-    _fixed.cache_clear()
-    try:
-        with pytest.raises(InvalidData) as raised:
-            connected_count(TORUS, 3, 2, False)
-    finally:
-        _fixed.cache_clear()
+def test_non_integral_graded_count_names_the_cell(monkeypatch, fresh_counts):
+    # one product Q = 1 + t, the power sums of the one content 1, where d!
+    # times the tuples belong: the raw count of grade 2, the identity's
+    # fixed tuples, is then 1/3!
+    monkeypatch.setattr("coverbench.characters._connected_keys", lambda chi, d, T: {_key([1], T): 1})
+    with pytest.raises(InvalidData) as raised:
+        raw_counts(TORUS, 3, 2, False)
     assert str(raised.value) == (
         "census cell (torus, degree 3, 2 branch points): a conjugator of cycle type 1^3 "
         "fixes 1/6 tuples of grade 2, not an integer"
     )
+    # the count over every grade, which the census checks for its digits
+    # first, takes Q at t = 1: (2 - 1)^2 d!-scaled tuples, 1/3! again
+    with pytest.raises(InvalidData) as raised:
+        connected_count(TORUS, 3, 2, False)
+    assert str(raised.value) == (
+        "census cell (torus, degree 3, 2 branch points): a conjugator of cycle type 1^3 "
+        "fixes 1/6 tuples, not an integer"
+    )
+
+
+@st.composite
+def _bases(draw):
+    orientable = draw(st.booleans())
+    return ClosedSurface(orientable, draw(st.integers(0 if orientable else 1, 4)))
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(_bases(), st.integers(1, 12), st.integers(0, 20))
+@example(ClosedSurface(False, 4), 12, 20)
+@example(SPHERE, 12, 20)
+@example(KLEIN_BOTTLE, 12, 0)
+def test_one_route_matches_the_frobenius_pascal_route(base, d, half):
+    # a simple cell is the graded sums cut at degree 1 and a cell without
+    # branch points at degree 0; the oracle counts its rows the way the
+    # census did before: Frobenius' sums folded with Pascal's row, the
+    # orientation double cover's formula, and Burnside's lemma with l = 2
+    # alone, or Mednykh's count without branch points
+    b = 2 * half
+    chi = euler_characteristic(base)
+    raw, classes = simple_connected_count(chi, d, b), simple_class_count(base, d, b)
+    assert (connected_count(base, d, b), class_count(base, d, b)) == (raw, classes)
+    up = (raw, classes)
+    if not base.orientable:
+        up = simple_orientable_count(base, d, b), simple_class_count(base, d, b, True)
+        assert (orientable_count(base, d, b), orientable_class_count(base, d, b)) == up
+    rows = ((True, *up), (False, raw - up[0], classes - up[1]))
+    want = tuple((classify(d * chi - b, o), n, c) for o, n, c in rows if n)
+    assert enumerate_covers(base, d, b, True).realized == want
+    if b == 0:
+        assert enumerate_covers(base, d, 0, False) == enumerate_covers(base, d, 0, True)
 
 
 @pytest.mark.parametrize("d", range(2, 11))

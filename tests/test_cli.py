@@ -536,15 +536,13 @@ class TestCensusCommands:
     @pytest.mark.parametrize(
         ("admitted", "refused"),
         [
-            # the audit, a high-genus cell and a sphere cell with many branch
-            # points at the edges of the integer sums' price; the last two
-            # moved up from 260 and 68 when the connected-count fold was
-            # priced at its products, about d^2 b^2 / 16
-            (["parity-audit", "--dmax", "23", "--bmax", "8"], ["parity-audit", "--dmax", "24", "--bmax", "8"]),
-            (["enumerate", "--base", "o555", "--degree", "6", "--branch-points", "494"],
-             ["enumerate", "--base", "o555", "--degree", "6", "--branch-points", "496"]),
-            (["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "90"],
-             ["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "92"]),
+            # the audit, a genus-5 cell and a sphere cell with many branch
+            # points at the edges of the integer sums' price
+            (["parity-audit", "--dmax", "34", "--bmax", "8"], ["parity-audit", "--dmax", "35", "--bmax", "8"]),
+            (["enumerate", "--base", "o5", "--degree", "24", "--branch-points", "830"],
+             ["enumerate", "--base", "o5", "--degree", "24", "--branch-points", "832"]),
+            (["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "418"],
+             ["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "420"]),
         ],
     )
     def test_integer_sums_admit_the_new_edges(self, admitted, refused):
@@ -561,13 +559,14 @@ class TestCensusCommands:
 
     def test_parity_audit_refuses_before_enumerating(self, monkeypatch):
         # the audit is charged the character sums of all its cells, the
-        # largest first: through degree 23 they take 3,392,890 steps, and
-        # degree 10^6 is priced without listing a partition of it
+        # largest first, their keys once: through degree 34 they take
+        # 3,986,640 steps, and degree 10^6 is priced without listing a
+        # partition of it
         def enumerated(*args):
             raise AssertionError(f"cell {args[1:3]} enumerated before admission")
 
         monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
-        for dmax, bmax in ((24, 8), (10**6, 2)):
+        for dmax, bmax in ((35, 8), (10**6, 2)):
             start = time.perf_counter()
             rc, out, err = run_cli(["parity-audit", "--dmax", str(dmax), "--bmax", str(bmax)])
             assert time.perf_counter() - start < 1
@@ -975,14 +974,14 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 @pytest.mark.parametrize(
     "cell",
-    [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 2, 5000), ("o30000", 6, 2), ("torus", 40, 0), ("torus", 37, 0)],
+    [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 7, 10**6), ("o30000", 6, 2), ("torus", 40, 0), ("klein", 40, 0)],
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
     # the closed-form counts of n5000/6/0 and n5000/5/8 pass the 4299
     # digits a report prints, and the character sums of the others pass
-    # the step budget (torus/40/0 took 7.7 s in them, and torus/37/0 is
-    # the first torus cell refused): the refusal must come before any
-    # character sum, and no census run loads numpy
+    # the step budget (torus/40/0 took 7.7 s in them, and it and klein/40/0
+    # are the first torus and Klein bottle cells refused): the refusal must
+    # come before any character sum, and no census run loads numpy
     base, d, b = cell
     script = (
         "import sys\n"
