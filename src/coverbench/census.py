@@ -27,8 +27,9 @@ counts of the covers through the orientation double cover, and the
 nonorientable rows the rest. s2/5/10 (169,271,260 tuples), s2/7/142,
 o5/6/8, rp2/6/8, rp2/8/8, o2/6/0, n20/2/0 and s2/6/4 --all are answered
 at once. A cell is refused when its character sums are over the step
-budget (errors.admit, before any is taken) or its counts are too long
-to print (past 4299 digits, as int.__repr__ stops at 4300).
+budget (characters.sums_cost, admitted once by _admit_cells before any
+is taken) or its counts are too long to print (past 4299 digits, as
+int.__repr__ stops at 4300).
 
 The census engine, module orderly, which counts the classes by orderly
 generation in numpy, is the tests' reference for these rows; only
@@ -38,29 +39,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import factorial, isqrt, log10
+from math import log10
 
-from .characters import class_counts, connected_count, cut, raw_counts
-from .errors import STEP_BUDGET, LimitExceeded, admit
+from .characters import _cell, class_counts, connected_count, raw_counts, sums_cost
+from .errors import LimitExceeded, admit
 from .surfaces import PROJECTIVE_PLANE, ClosedSurface, classify, euler_characteristic
 
-# Prices for errors.admit. The character sums (module characters) take
-# the hook lengths of the p(n) partitions of every n <= d, about d/2 steps
-# a partition, and once T >= 1 as many again for its contents and key and
-# the exponential formula's merges of keys: the key steps, shared by every
-# cell up to degree d. Each keyed product Q, at most p(d) (isqrt(p(d)) + 1)
-# of them (13,602 at d = 20) and cut at T = 1 at most the d(d - 1) + 1
-# values of c, then costs _KEY_STEPS, and (R - 1)^b the power of its
-# lowest coefficient, w steps a word of its w words of _POWER_BITS bits,
-# and Miller's recurrence, D = min(T, d - 1) products of one word by w for
-# each further coefficient: the power steps. A key step costs w^2 times as
-# much, so a cell whose count may be long cannot take long sums before its
-# digits are checked. Fitted on 260 whole CLI runs of cells over s2, rp2,
-# torus, klein, o_g and n_h at and below their edges (2-core Xeon,
-# Python 3.11): 0.26 to 1.6 us a step for the runs over 1 s, and at most
-# 4.0 s for a cell admitted.
-_KEY_STEPS = 32
-_POWER_BITS = 2048
 # a census row's counts print with int.__repr__, which refuses more than
 # 4300 digits
 _PRINTED_DIGITS = 4299
@@ -109,47 +93,18 @@ class UniversalBaseReport:
     notes: tuple[str, ...]
 
 
-def _cell(base: ClosedSurface, d: int, b: int) -> str:
-    return f"census cell ({base.name}, degree {d}, {b} branch points)"
-
-
-def _sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[int, int, int]:
-    """The bytes, the key steps and the power steps of a cell's character
-    sums (see the prices above), the keys cut at T = characters.cut. A
-    simple cell with odd b takes none: it has no tuple at all. The
-    partition counts p(n) come from Euler's pentagonal recurrence, up to d
-    or until the key steps alone pass the step budget, so a huge degree
-    costs nothing to price; its powers are then left unpriced."""
-    if simple_only and b % 2:
-        return 0, 0, 0
-    T = cut(d, b, simple_only)
-    per_partition = d * (1 + min(T, 1)) // 2
-    p = [1]
-    while len(p) <= d and per_partition * sum(p) <= STEP_BUDGET:
-        n = len(p)  # p(n) sums (-1)^(k+1) p(n - k(3k -+ 1)/2) over k >= 1
-        terms = ((k, n - k * (3 * k + s) // 2) for k in range(1, n + 1) for s in (-1, 1))
-        p.append(sum((-1) ** (k + 1) * p[m] for k, m in terms if m >= 0))
-    D = min(T, d - 1)
-    keys = p[-1] * (isqrt(p[-1]) + 1)
-    if T < 2:
-        keys = min(keys, (d * (d - 1) + 1) ** T)
-    powers = 0  # bits of the largest power: (d!)^(|chi| + 1) and Q(1)^b, or c^b
-    if len(p) > d:
-        largest = factorial(d) if T > 1 else d * (d - 1) // 2
-        powers = (abs(euler_characteristic(base)) + 1) * (factorial(d) - 1).bit_length()
-        powers += b * (largest - 1).bit_length()
-    words = 1 + powers // _POWER_BITS
-    key_steps = per_partition * sum(p) * words**2
-    power_steps = keys * (_KEY_STEPS + words + b * (D - 1) * D) * words
-    return 2 * (sum(p) + b * max(D - 1, 0) + 1) * (powers // 8 + 32), key_steps, power_steps
-
-
-def _check_cell(base: ClosedSurface, d: int, b: int, simple_only: bool) -> None:
-    """Admit a cell's character sums before any is taken."""
-    if d < 1 or b < 0:
-        raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
-    cost, key_steps, power_steps = _sums_cost(base, d, b, simple_only)
-    admit(_cell(base, d, b), bytes=cost, steps=key_steps + power_steps)
+def _admit_cells(what: str, cells) -> None:
+    """Admit the character sums of cells (base, d, b, simple_only), each
+    priced as it comes, before any is taken, refusing as what. The cells
+    share their cached keys, so they are charged the bytes and key steps
+    of the dearest cell once, and the power steps of each."""
+    cost = keys = powers = 0
+    for base, d, b, simple_only in cells:
+        if d < 1 or b < 0:
+            raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
+        cell_cost, key_steps, power_steps = sums_cost(base, d, b, simple_only)
+        cost, keys, powers = max(cost, cell_cost), max(keys, key_steps), powers + power_steps
+        admit(what, bytes=cost, steps=keys + powers)
 
 
 def _digits(n: int) -> int:
@@ -164,7 +119,7 @@ def _digits(n: int) -> int:
 def _closed_form_row(
     base: ClosedSurface, d: int, b: int, simple_only: bool
 ) -> tuple[tuple[ClosedSurface, int, int], ...]:
-    """The realized rows of a cell, admitted first. characters.raw_counts
+    """The realized rows of an admitted cell. characters.raw_counts
     gives its connected tuples by their total ramification V = b + i (a
     simple cell's all at V = b), and Riemann-Hurwitz fixes
     chi = d chi(base) - V, so each grade has one orientable and one
@@ -173,7 +128,6 @@ def _closed_form_row(
     counts. A row is kept when its raw count is positive, orientable rows
     first, each kind by genus. The cell is refused when its count is too
     long to print, before any grade or class is counted."""
-    _check_cell(base, d, b, simple_only)
     total = connected_count(base, d, b, simple_only)
     digits = _digits(total) if total else 1
     if digits > _PRINTED_DIGITS:
@@ -220,6 +174,7 @@ def enumerate_covers(
 ) -> CensusRow:
     """The cell's row, admitted and answered from closed forms
     (_closed_form_row)."""
+    _admit_cells(_cell(base, d, b), [(base, d, b, simple_only)])
     return CensusRow(base, d, b, _closed_form_row(base, d, b, simple_only))
 
 
@@ -227,22 +182,16 @@ def parity_audit(d_max: int, b_max: int) -> AuditReport:
     """Take the row of every simple cell over the projective plane, from
     closed forms, and check the crosscap parity and count laws on each
     realized nonorientable total space. Every cell is admitted before the
-    first row is taken, the largest first. The cells share their keys,
-    cached for every degree up to d_max, so the audit is charged the key
-    steps of its dearest cell once, and the power steps of each cell."""
+    first row is taken, the largest first (_admit_cells)."""
     if d_max < 1 or b_max < 0:
         raise ValueError(f"need --dmax >= 1 and --bmax >= 0, got {d_max} and {b_max}")
-    what = f"the parity audit up to degree {d_max} and {b_max} branch points"
-    cost = keys = powers = 0
-    for d in range(d_max, 0, -1):  # lazily: product() would list each range
-        for b in range(b_max, -1, -1):
-            cell_cost, key_steps, power_steps = _sums_cost(PROJECTIVE_PLANE, d, b, True)
-            cost, keys, powers = max(cost, cell_cost), max(keys, key_steps), powers + power_steps
-            admit(what, bytes=cost, steps=keys + powers)
+    # lazily, the largest first: product() would list each range
+    cells = ((PROJECTIVE_PLANE, d, b, True) for d in range(d_max, 0, -1) for b in range(b_max, -1, -1))
+    _admit_cells(f"the parity audit up to degree {d_max} and {b_max} branch points", cells)
     rows = tuple(
         (d, b, s.genus)
         for d, b in itertools.product(range(1, d_max + 1), range(b_max + 1))
-        for s, _, _ in enumerate_covers(PROJECTIVE_PLANE, d, b, True).realized
+        for s, _, _ in _closed_form_row(PROJECTIVE_PLANE, d, b, True)
         if not s.orientable
     )
     violations = tuple((d, b, h) for d, b, h in rows if h % 2 != d % 2 or h != 2 - d + b)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import resource
 import sys
+from functools import lru_cache
 from math import factorial
 
 import hypothesis.strategies as st
@@ -19,7 +20,8 @@ from coverbench.census import (
     parity_audit,
     universal_base_report_dim2,
 )
-from coverbench.characters import class_count, connected_count
+from coverbench import census, characters
+from coverbench.characters import class_counts, connected_count
 from coverbench.errors import InvalidData, LimitExceeded
 from coverbench.hurwitz import HurwitzData, is_connected, total_space
 from coverbench.orderly import (
@@ -192,7 +194,7 @@ def test_closed_form_cells_are_answered_past_the_tuple_floor(base, d, b):
     # rows come from closed forms and list no tuple
     _group_table.cache_clear()
     (row,) = enumerate_covers(base, d, b, True).realized
-    assert row[1:] == (connected_count(base, d, b, True), class_count(base, d, b))
+    assert row[1:] == (connected_count(base, d, b, True), sum(class_counts(base, d, b)))
     assert _group_table.cache_info().currsize == 0
 
 
@@ -405,9 +407,23 @@ def test_parity_audit_admits_huge_ranges_without_listing_them(monkeypatch):
     def enumerated(*args):
         raise AssertionError(f"cell {args[1:3]} enumerated before admission")
 
-    monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
+    monkeypatch.setattr("coverbench.census._closed_form_row", enumerated)
     with pytest.raises(LimitExceeded):
         parity_audit(10**9, 10**9)
+
+
+def test_parity_audit_prices_each_cell_once(monkeypatch):
+    # the audit admits its cells in one pass and takes their rows unpriced,
+    # and every price reads one table of partition counts, filled once
+    priced, filled = [], []
+    price, fill = census.sums_cost, characters._partition_table.__wrapped__
+    monkeypatch.setattr(census, "sums_cost", lambda *cell: priced.append(cell) or price(*cell))
+    monkeypatch.setattr(characters, "_partition_table", lru_cache(lambda: filled.append(1) or fill()))
+    assert parity_audit(3, 4).passed
+    assert sorted(priced, key=lambda cell: cell[1:3]) == [
+        (PROJECTIVE_PLANE, d, b, True) for d in range(1, 4) for b in range(5)
+    ]
+    assert len(filled) == 1
 
 
 # --- group tables and least class representatives ---

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 from coverbench import jsonio
-from coverbench.characters import class_count, connected_count
+from coverbench.characters import class_counts, connected_count
 from coverbench.cli import build_parser, format_cycles, main, parse_base, parse_cycles
 from coverbench.errors import InvalidInput
 from coverbench.exhaustion import ExhaustionGraph, Piece, normalize
@@ -537,12 +537,13 @@ class TestCensusCommands:
         ("admitted", "refused"),
         [
             # the audit, a genus-5 cell and a sphere cell with many branch
-            # points at the edges of the integer sums' price
-            (["parity-audit", "--dmax", "34", "--bmax", "8"], ["parity-audit", "--dmax", "35", "--bmax", "8"]),
+            # points at the edges of the integer sums' price; the audit's
+            # and the degree-30 cell's keys are charged their merges
+            (["parity-audit", "--dmax", "29", "--bmax", "8"], ["parity-audit", "--dmax", "30", "--bmax", "8"]),
             (["enumerate", "--base", "o5", "--degree", "24", "--branch-points", "830"],
              ["enumerate", "--base", "o5", "--degree", "24", "--branch-points", "832"]),
-            (["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "418"],
-             ["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "420"]),
+            (["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "190"],
+             ["enumerate", "--base", "s2", "--degree", "30", "--branch-points", "192"]),
         ],
     )
     def test_integer_sums_admit_the_new_edges(self, admitted, refused):
@@ -559,13 +560,13 @@ class TestCensusCommands:
 
     def test_parity_audit_refuses_before_enumerating(self, monkeypatch):
         # the audit is charged the character sums of all its cells, the
-        # largest first, their keys once: through degree 34 they take
-        # 3,986,640 steps, and degree 10^6 is priced without listing a
+        # largest first, their keys once: through degree 29 they take
+        # 3,768,487 steps, and degree 10^6 is priced without listing a
         # partition of it
         def enumerated(*args):
             raise AssertionError(f"cell {args[1:3]} enumerated before admission")
 
-        monkeypatch.setattr("coverbench.census.enumerate_covers", enumerated)
+        monkeypatch.setattr("coverbench.census._closed_form_row", enumerated)
         for dmax, bmax in ((35, 8), (10**6, 2)):
             start = time.perf_counter()
             rc, out, err = run_cli(["parity-audit", "--dmax", str(dmax), "--bmax", str(bmax)])
@@ -974,14 +975,19 @@ def test_high_genus_cells_are_answered_before_any_character_sum():
 
 @pytest.mark.parametrize(
     "cell",
-    [("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 7, 10**6), ("o30000", 6, 2), ("torus", 40, 0), ("klein", 40, 0)],
+    [
+        ("n5000", 6, 0), ("n5000", 5, 8), ("s2", 10**6, 2), ("s2", 7, 10**6), ("o30000", 6, 2), ("torus", 40, 0),
+        ("klein", 40, 0), ("torus", 31, 2), ("n15", 36, 2),
+    ],
 )
 def test_cells_out_of_reach_are_refused_at_once(cell):
     # the closed-form counts of n5000/6/0 and n5000/5/8 pass the 4299
     # digits a report prints, and the character sums of the others pass
     # the step budget (torus/40/0 took 7.7 s in them, and it and klein/40/0
-    # are the first torus and Klein bottle cells refused): the refusal must
-    # come before any character sum, and no census run loads numpy
+    # are the first torus and Klein bottle cells refused; torus/31/2 is the
+    # first refused for the merges of its keys, which took n15/36/2 4.3 to
+    # 7.2 s): the refusal must come before any character sum, and no census
+    # run loads numpy
     base, d, b = cell
     script = (
         "import sys\n"
@@ -1157,7 +1163,7 @@ def test_closed_form_cells_past_enumeration_answer_at_once(cell):
     rows = report_of(child.stdout)["result"]["rows"]
     surface = parse_base(base)
     genus = (2 - d * euler_characteristic(surface) + b) // 2
-    want = [_row(True, genus, connected_count(surface, d, b), class_count(surface, d, b))]
+    want = [_row(True, genus, connected_count(surface, d, b), sum(class_counts(surface, d, b)))]
     assert rows == STREAMED_ROWS.get(cell, want)
     assert all(type(row["class_count"]) is int for row in rows)
     assert elapsed < 1
