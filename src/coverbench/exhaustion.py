@@ -16,23 +16,26 @@ two outer circles.
 
 The sweep keeps its working copy indexed: each circle's owner and
 referencer, and the pieces of each level (pieces point at their level,
-so inserting a level renumbers levels, not pieces). The circles of a
-level are grouped once by the component of the graph above the level
-that reaches them; that level's joins keep the grouping, and each
-finds its tube by a breadth-first search that stops at the goal. Each
-join removes one cycle of the gluing graph, so once there are fewer
-glued circles than pieces the graph is a tree and no level has a join
-left to find. A normalization costs its output's size plus, while cycles
-remain, one pass over the graph above each level and one search per join.
+so inserting a level renumbers levels, not pieces). Before the sweep,
+one pass from the top level down, with a union-find, groups the circles
+of every level by the component of the graph above the level that
+reaches them. The sweep's moves keep those groups: a join merges pieces
+that its tube already connects above every lower level, and a split's
+new levels reach each component above them through one circle. Each
+join finds its tube by a breadth-first search from both ends, which
+stops where the two meet, then walks back from the goal over the pieces
+of shortest paths only. A normalization costs its input and output and
+one search per join; on a ring ladder a search may cover a patch as
+wide as the ring, so the cost per piece grows with the width, not the
+depth. `normalize` is admitted before any of it (see its prices).
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvalidInput, NotNormalized, ValidationReport
+from .errors import InvalidInput, NotNormalized, ValidationReport, admit
 
 
 @dataclass(frozen=True)
@@ -184,16 +187,35 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
 
 # --- normalization ---
 
+# Prices for errors.admit, fitted to whole CLI runs of normalize (fastest
+# of 5, 2-core Xeon, Python 3.11): per input piece, per piece of the bound
+# on the output (see _Normalizer._group_circles), and per squared size of
+# each level's groups of circles that the graph above it joins, which
+# models the searches of the joins. The 560-way fan (156,521 pieces out)
+# takes 2.6 s, 0.8 us a step, and the ring ladders 20 x 1000, 100 x 200
+# and 200 x 100 (about 20,000 pieces each) 1.1, 1.6 and 3.2 s, 0.8 to
+# 1.0 us a step. Peaks stay under 1 kB per input piece and bound piece,
+# beside the interpreter's 20 MB.
+_PIECE_STEPS = 30
+_PIECE_BYTES = 2048
+_MADE_STEPS = 20
+_MADE_BYTES = 1024
+_SQUARES_PER_STEP = 8
+
 
 class _Level(dict):
     """The pieces of one level during normalization, by id. Pieces point
-    at their level, so inserting a level renumbers levels, not pieces."""
+    at their level, so inserting a level renumbers levels, not pieces.
+    groups holds the level's glued outer circles that its joins tube
+    together, grouped as the sweep found the input (see _group_circles);
+    a level that a split inserts has none."""
 
-    __slots__ = ("number",)
+    __slots__ = ("number", "groups")
 
     def __init__(self, number: int):
         super().__init__()
         self.number = number
+        self.groups: list[list[int]] = []
 
 
 class _Mut:
@@ -237,6 +259,7 @@ class _Normalizer:
             self._add(_Mut(p.id, self.levels[p.level], p.genus, list(p.inner), list(p.outer)))
         self.next_circle = max(self.owner, default=0) + 1
         self.next_name = 1
+        self.made, self.squares = self._group_circles()
 
     def fresh_circle(self) -> int:
         c = self.next_circle
@@ -265,11 +288,12 @@ class _Normalizer:
             self.levels[k].number = k
 
     def _glued_above(self, p: _Mut, j: int) -> list[tuple[_Mut, int]]:
-        """The pieces above level j glued to p, each with its circle."""
-        out = [(q, c) for c in p.inner if (q := self.owner[c]).level > j]
-        out += [
-            (q, c) for c in p.outer if (q := self.refer.get(c)) is not None and q.level > j
-        ]
+        """The pieces above level j glued to p, a piece above level j, each
+        with its circle: the pieces glued to its outer circles, and those
+        that own its inner circles unless they lie at level j."""
+        out = [(self.refer[c], c) for c in p.outer if c in self.refer]
+        if p.home.number > j + 1:
+            out += [(self.owner[c], c) for c in p.inner]
         return out
 
     # -- level-1 disk --
@@ -286,41 +310,71 @@ class _Normalizer:
 
     # -- move (1): tube joins --
 
+    def _group_circles(self) -> tuple[int, int]:
+        """Group the glued outer circles of every level by the component
+        of the graph above the level that they reach, in one pass from the
+        top level down: a union-find holds the pieces above the level, and
+        each level's pieces join it once its circles are grouped. Keeps
+        the groups of two or more circles, each sorted.
+
+        Returns a bound on the pieces the sweep makes and the sum of the
+        squared sizes of the groups, which prices their joins. After its
+        joins a level keeps one glued circle per component above it, and
+        a piece of it at most one per component glued to each of the
+        input pieces merged into it; each split then adds a pants piece
+        and an annulus for each other circle of the level."""
+        parent: dict[_Mut, _Mut] = {}
+
+        def find(p: _Mut) -> _Mut:
+            while (q := parent[p]) is not p:
+                parent[p] = p = parent[q]
+            return p
+
+        made = 1  # the disk
+        squares = 0
+        for level in reversed(self.levels):
+            groups: dict[_Mut, list[int]] = {}
+            glued = []
+            free = 0  # unglued circles, which only the top level has
+            fat = 0  # each piece's circles past two, each one split
+            for q in level.values():
+                parent[q] = q
+                tops = set()
+                loose = 0
+                for c in q.outer:
+                    if (r := self.refer.get(c)) is not None:
+                        groups.setdefault(top := find(r), []).append(c)
+                        glued.append((q, r))
+                        tops.add(top)
+                    else:
+                        loose += 1
+                free += loose
+                fat += max(0, len(tops) + loose - 2)
+            level.groups = [sorted(cs) for cs in groups.values() if len(cs) >= 2]
+            squares += sum(len(cs) ** 2 for cs in level.groups)
+            for q, r in glued:
+                if (a := find(q)) is not (b := find(r)):
+                    parent[a] = b
+            # a merged piece has at most two splits more than its parts
+            merged = len(level) - len({find(q) for q in level.values()})
+            circles = len(groups) + free
+            splits = min(max(0, circles - 2), fat + 2 * merged)
+            made += splits * (circles - 1) - splits * (splits - 1) // 2
+        return made, squares
+
     def joins_at(self, j: int) -> None:
-        # a join needs a cycle in the gluing graph (pieces joined by glued
-        # circles); that graph is connected, so with fewer glued circles
-        # than pieces it is a tree and no join is left
-        if len(self.refer) < len(self.pieces):
-            return
-        # a join merges pieces of one component and drops the larger of
-        # its two circles, so the grouping holds across the level's joins
-        for circles in sorted(cs for cs in self._circle_groups(j) if len(cs) >= 2):
+        # the input's grouping still holds: a join merges pieces of one
+        # level that its tube connects through pieces no lower, so through
+        # the graph above every level beneath them, and the circles it
+        # drops are parallel to circles it keeps; so the level's circles
+        # are its groups less the circles lower joins dropped, and its own
+        # joins keep them too, as each drops the larger of its two circles
+        groups, self.levels[j].groups = self.levels[j].groups, []
+        for circles in sorted([c for c in cs if c in self.refer] for cs in groups):
             while len(circles) >= 2:
                 c1, c2 = circles[0], circles.pop(1)
                 path, crossings = self._tube_path(j, self.refer[c1], self.refer[c2], c1, c2)
                 self._apply_join(j, path, crossings)
-
-    def _circle_groups(self, j: int) -> list[list[int]]:
-        """The glued outer circles of level j, grouped by the component of
-        the graph above level j that is glued to them; each group sorted."""
-        label: dict[str, int] = {}
-        groups: list[list[int]] = []
-        for q in self.levels[j].values():
-            for c in q.outer:
-                r = self.refer.get(c)
-                if r is None:
-                    continue
-                if r.id not in label:
-                    label[r.id] = len(groups)
-                    stack = [r]
-                    while stack:
-                        for v, _ in self._glued_above(stack.pop(), j):
-                            if v.id not in label:
-                                label[v.id] = len(groups)
-                                stack.append(v)
-                    groups.append([])
-                groups[label[r.id]].append(c)
-        return [sorted(cs) for cs in groups]
 
     def _tube_path(
         self, j: int, start: _Mut, goal: _Mut, c1: int, c2: int
@@ -331,25 +385,65 @@ class _Normalizer:
         circles, bracketed by c1 and c2."""
         if start is goal:
             return [start], [c1, c2]
-        dist = {start.id: 0}
-        queue = deque([start])
-        while goal.id not in dist:
-            u = queue.popleft()
-            for v, _ in self._glued_above(u, j):
-                if v.id not in dist:
-                    dist[v.id] = dist[u.id] + 1
-                    queue.append(v)
-        # every piece nearer than the goal has its distance by now, and
-        # the walk back reads only those
+        # breadth-first from both ends, a whole layer at a time from the
+        # end whose frontier has fewer circles, until a layer reaches the
+        # other end's pieces: these meeting pieces lie on every shortest
+        # path, at one distance from each end
+        refer, owner = self.refer.get, self.owner
+        floor = j + 1  # the inner circles of its pieces lie at level j
+        dist = ({start: 0}, {goal: 0})
+        fronts = [[start], [goal]]
+        costs = [len(start.inner) + len(start.outer), len(goal.inner) + len(goal.outer)]
+        meet: list[_Mut] = []
+        while not meet:
+            side = costs[0] > costs[1]
+            near = dist[side]
+            k = near[fronts[side][0]] + 1
+            layer = []
+            for u in fronts[side]:
+                for c in u.outer:
+                    if (v := refer(c)) is not None and v not in near:
+                        near[v] = k
+                        layer.append(v)
+                if u.home.number > floor:
+                    for c in u.inner:
+                        if (v := owner[c]) not in near:
+                            near[v] = k
+                            layer.append(v)
+            fronts[side] = layer
+            costs[side] = sum(len(v.inner) + len(v.outer) for v in layer)
+            meet = [v for v in layer if v in dist[not side]]
+        # back from the meeting pieces, the pieces one nearer the goal give
+        # exactly the goal's half of the shortest paths; each keeps the
+        # gluings by which a step leads one nearer the start
+        back = dist[1]
+        ahead: dict[_Mut, list[tuple[_Mut, int]]] = {}
+        rank = meet
+        while rank:
+            behind = []
+            for v in rank:
+                k = back[v] - 1
+                for u, c in self._glued_above(v, j):
+                    if back.get(u) == k:
+                        if u not in ahead:
+                            ahead[u] = []
+                            behind.append(u)
+                        ahead[u].append((v, c))
+            rank = behind
+        # walk back from the goal, each step to the least piece one nearer
+        # the start, as a search from the start alone would
+        first = dist[0]
         path = [goal]
         circles: list[int] = []
-        while path[-1] is not start:
-            u = path[-1]
-            v, c = min(
-                ((v, c) for v, c in self._glued_above(u, j) if dist.get(v.id) == dist[u.id] - 1),
-                key=lambda vc: (vc[0].id, vc[1]),
-            )
-            path.append(v)
+        u = goal
+        while u is not start:
+            if u in first:
+                k = first[u] - 1
+                steps = [(v, c) for v, c in self._glued_above(u, j) if first.get(v) == k]
+            else:
+                steps = ahead[u]
+            u, c = min(steps, key=lambda vc: (vc[0].id, vc[1]))
+            path.append(u)
             circles.append(c)
         path.reverse()
         circles.reverse()
@@ -448,10 +542,21 @@ def normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
     tube joins first, then pants splits, at each level. Levels at or
     below the sweep cursor are never touched again, so the reported
     stable depth is the full resulting depth."""
+    n = len(g.pieces)
+    # the input alone first, so a document too large to sweep is refused
+    # before it is validated
+    admit(f"normalizing {n} pieces", bytes=_PIECE_BYTES * n, steps=_PIECE_STEPS * n)
     report = validate_exhaustion(g)
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
-    pieces, depth = _Normalizer(g).run()
+    sweep = _Normalizer(g)
+    bound = n + sweep.made
+    admit(
+        f"normalizing {n} pieces into at most {bound}",
+        bytes=_PIECE_BYTES * n + _MADE_BYTES * bound,
+        steps=_PIECE_STEPS * n + _MADE_STEPS * bound + sweep.squares // _SQUARES_PER_STEP,
+    )
+    pieces, depth = sweep.run()
     return NormalizedExhaustion(pieces, stable_depth=depth)
 
 

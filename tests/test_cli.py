@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -15,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed, settings
 
-from coverbench import jsonio
+from coverbench import cli, jsonio
 from coverbench.characters import class_counts, connected_count
 from coverbench.cli import build_parser, format_cycles, main, parse_base, parse_cycles
 from coverbench.errors import InvalidInput
@@ -256,20 +257,69 @@ _FLOATS = st.one_of(
 _TEXT = st.text(
     st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\U0001f600'))
 )
-_LEAVES = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# subclasses of str and int take the encoder's isinstance branches
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _INTS, _FLOATS, _TEXT, _TEXT.map(_Str), _INTS.map(_Int)
+)
 # a dict's keys share one type, as the stdlib sorts them against each other
 _KEY_TYPES = st.sampled_from([_TEXT, _INTS, _FLOATS, st.booleans(), st.none()])
+
+
+def _rows(keys: list, values: list, reordered: bool, deeper: bool) -> list:
+    rows = [dict(zip(keys, row)) for row in values]
+    if reordered:
+        rows.append(dict(zip(keys[::-1], values[0][::-1])))
+    if deeper:
+        rows.append([dict(rows[0])])
+    return rows
+
+
+def _records(children):
+    """Lists of dicts over one key set, as a report lists its records, so
+    that the encoder reuses their key lines: some rows hold the keys in
+    another insertion order, and one sits a level deeper. A key set of
+    ints, floats, bools or None holds non-str keys."""
+
+    def rows(keys):
+        row = st.tuples(*[children] * len(keys))
+        return st.builds(
+            _rows, st.just(keys), st.lists(row, min_size=1, max_size=4), st.booleans(), st.booleans()
+        )
+
+    return _KEY_TYPES.flatmap(lambda k: st.lists(k, min_size=1, max_size=4, unique=True)).flatmap(rows)
 
 
 def _containers(children):
     int_lists = st.lists(_INTS, max_size=6)
     lists = st.lists(children, max_size=5)
+    dicts = _KEY_TYPES.flatmap(lambda keys: st.dictionaries(keys, children, max_size=5))
     return st.one_of(
         int_lists,
         int_lists.map(tuple),
         lists,
         lists.map(tuple),
-        _KEY_TYPES.flatmap(lambda keys: st.dictionaries(keys, children, max_size=5)),
+        lists.map(_List),
+        dicts,
+        dicts.map(_Dict),
+        _records(children),
     )
 
 
@@ -297,6 +347,20 @@ def test_dump_writes_the_stdlib_encoding_in_chunks(x, chunk, lines):
         jsonio.dump(x, writes.append)
     assert "".join(writes) == stdlib_dumps(x)
     assert all(len(w) >= chunk for w in writes[:-1]) and writes[-1]
+
+
+def test_key_lines_stay_within_their_bound(monkeypatch):
+    # each dict of another key set takes a cache entry until the bound; past
+    # it a dict's lines are built for it alone, and the text is the same
+    doc = {"rows": [{f"k{i}": i, "v": [i, None]} for i in range(3 * jsonio._KEY_SETS)]}
+    out = jsonio._Chunks(lambda text: None)
+    jsonio._encode(doc, "\n", out)
+    assert len(out.keys) == jsonio._KEY_SETS
+    monkeypatch.setattr(jsonio, "_KEY_SETS", 4)
+    out = jsonio._Chunks(lambda text: None)
+    jsonio._encode(doc, "\n", out)
+    assert len(out.keys) == 4
+    assert jsonio.dumps(doc) == stdlib_dumps(doc)
 
 
 # int tokens of every sign and size: the small ints every process shares,
@@ -1519,3 +1583,44 @@ def test_mutated_documents_end_in_a_report_or_one_error_line(tmp_path_factory, m
             result = report_of(out)["result"]
             if rc == 1:
                 assert result["ok"] is False, command
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "classified"),
+    [
+        (["classify", "--chi", "-2", "--orientable", "true"], 0, True),
+        (["classify", "--chi", "3", "--orientable", "true"], 2, True),
+        (["classify", "--chi", "-2"], 2, False),
+    ],
+)
+def test_main_runs_with_its_gc_threshold_and_restores_the_caller_s(
+    monkeypatch, argv, code, classified
+):
+    # the run's young collections wait for many allocations, and an
+    # in-process caller gets its own threshold back, whether the run
+    # reports, fails or stops in argument parsing
+    seen = []
+    classify = cli.classify
+    monkeypatch.setattr(cli, "classify", lambda *a: seen.append(gc.get_threshold()) or classify(*a))
+    caller = gc.get_threshold()
+    gc.set_threshold(555, 7, 9)
+    try:
+        rc, _, err = run_cli(argv)
+        assert gc.get_threshold() == (555, 7, 9)
+    finally:
+        gc.set_threshold(*caller)
+    assert rc == code and (err == "") == (code == 0)
+    assert seen == ([cli._GC_THRESHOLD] if classified else [])
+
+
+def test_normalize_refuses_past_its_price_at_once(tmp_path):
+    # a 633-way fan makes 200,029 pieces through its pass-through rings
+    fan = ExhaustionGraph((Piece("f", 1, 0, (), tuple(range(1, 634))),))
+    path = write_doc(tmp_path, "fan.json", jsonio.exhaustion_to_json(fan))
+    start = time.perf_counter()
+    rc, out, err = run_cli(["normalize", "--input", path])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: normalizing 1 pieces into at most 200029 would take more than the budget of 4000000 steps\n"
+    )

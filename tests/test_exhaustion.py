@@ -7,10 +7,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, seed, settings
 
-from coverbench.errors import InvalidInput, NotNormalized
+from coverbench.errors import STEP_BUDGET, InvalidInput, LimitExceeded, NotNormalized
 from coverbench.exhaustion import (
     EndCount,
     ExhaustionGraph,
+    _Normalizer,
     Piece,
     count_ends,
     is_normalized_through,
@@ -439,27 +440,49 @@ def test_normalize_agrees_with_quadratic_reference(data):
     elif kind == "fan":
         g = fan(rng, data.draw(st.integers(1, 12), label="ends"))
     else:
-        width = data.draw(st.integers(2, 6), label="width")
-        g = ring_ladder(rng, width, data.draw(st.integers(2, 6), label="depth"))
+        # up to 8 wide and deep, so that joins span several levels
+        width = data.draw(st.integers(2, 8), label="width")
+        g = ring_ladder(rng, width, data.draw(st.integers(2, 8), label="depth"))
     relabel = data.draw(st.sampled_from(["none", "circles", "circles and ids"]), label="relabel")
     if relabel != "none":
         g = relabelled(rng, g, fresh_style_ids=relabel == "circles and ids")
     got, want = normalize(g), quadratic_normalize(g)
     assert got.pieces == want.pieces
     assert got.stable_depth == want.stable_depth
+    # the admission's bound on the output holds
+    assert len(got.pieces) <= len(g.pieces) + _Normalizer(g).made
 
 
 def test_normalize_scales_with_its_output():
     # the reference sweep, which rebuilds its circle maps and a union-find
     # over every piece at each level and join, takes about 15 s on the fan
-    # and 4.6 s on the ladder on a 2-core Xeon; with live maps and the
-    # level index, about 0.5 s and 0.2 s
+    # and 4.6 s on the 40 x 40 ladder on a 2-core Xeon; with live maps and
+    # the level index, about 0.5 s and 0.2 s. The 200 x 100 ladder takes
+    # 2.6 s, and 15.9 s when each level's circles are grouped by a pass
+    # over the graph above it and each join searches from one end
     rng = random.Random(5)
     for g, pieces_out, bound in (
         (fan(rng, 320), 51041, 10.0),
         (ring_ladder(rng, 40, 40), 859, 3.0),
+        (ring_ladder(rng, 200, 100), 20199, 8.0),
     ):
         start = time.perf_counter()
         n = normalize(g)
         assert time.perf_counter() - start < bound
         assert len(n.pieces) == pieces_out
+
+
+def test_normalize_is_priced_before_it_runs(monkeypatch):
+    # the 633-way fan's pass-through rings make 200,029 pieces, over the
+    # step budget; the input alone is priced before it is validated
+    def swept(self):
+        raise AssertionError("swept before admission")
+
+    monkeypatch.setattr(_Normalizer, "run", swept)
+    with pytest.raises(LimitExceeded, match="normalizing 1 pieces into at most 200029"):
+        normalize(fan(random.Random(1), 633))
+    with pytest.raises(AssertionError, match="swept"):
+        normalize(fan(random.Random(1), 632))
+    monkeypatch.setattr("coverbench.exhaustion._PIECE_STEPS", STEP_BUDGET)
+    with pytest.raises(LimitExceeded, match="normalizing 2 pieces would take more"):
+        normalize(graph(Piece("a", 1, 0, (), (1,)), Piece("b", 1, 0, (), (2,))))
