@@ -24,10 +24,14 @@ that its tube already connects above every lower level, and a split's
 new levels reach each component above them through one circle. Each
 join finds its tube by a breadth-first search from both ends, which
 stops where the two meet, then walks back from the goal over the pieces
-of shortest paths only. A normalization costs its input and output and
-one search per join; on a ring ladder a search may cover a patch as
-wide as the ring, so the cost per piece grows with the width, not the
-depth. `normalize` is admitted before any of it (see its prices).
+of shortest paths only; a search from one end takes 1.5 to 3.9 times
+as long on ring ladders of 10,000 to 20,000 pieces. A normalization
+costs its input and output and one search per join; on a ring ladder a
+search may cover a patch as wide as the ring, so the cost per piece
+grows with the width, not the depth. `normalize` is admitted before any
+of it (see its prices). When the sweep ends it empties its levels, so
+reference counts free the working copy, whose pieces and levels point
+at each other.
 """
 from __future__ import annotations
 
@@ -188,19 +192,21 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
 # --- normalization ---
 
 # Prices for errors.admit, fitted to whole CLI runs of normalize (fastest
-# of 5, 2-core Xeon, Python 3.11): per input piece, per piece of the bound
-# on the output (see _Normalizer._group_circles), and per squared size of
-# each level's groups of circles that the graph above it joins, which
-# models the searches of the joins. The 560-way fan (156,521 pieces out)
-# takes 2.6 s, 0.8 us a step, and the ring ladders 20 x 1000, 100 x 200
-# and 200 x 100 (about 20,000 pieces each) 1.1, 1.6 and 3.2 s, 0.8 to
-# 1.0 us a step. Peaks stay under 1 kB per input piece and bound piece,
-# beside the interpreter's 20 MB.
+# of 3, 2-core Xeon, Python 3.11): per input piece, per piece of the bound
+# on the output, and per piece the joins' searches are expected to reach
+# (see _Normalizer._group_circles). Fans of 560 and 632 ends (156,521 and
+# 199,397 pieces out) take 2.5 and 3.1 s; ring ladders from 20 x 1000 to
+# 200 x 100 and 400 x 30 1.2 to 3.2 s, and those at the budget's edge
+# (250 x 100, 200 x 137, 100 x 397, 20 x 3331, 528 x 30, 570 x 20) 3.6 to
+# 4.6 s: 0.8 to 1.5 us a step. Peaks stay under 1 kB per input piece and
+# bound piece, beside the interpreter's 20 MB.
 _PIECE_STEPS = 30
 _PIECE_BYTES = 2048
 _MADE_STEPS = 20
 _MADE_BYTES = 1024
-_SQUARES_PER_STEP = 8
+# a join's search is priced at an eighth of its group's size in pieces,
+# but at most the levels its component spans above the join
+_GROUP_SHARE = 8
 
 
 class _Level(dict):
@@ -259,7 +265,7 @@ class _Normalizer:
             self._add(_Mut(p.id, self.levels[p.level], p.genus, list(p.inner), list(p.outer)))
         self.next_circle = max(self.owner, default=0) + 1
         self.next_name = 1
-        self.made, self.squares = self._group_circles()
+        self.made, self.searched = self._group_circles()
 
     def fresh_circle(self) -> int:
         c = self.next_circle
@@ -317,13 +323,16 @@ class _Normalizer:
         each level's pieces join it once its circles are grouped. Keeps
         the groups of two or more circles, each sorted.
 
-        Returns a bound on the pieces the sweep makes and the sum of the
-        squared sizes of the groups, which prices their joins. After its
-        joins a level keeps one glued circle per component above it, and
-        a piece of it at most one per component glued to each of the
-        input pieces merged into it; each split then adds a pants piece
-        and an annulus for each other circle of the level."""
+        Returns a bound on the pieces the sweep makes and the pieces its
+        joins' searches are expected to reach: for each group, its size
+        times the lesser of an eighth of it and the levels its component
+        spans. After its joins a level keeps one glued circle per
+        component above it, and a piece of it at most one per component
+        glued to each of the input pieces merged into it; each split then
+        adds a pants piece and an annulus for each other circle of the
+        level."""
         parent: dict[_Mut, _Mut] = {}
+        high: dict[_Mut, int] = {}  # a root's component's top level
 
         def find(p: _Mut) -> _Mut:
             while (q := parent[p]) is not p:
@@ -331,14 +340,16 @@ class _Normalizer:
             return p
 
         made = 1  # the disk
-        squares = 0
+        searched = 0
         for level in reversed(self.levels):
+            j = level.number
             groups: dict[_Mut, list[int]] = {}
             glued = []
             free = 0  # unglued circles, which only the top level has
             fat = 0  # each piece's circles past two, each one split
             for q in level.values():
                 parent[q] = q
+                high[q] = j
                 tops = set()
                 loose = 0
                 for c in q.outer:
@@ -351,16 +362,21 @@ class _Normalizer:
                 free += loose
                 fat += max(0, len(tops) + loose - 2)
             level.groups = [sorted(cs) for cs in groups.values() if len(cs) >= 2]
-            squares += sum(len(cs) ** 2 for cs in level.groups)
+            searched += sum(
+                len(cs) * min(len(cs), _GROUP_SHARE * (high[top] - j))
+                for top, cs in groups.items()
+                if len(cs) >= 2
+            ) // _GROUP_SHARE
             for q, r in glued:
                 if (a := find(q)) is not (b := find(r)):
                     parent[a] = b
+                    high[b] = max(high[a], high[b])
             # a merged piece has at most two splits more than its parts
             merged = len(level) - len({find(q) for q in level.values()})
             circles = len(groups) + free
             splits = min(max(0, circles - 2), fat + 2 * merged)
             made += splits * (circles - 1) - splits * (splits - 1) // 2
-        return made, squares
+        return made, searched
 
     def joins_at(self, j: int) -> None:
         # the input's grouping still holds: a join merges pieces of one
@@ -534,6 +550,10 @@ class _Normalizer:
         frozen = tuple(
             p.freeze() for level in self.levels for p in sorted(level.values(), key=lambda p: p.id)
         )
+        # pieces and their levels point at each other; emptying the levels
+        # lets reference counts free the working copy, with no collection
+        for level in self.levels:
+            level.clear()
         return frozen, len(self.levels) - 1
 
 
@@ -554,7 +574,7 @@ def normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
     admit(
         f"normalizing {n} pieces into at most {bound}",
         bytes=_PIECE_BYTES * n + _MADE_BYTES * bound,
-        steps=_PIECE_STEPS * n + _MADE_STEPS * bound + sweep.squares // _SQUARES_PER_STEP,
+        steps=_PIECE_STEPS * n + _MADE_STEPS * bound + sweep.searched,
     )
     pieces, depth = sweep.run()
     return NormalizedExhaustion(pieces, stable_depth=depth)

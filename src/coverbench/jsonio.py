@@ -173,21 +173,16 @@ def _encode(o, indent: str, out: _Chunks) -> None:
             out.append("{}")
             return
         inner = indent + "  "
-        if type(o) is dict:
-            # a record's lines are built once per key tuple and depth; only
-            # str keys are cached, as 1 and True are one key to a dict
-            known = out.keys.get(tag := (tuple(o), inner))
-            if known is None:
-                order = sorted(o)
-                known = order, _key_lines(order, inner)
-                if len(out.keys) < _KEY_SETS and {*map(type, order)} <= {str}:
-                    out.keys[tag] = known
-            order, lines = known
-            values = map(o.__getitem__, order)
-        else:
-            items = sorted(o.items())
-            lines = _key_lines([k for k, _ in items], inner)
-            values = [v for _, v in items]
+        # a record's lines are built once per key tuple and depth; only
+        # str keys are cached, as 1 and True are one key to a dict
+        known = out.keys.get(tag := (tuple(o), inner))
+        if known is None:
+            order = sorted(o)
+            known = order, _key_lines(order, inner)
+            if len(out.keys) < _KEY_SETS and {*map(type, order)} <= {str}:
+                out.keys[tag] = known
+        order, lines = known
+        values = map(o.__getitem__, order)
         close = indent + "}"
     elif isinstance(o, (list, tuple)):
         if not o:

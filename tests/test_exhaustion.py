@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import time
@@ -459,7 +460,8 @@ def test_normalize_scales_with_its_output():
     # and 4.6 s on the 40 x 40 ladder on a 2-core Xeon; with live maps and
     # the level index, about 0.5 s and 0.2 s. The 200 x 100 ladder takes
     # 2.6 s, and 15.9 s when each level's circles are grouped by a pass
-    # over the graph above it and each join searches from one end
+    # over the graph above it and each join searches from one end (10 to
+    # 15 s with the one-pass grouping but searches from one end)
     rng = random.Random(5)
     for g, pieces_out, bound in (
         (fan(rng, 320), 51041, 10.0),
@@ -483,6 +485,27 @@ def test_normalize_is_priced_before_it_runs(monkeypatch):
         normalize(fan(random.Random(1), 633))
     with pytest.raises(AssertionError, match="swept"):
         normalize(fan(random.Random(1), 632))
+    # a join's search is priced by the levels above it, so a shallow wide
+    # ladder (400 x 30 normalizes in 2.4 to 3.2 s as a whole run) is admitted
+    with pytest.raises(AssertionError, match="swept"):
+        normalize(ring_ladder(random.Random(1), 400, 30))
     monkeypatch.setattr("coverbench.exhaustion._PIECE_STEPS", STEP_BUDGET)
     with pytest.raises(LimitExceeded, match="normalizing 2 pieces would take more"):
         normalize(graph(Piece("a", 1, 0, (), (1,)), Piece("b", 1, 0, (), (2,))))
+
+
+def test_normalize_leaves_nothing_to_the_cycle_collector():
+    # the CLI runs few collections, so the sweep's working copy, whose
+    # pieces and levels point at each other, is freed by reference counts
+    rng = random.Random(2)
+    graphs = ring_ladder(rng, 6, 6), fan(rng, 9)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for g in graphs:
+            normalize(g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
