@@ -96,15 +96,15 @@ class UniversalBaseReport:
 def _admit_cells(what: str, cells) -> None:
     """Admit the character sums of cells (base, d, b, simple_only), each
     priced as it comes, before any is taken, refusing as what. The cells
-    share their cached keys, so they are charged the bytes and key steps
-    of the dearest cell once, and the power steps of each."""
-    cost = keys = powers = 0
+    share their cached keys, so they are charged the key steps of the
+    dearest cell once, and the power steps of each."""
+    keys = powers = 0
     for base, d, b, simple_only in cells:
         if d < 1 or b < 0:
             raise LimitExceeded(f"need degree >= 1 and branch count >= 0, got {d} and {b}")
-        cell_cost, key_steps, power_steps = sums_cost(base, d, b, simple_only)
-        cost, keys, powers = max(cost, cell_cost), max(keys, key_steps), powers + power_steps
-        admit(what, bytes=cost, steps=keys + powers)
+        key_steps, power_steps = sums_cost(base, d, b, simple_only)
+        keys, powers = max(keys, key_steps), powers + power_steps
+        admit(what, keys + powers)
 
 
 def _digits(n: int) -> int:
@@ -206,7 +206,7 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     with the forced cell's row, exact from closed forms, as witness: its
     branch count is odd, so the cell is empty. The report's notes keep
     their wording, "exhaustive enumeration" included."""
-    from .hurwitz import admit_passes, construct_hyperelliptic, pass_steps, stabilize, total_space
+    from .hurwitz import construct_hyperelliptic, pass_steps, stabilize, total_space
 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -218,7 +218,7 @@ def universal_base_report_dim2(n: int, genus_max: int) -> UniversalBaseReport:
     # one pass per witness built: witness g has 2g + 2n - 2 meridians of
     # degree n, (G + 1)(G + 2n - 2) in all for g = 0..G
     steps = pass_steps((genus_max + 1) * (genus_max + 2 * n - 2), n)
-    admit_passes(f"the sphere witnesses up to genus {genus_max}", steps)
+    admit(f"the sphere witnesses up to genus {genus_max}", steps)
     witnesses = []
     for g in range(genus_max + 1):
         datum = stabilize(construct_hyperelliptic(g), n - 2)

@@ -78,7 +78,10 @@ from .surfaces import ClosedSurface, euler_characteristic
 # of its lowest coefficient that starts (R - 1)^b, and Miller's
 # recurrence, D = min(T, d - 1) products of one word by w for each
 # further coefficient. Fitted on 490 whole CLI runs at and around the
-# edges (2-core Xeon, Python 3.11): 0.26 to 1.6 us a step over 1 s.
+# edges (2-core Xeon, Python 3.11): 0.26 to 1.6 us a step over 1 s. Above
+# the interpreter a cell peaks at 31 bytes a step for s2/3/6151 --all, 8
+# for torus/39/0 and under 2 for simple cells with branch points and the
+# parity audit.
 _KEY_STEPS = 32
 _POWER_BITS = 2048
 
@@ -141,13 +144,13 @@ def _partition_table() -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     return table
 
 
-def sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[int, int, int]:
-    """The bytes, the key steps and the power steps of a cell's sums (see
-    the prices above), none for a simple cell with odd b, which has no
-    tuple. The table is read up to d or until the key steps alone pass
-    the budget, so a huge degree is priced at once, its powers not."""
+def sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[int, int]:
+    """The key steps and the power steps of a cell's sums (see the prices
+    above), none for a simple cell with odd b, which has no tuple. The
+    table is read up to d or until the key steps alone pass the budget,
+    so a huge degree is priced at once, its powers not."""
     if simple_only and b % 2:
-        return 0, 0, 0
+        return 0, 0
     T = cut(d, b, simple_only)
     per_partition = d * (1 + min(T, 1)) // 2
     table = _partition_table()
@@ -166,7 +169,7 @@ def sums_cost(base: ClosedSurface, d: int, b: int, simple_only: bool) -> tuple[i
     D = min(T, d - 1)
     key_steps = per_partition * partitions * words**2 + merge_steps
     power_steps = keys[kind] * (_KEY_STEPS + words + b * (D - 1) * D) * words
-    return 2 * (partitions + b * max(D - 1, 0) + 1) * (powers // 8 + 32), key_steps, power_steps
+    return key_steps, power_steps
 
 
 def _exact(n: int, q: int, cell: str, what: str, noun: str) -> int:

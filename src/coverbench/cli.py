@@ -51,7 +51,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, jsonio
-from .errors import InvalidInput, WorkbenchError
+from .errors import InvalidInput, WorkbenchError, admit
 from .surfaces import (
     KLEIN_BOTTLE,
     PROJECTIVE_PLANE,
@@ -187,9 +187,9 @@ def _datum_payload(datum: HurwitzData) -> dict:
 def _check_input(k: int, d: int) -> None:
     """Charge a Hurwitz input of k generators and degree d one pass, before
     anything of degree d is built."""
-    from .hurwitz import admit_passes, pass_steps
+    from .hurwitz import pass_steps
 
-    admit_passes(f"reading the datum of degree {d}", pass_steps(max(k, 1), d))
+    admit(f"reading the datum of degree {d}", pass_steps(max(k, 1), d))
 
 
 def _datum_from_doc(doc: dict) -> HurwitzData:
@@ -305,13 +305,13 @@ def _cmd_construct(args):
 
 
 def _cmd_stabilize(args):
-    from .hurwitz import admit_passes, generators, stabilize, stabilize_steps
+    from .hurwitz import generators, stabilize, stabilize_steps
 
     if args.times < 0:
         raise InvalidInput("--times cannot be negative")
     datum, digest = _hurwitz_input(args)
     steps = stabilize_steps(len(generators(datum)), datum.degree, args.times)
-    admit_passes(f"stabilizing {args.times} times", steps)
+    admit(f"stabilizing {args.times} times", steps)
     datum = stabilize(datum, args.times)
     payload = _datum_payload(datum)
     payload["times"] = args.times

@@ -198,12 +198,11 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
 # 199,397 pieces out) take 2.5 and 3.1 s; ring ladders from 20 x 1000 to
 # 200 x 100 and 400 x 30 1.2 to 3.2 s, and those at the budget's edge
 # (250 x 100, 200 x 137, 100 x 397, 20 x 3331, 528 x 30, 570 x 20) 3.6 to
-# 4.6 s: 0.8 to 1.5 us a step. Peaks stay under 1 kB per input piece and
-# bound piece, beside the interpreter's 20 MB.
+# 4.6 s: 0.8 to 1.5 us a step. Above the interpreter's 20 MB a run peaks
+# at 42 bytes a step for the 632-way fan, 11 for the 251 x 100 ladder and
+# 22 for the 20 x 3331 one, its document's parse included.
 _PIECE_STEPS = 30
-_PIECE_BYTES = 2048
 _MADE_STEPS = 20
-_MADE_BYTES = 1024
 # a join's search is priced at an eighth of its group's size in pieces,
 # but at most the levels its component spans above the join
 _GROUP_SHARE = 8
@@ -565,7 +564,7 @@ def normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
     n = len(g.pieces)
     # the input alone first, so a document too large to sweep is refused
     # before it is validated
-    admit(f"normalizing {n} pieces", bytes=_PIECE_BYTES * n, steps=_PIECE_STEPS * n)
+    admit(f"normalizing {n} pieces", _PIECE_STEPS * n)
     report = validate_exhaustion(g)
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
@@ -573,8 +572,7 @@ def normalize(g: ExhaustionGraph) -> NormalizedExhaustion:
     bound = n + sweep.made
     admit(
         f"normalizing {n} pieces into at most {bound}",
-        bytes=_PIECE_BYTES * n + _MADE_BYTES * bound,
-        steps=_PIECE_STEPS * n + _MADE_STEPS * bound + sweep.searched,
+        _PIECE_STEPS * n + _MADE_STEPS * bound + sweep.searched,
     )
     pieces, depth = sweep.run()
     return NormalizedExhaustion(pieces, stable_depth=depth)

@@ -45,14 +45,15 @@ from .surfaces import (
 # per-permutation overhead. A builder is charged one pass per datum it
 # builds plus one per input it checks; the CLI charges every Hurwitz input
 # one pass before reading it, and total_space each component of its report
-# _PERM_STEPS. A pass peaks under _STEP_BYTES a step (355 MB for stabilize
-# --times 1396, 403 MB for construct --family cyclic-rp2 --crosscaps
-# 1333301). Whole CLI runs at the budget edge on a 2-core Xeon, Python
-# 3.11, medians of 5: 0.18-0.45 us a step for universal-report --degree 2-7
-# and construct --family hyperelliptic --genus 58822; 1.0 us for that
-# stabilize (3.8 s) and 1.4 us for that construct (5.7 s), the slowest.
+# _PERM_STEPS. A run peaks under 128 bytes a step above the interpreter:
+# at the budget edge 95 for construct --family cyclic-rp2 --crosscaps
+# 1333301 (402 MB), 26 for stabilize --times 1396 (124 MB) and 8 for
+# construct --family hyperelliptic --genus 58822. Whole CLI runs at the
+# budget edge on a 2-core Xeon, Python 3.11, medians of 5: 0.18-0.45 us a step for
+# universal-report --degree 2-7 and construct --family hyperelliptic
+# --genus 58822; 1.0 us for that stabilize (3.8 s) and 1.4 us for that
+# construct (5.7 s), the slowest.
 _PERM_STEPS = 32
-_STEP_BYTES = 128
 
 
 def pass_steps(k: int, d: int) -> int:
@@ -67,11 +68,6 @@ def stabilize_steps(k: int, d: int, times: int) -> int:
     once, and one over the output, k + 2 times permutations of degree
     d + times."""
     return pass_steps(k, d) + pass_steps(k + 2 * times, d + times)
-
-
-def admit_passes(what: str, steps: int) -> None:
-    """Admit Hurwitz passes of this many steps and their bytes."""
-    admit(what, bytes=_STEP_BYTES * steps, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def total_space(datum: HurwitzData) -> CoverSummary:
                 elif sign[j] != s:
                     twisted.add(k)
     # the report lists every component: charge each before any is classified
-    admit_passes(f"reporting {len(sizes)} components", len(sizes) * _PERM_STEPS)
+    admit(f"reporting {len(sizes)} components", len(sizes) * _PERM_STEPS)
     # a component of n sheets has chi n * chi(base) less, for each cycle
     # of a meridian on its sheets, the cycle's length minus one
     chi = [n * euler_characteristic(datum.base) for n in sizes]
@@ -252,7 +248,7 @@ def construct_hyperelliptic(g: int) -> HurwitzData:
     space is the closed orientable genus-g surface."""
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
-    admit_passes(f"the hyperelliptic datum of genus {g}", pass_steps(2 * g + 2, 2))
+    admit(f"the hyperelliptic datum of genus {g}", pass_steps(2 * g + 2, 2))
     swap = transposition(2, 0, 1)
     return HurwitzData(SPHERE, 2, meridians=(swap,) * (2 * g + 2))
 
@@ -266,7 +262,7 @@ def construct_cyclic_rp2(h: int) -> HurwitzData:
     """
     if h < 1:
         raise ValueError(f"crosscap number must be >= 1, got {h}")
-    admit_passes(f"the cyclic datum with {h} crosscaps", pass_steps(3, h))
+    admit(f"the cyclic datum with {h} crosscaps", pass_steps(3, h))
     if h == 1:
         return HurwitzData(PROJECTIVE_PLANE, 1, crosscaps=(identity(1),))
     sigma = from_cycles(h, [tuple(range(h))])

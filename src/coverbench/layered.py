@@ -55,22 +55,21 @@ from .exhaustion import (
 BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 
 # Prices for errors.admit per unit of the report, known before the cover
-# is built. Bytes bound the peak ru_maxrss of a run with room to spare
-# (2-core Xeon, Python 3.11); steps are fitted to the wall time of whole
-# CLI runs, 0.9-1.1 us a step at the edge, so the step budget binds first.
-# Per branch point of build-cover: 129 report bytes, 4.0-4.6 us and 147 to
-# 117 bytes of peak from 500,001 to 2,000,001 branch points (74 to 234 MB,
-# 2.0 to 8.3 s).
-_BRANCH_BYTES = 384
+# is built, fitted to the wall time of whole CLI runs, 0.9-1.1 us a step
+# at the edge (2-core Xeon, Python 3.11). A run at the edge peaks at 16
+# to 32 bytes a step above the interpreter, as measured below.
+# Per branch point of build-cover: 129 report bytes, 4.0-4.6 us and 147
+# to 117 bytes of peak from 500,001 to 2,000,001 branch points (74 to
+# 234 MB, 2.0 to 8.3 s); 28.5 bytes a step at 999,999.
 _BRANCH_STEPS = 4
 # Per squared level of a staircase run, each level listing all its sheets:
 # 28 report bytes and 0.36-0.39 us, and as much again for --verify;
-# 11 to 15 bytes of peak from 2,000 to 4,000 levels.
-_STAIRCASE_BYTES = 28
+# 11 to 15 bytes of peak from 2,000 to 4,000 levels; 31.6 bytes a step at
+# 3,464 levels and 16.4 at 2,449 with --verify.
 _SQUARED_LEVELS_PER_STEP = 3
 # Per level of compose-staircase: 64 report bytes, 4.1-4.4 us and 126 to
-# 117 bytes of peak from 10^6 to 2*10^6 levels (126 to 234 MB, 4.1 to 8.8 s).
-_LEVEL_BYTES = 296
+# 117 bytes of peak from 10^6 to 2*10^6 levels (126 to 234 MB, 4.1 to 8.8
+# s); 28.4 bytes a step at 10^6.
 _LEVEL_STEPS = 4
 
 
@@ -248,11 +247,7 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
     branch_points = 1 + sum(
         2 * p.genus + 3 * (piece_shape(p) == "b") for p in e.pieces if 2 <= p.level <= J
     )
-    admit(
-        f"the cover through level {J} with {branch_points} branch points",
-        bytes=_BRANCH_BYTES * branch_points,
-        steps=_BRANCH_STEPS * branch_points,
-    )
+    admit(f"the cover through level {J} with {branch_points} branch points", _BRANCH_STEPS * branch_points)
 
     blocks: list[Block] = []
     feeds: dict[int, tuple[str, tuple[int, ...]]] = {}
@@ -266,7 +261,7 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
 
     for j in range(2, J + 1):
         branch_idx = 0
-        for p in sorted(e.at_level(j), key=lambda q: q.id):
+        for p in e.at_level(j):
             circle = p.inner[0]
             parent_id, cyc = feeds[circle]
             s1, s2 = sorted(cyc)
@@ -305,11 +300,7 @@ def staircase(J: int, passes: int = 1) -> LayeredCover:
     if J < 1:
         raise ValueError(f"need J >= 1, got {J}")
     squares = J * J
-    admit(
-        f"the staircase through level {J}",
-        bytes=_STAIRCASE_BYTES * squares,
-        steps=passes * squares // _SQUARED_LEVELS_PER_STEP,
-    )
+    admit(f"the staircase through level {J}", passes * squares // _SQUARED_LEVELS_PER_STEP)
     blocks = [
         Block("s1", 1, "staircase", (0, 1), (), None, ((0, 1),), ((1, 1),), ((1, (0, 1)),), None, None)
     ]
@@ -532,11 +523,7 @@ def compose_with_staircase(c: LayeredCover, J: int) -> ComposedReport:
     and grows without bound in J."""
     if J < 0:
         raise ValueError(f"need J >= 0, got {J}")
-    admit(
-        f"the composite with the staircase through level {J}",
-        bytes=_LEVEL_BYTES * J,
-        steps=_LEVEL_STEPS * J,
-    )
+    admit(f"the composite with the staircase through level {J}", _LEVEL_STEPS * J)
     report = verify_layered(c)
     if not report.ok:
         raise UnverifiedInput(

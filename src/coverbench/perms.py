@@ -30,9 +30,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def cycles(self, *, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its least point,
         listed in increasing order of that least point."""

@@ -840,6 +840,138 @@ def test_malformed_documents_exit_cleanly(tmp_path, name):
         assert rc == want, (command, err)
 
 
+def _block(doc, piece):
+    return next(b for b in doc["blocks"] if b["piece"] == piece)
+
+
+def _drop_a_meridian(piece):
+    def mutate(doc):
+        block = _block(doc, piece)
+        del block["meridians"][0], block["labels"][0]
+
+    return mutate
+
+
+# a check's detail for one mutation of the cover over sample_graph's
+# normal form: blocks +d1 (disk), r (pants), +a3 and +p2 at level 3,
+# and the annuli a (genus 1), b and c at level 4, degree 6
+VERIFY_FAILURES = {
+    "no-blocks": (
+        lambda doc: doc.update(blocks=[], depth=0),
+        "structure",
+        "no blocks; expected one level-1 block, found 0",
+    ),
+    "unknown-kind": (lambda doc: _block(doc, "b").update(kind="cone"), "structure", "unknown block kind 'cone'"),
+    "labels-out-of-step": (
+        lambda doc: _block(doc, "a")["labels"].pop(),
+        "structure",
+        "block 'a' labels out of step with meridians",
+    ),
+    "unknown-circle": (
+        lambda doc: _block(doc, "c").update(parent_circle=99),
+        "gluing",
+        "block 'c' glued to unknown circle 99; circle 9 of block '+a3' feeds nothing",
+    ),
+    "parent-not-owner": (
+        lambda doc: _block(doc, "c").update(parent="+p2"),
+        "gluing",
+        "block 'c' parent does not own circle 9",
+    ),
+    "annulus-odd": (_drop_a_meridian("a"), "chi", "annulus block 'a' has odd branch count"),
+    "pants-not-2g+3": (_drop_a_meridian("r"), "chi", "pants block 'r' branch count not 2g + 3"),
+    "ends-over-degree": (lambda doc: doc.update(degree=2), "ends-bound", "3 ends exceeds degree 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FAILURES))
+def test_verify_names_each_failed_check(tmp_path, name):
+    mutate, check, detail = VERIFY_FAILURES[name]
+    n = normalize(sample_graph())
+    doc = json.loads(jsonio.dumps(jsonio.layered_to_json(build_cover(n, n.stable_depth))))
+    mutate(doc)
+    rc, out, err = run_cli(["verify", "--input", write_doc(tmp_path, "cover.json", doc)])
+    assert (rc, err) == (1, "")
+    checks = {c["name"]: c for c in report_of(out)["result"]["checks"]}
+    assert (checks[check]["passed"], checks[check]["detail"]) == (False, detail)
+
+
+def test_torus_datum_round_trips_and_a_bad_handle_exits_2(tmp_path):
+    flags = ["--base", "torus", "--degree", "3", "--handles", "(0 1 2)|(0 2 1)"]
+    rc, out, err = run_cli(["total-space", *flags])
+    assert (rc, err) == (0, "")
+    result = report_of(out)["result"]
+    doc = result["datum"]
+    assert doc["handles"] == [[[1, 2, 0], [2, 0, 1]]]
+    rc, out, err = run_cli(["total-space", "--input", write_doc(tmp_path, "torus.json", doc)])
+    assert (rc, err) == (0, "")
+    assert report_of(out)["result"] == result
+    doc["handles"] = [doc["handles"][0][:1]]
+    rc, out, err = run_cli(["total-space", "--input", write_doc(tmp_path, "bad.json", doc)])
+    assert (rc, out, err) == (2, "", "error: hurwitz.handles[0] must be a pair\n")
+
+
+@pytest.mark.parametrize(
+    "changes, problems",
+    [
+        ({"id": "b"}, ["duplicate piece id 'b'"]),
+        (
+            {"level": 0},
+            [
+                "piece 'a' has level 0 < 1",
+                "levels are not contiguous from 1",
+                "piece 'a' at level 0 references circle 1 at level 1",
+                "outer circle 4 of 'a' is unglued below the frontier",
+            ],
+        ),
+    ],
+    ids=["duplicate-id", "level-0"],
+)
+def test_validate_reports_a_bad_exhaustion_with_status_1(tmp_path, changes, problems):
+    rc, out, err = run_cli(["validate", "--input", write_doc(tmp_path, "e.json", _exhaustion_doc(changes))])
+    assert (rc, err) == (1, "")
+    result = report_of(out)["result"]
+    assert (result["ok"], result["problems"]) == (False, problems)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["count-ends", "--input", "{exhaustion}", "--levels", "2", "--remaining", "x"],
+         "--remaining takes 'none', 'inf', or an integer"),
+        (["count-ends", "--input", "{exhaustion}", "--levels", "2", "--remaining", "-1"],
+         "--remaining cannot be negative"),
+        (["construct", "--family", "cyclic-rp2"], "cyclic-rp2 family needs --crosscaps"),
+        (["construct", "--family", "hyperelliptic", "--genus", "-1"], "genus must be >= 0, got -1"),
+        (["total-space", "--base", "torus", "--degree", "2", "--handles", "(0 1)"],
+         "each handle is '<cycles>|<cycles>'"),
+        (["total-space", "--degree", "2", "--meridians", "(0 1)"],
+         "need --input, or --base and --degree with generator flags"),
+        (["validate", "--input", "{layered}"], "cannot validate documents of format 'layered'"),
+        (["normalize", "--input", "{hurwitz}"], "expected an exhaustion document, got 'hurwitz'"),
+        (["universal-report", "--degree", "3", "--genus-max", "-1"], "need genus_max >= 0, got -1"),
+    ],
+    ids=[
+        "remaining-x",
+        "remaining-negative",
+        "cyclic-without-crosscaps",
+        "negative-genus",
+        "handle-without-bar",
+        "datum-without-base",
+        "validate-layered",
+        "normalize-hurwitz",
+        "negative-genus-max",
+    ],
+)
+def test_usage_errors_exit_2_with_their_line(tmp_path, argv, error):
+    paths = {
+        "exhaustion": write_doc(tmp_path, "e.json", jsonio.exhaustion_to_json(sample_graph())),
+        "layered": write_doc(tmp_path, "l.json", jsonio.layered_to_json(staircase(3))),
+        "hurwitz": write_doc(tmp_path, "h.json", _hurwitz_doc()),
+    }
+    rc, out, err = run_cli([word.format(**paths) for word in argv])
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_stabilize_rejects_negative_times(tmp_path):
     path = write_doc(tmp_path, "h.json", _hurwitz_doc())
     rc, out, err = run_cli(["stabilize", "--input", path, "--times", "-3"])
@@ -1236,8 +1368,8 @@ def test_closed_form_cells_past_enumeration_answer_at_once(cell):
 
 @pytest.mark.parametrize(("genus", "digits"), [(7140, 4299), (7141, None)])
 def test_closed_form_cells_are_answered_while_their_counts_print(genus, digits):
-    # a closed-form row lists no tuple, so the memory budget does not bound
-    # it; its counts print with int.__repr__, which stops at 4300 digits,
+    # a closed-form row lists no tuple, so the step budget does not bound
+    # its size; its counts print with int.__repr__, which stops at 4300 digits,
     # and the cell is refused past 4299 (o7140/2/2 has 4299)
     start = time.perf_counter()
     rc, out, err = run_cli(["enumerate", "--base", f"o{genus}", "--degree", "2", "--branch-points", "2"])
@@ -1349,7 +1481,7 @@ _STEPS = "would take more than the budget of 4000000 steps"
     [
         ("staircase", 10**5, f"the staircase through level 100000 {_STEPS}"),
         ("staircase", 10**8, f"the staircase through level 100000000 {_STEPS}"),
-        # once the first level refused, for its 4097 MiB
+        # a report of 28 * 12386^2 bytes, past 4 GiB
         ("staircase", 12386, f"the staircase through level 12386 {_STEPS}"),
         # the first levels refused: 3465^2 / 3 steps, and twice that with
         # the verify pass at 2450
