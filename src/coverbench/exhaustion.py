@@ -156,13 +156,12 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
                 f"piece {p.id!r} at level {p.level} has no inner boundary, so its stage is disconnected"
             )
 
-    owners: dict[int, str] = {}
+    owners: dict[int, Piece] = {}
     for p in g.pieces:
         for c in p.outer:
             if c in owners:
-                problems.append(f"circle {c} owned by both {owners[c]!r} and {p.id!r}")
-            owners[c] = p.id
-    owner_level = {c: p.level for p in g.pieces for c in p.outer}
+                problems.append(f"circle {c} owned by both {owners[c].id!r} and {p.id!r}")
+            owners[c] = p
 
     referenced: dict[int, str] = {}
     for p in g.pieces:
@@ -172,11 +171,11 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
                     f"circle {c} glued twice (by {referenced[c]!r} and {p.id!r})"
                 )
             referenced[c] = p.id
-            if c not in owner_level:
+            if c not in owners:
                 problems.append(f"piece {p.id!r} references unknown circle {c}")
-            elif owner_level[c] != p.level - 1:
+            elif owners[c].level != p.level - 1:
                 problems.append(
-                    f"piece {p.id!r} at level {p.level} references circle {c} at level {owner_level[c]}"
+                    f"piece {p.id!r} at level {p.level} references circle {c} at level {owners[c].level}"
                 )
     for p in g.pieces:
         if p.level < depth:

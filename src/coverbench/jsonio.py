@@ -12,26 +12,26 @@ builds or tests a model class imports the class's module when called,
 so loading this module loads no layer but the surfaces, and a run
 reads and writes documents without the layers it does not use.
 
-`dump(doc, write)` hands `write` the text of
-`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, for every
-document that call accepts, and raises TypeError where it does; `dumps`
-returns what `dump` writes. The stdlib's C encoder runs only without an
-indent, so that call would take the pure-Python path, which keeps one
-small string per token until its final join. `dump` instead encodes
-whole lines, a list of plain ints in one join, strings through the
-stdlib's own escaper, and floats, non-str keys and the sort order by
-the stdlib's rules. An item whose value is, by exact type, a str, an
-int, None or a list of ints is written on its own line, with no call;
-any other value, subclasses of those included, takes `_encode`'s
-isinstance tests. A dict's item lines are built once per key tuple and
-depth: a dump keeps, for the first `_KEY_SETS` key tuples of its dicts
-with str keys, the keys in sorted order and the line that opens each
-item, so the records of a report, which share their keys, are sorted
-and quoted once. The 160-way fan's normalized exhaustion encodes in
-0.07 s instead of 0.10 s, and its layered cover in 0.17 s instead of
-0.23 s (fastest of 11, in process, 2-core Xeon). The lines are joined
-into chunks of at least `_CHUNK` characters, one `write` each, so the
-whole text is never held, neither joined nor line by line.
+`dump(doc, write)` encodes what a report holds: a dict, list or tuple
+at top level, dicts with str keys, and lists, tuples, strs, ints, bools
+and None, each of exactly its type. It hands `write` the text of
+`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, and raises
+TypeError for anything else: floats, subclasses and non-str keys
+included, though the stdlib encodes them. `dumps` returns what `dump`
+writes. The stdlib's C encoder runs only without an indent, so that call
+would take the pure-Python path, which keeps one small string per token
+until its final join. `dump` instead encodes whole lines, a list of
+plain ints in one join and strings through the stdlib's own escaper.
+An item that is a str, an int, None, a bool or a list of ints is
+written on its own line, with no call. A dict's keys are checked and
+sorted, and the line that opens each item built, once per key tuple and
+depth, so the records of a report, which share their keys, are sorted
+and quoted once: the 160-way fan's normalized exhaustion encodes in
+0.07 s instead of 0.10 s when each dict's lines are built for it alone,
+and its layered cover in 0.17 s instead of 0.22 s (fastest of 9, in
+process, 2-core Xeon). The lines are joined into chunks of at least
+`_CHUNK` characters, one `write` each, so the whole text is never held,
+neither joined nor line by line.
 
 `loads` returns the tree of `json.loads` with one int object per
 repeated value: each document's ints are decoded through a cache of its
@@ -72,19 +72,17 @@ _CHUNK = 1 << 18
 _LINES = 64
 
 
-# key sets one document keeps the lines of; their lines take about 1 MB
-_KEY_SETS = 1 << 10
-
-
 class _Chunks(list):
     """Encoded lines not yet written. _encode appends to it as to any list
     and, after each item of a container, calls spill once `due` lines are
     held; spill passes the lines to write, joined, once they reach _CHUNK
     characters. A write runs past _CHUNK by at most the lines appended
     since the last measurement, about _LINES of them, so only long lines,
-    such as a long list of ints, make it much larger. keys holds, for the
-    first _KEY_SETS key tuples and depths of its str-keyed dicts, the keys
-    in sorted order and the line that opens each item."""
+    such as a long list of ints, make it much larger. keys holds, for each
+    key tuple and depth of the dump's dicts, the keys in sorted order and
+    the line that opens each item; every dict a report holds is a literal
+    of its writer, so their number follows the report's shape, not its
+    size."""
 
     def __init__(self, write):
         super().__init__()
@@ -92,7 +90,7 @@ class _Chunks(list):
         self.seen = 0  # lines measured so far
         self.size = 0  # their characters
         self.due = _LINES
-        self.keys: dict[tuple[tuple, str], tuple[list, list[str]]] = {}
+        self.keys: dict[tuple[tuple, str], tuple[list[str], list[str]]] = {}
 
     def spill(self) -> None:
         self.size += sum(map(len, self[self.seen:]))
@@ -122,29 +120,6 @@ def dumps(doc: dict) -> str:
 
 
 _int = int.__repr__
-_INF = float("inf")
-
-
-def _scalar(o) -> str:
-    if isinstance(o, str):
-        return _string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _all_ints(items) -> bool:
@@ -159,32 +134,33 @@ def _int_array(items, indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(_int, items)) + indent + "]"
 
 
-def _key_lines(keys: list, inner: str) -> list[str]:
-    # a non-str key is quoted as the stdlib quotes it: "true", "1"
-    quoted = [_string(k if isinstance(k, str) else _scalar(k)) + ": " for k in keys]
-    return ["{" + inner + quoted[0]] + ["," + inner + q for q in quoted[1:]]
+def _key_lines(keys: tuple, inner: str) -> tuple[list[str], list[str]]:
+    for k in keys:
+        if type(k) is not str:
+            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+    order = sorted(keys)
+    quoted = [_string(k) + ": " for k in order]
+    return order, ["{" + inner + quoted[0]] + ["," + inner + q for q in quoted[1:]]
 
 
 def _encode(o, indent: str, out: _Chunks) -> None:
-    """Append the encoding of o to out. indent is the newline and spaces
-    before o's closing bracket; its items sit two spaces further in."""
-    if isinstance(o, dict):
+    """Append the encoding of o, a dict, list or tuple, to out. indent is
+    the newline and spaces before o's closing bracket; its items sit two
+    spaces further in."""
+    t = type(o)
+    if t is dict:
         if not o:
             out.append("{}")
             return
         inner = indent + "  "
-        # a record's lines are built once per key tuple and depth; only
-        # str keys are cached, as 1 and True are one key to a dict
+        # a record's lines are built once per key tuple and depth
         known = out.keys.get(tag := (tuple(o), inner))
         if known is None:
-            order = sorted(o)
-            known = order, _key_lines(order, inner)
-            if len(out.keys) < _KEY_SETS and {*map(type, order)} <= {str}:
-                out.keys[tag] = known
+            known = out.keys[tag] = _key_lines(*tag)
         order, lines = known
         values = map(o.__getitem__, order)
         close = indent + "}"
-    elif isinstance(o, (list, tuple)):
+    elif t is list or t is tuple:
         if not o:
             out.append("[]")
             return
@@ -196,12 +172,10 @@ def _encode(o, indent: str, out: _Chunks) -> None:
         values = o
         close = indent + "]"
     else:
-        out.append(_scalar(o))
-        return
+        raise TypeError(f"Object of type {t.__name__} is not a report value")
     for line, v in zip(lines, values):
-        # the commonest values, by exact type, on their item's line: strs,
-        # ints, nulls and lists of ints; the rest, subclasses too, through
-        # _encode's isinstance tests
+        # by exact type: strs, ints, nulls, bools and lists of ints on their
+        # item's line; any other value is a container, or _encode refuses it
         t = type(v)
         if t is str:
             out.append(line + _string(v))
@@ -211,6 +185,8 @@ def _encode(o, indent: str, out: _Chunks) -> None:
             out.append(line + "null")
         elif (t is list or t is tuple) and (not v or type(v[0]) is int and _all_ints(v)):
             out.append(line + (_int_array(v, inner) if v else "[]"))
+        elif t is bool:
+            out.append(line + ("true" if v else "false"))
         else:
             out.append(line)
             _encode(v, inner, out)

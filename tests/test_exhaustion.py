@@ -66,6 +66,21 @@ class TestValidation:
         assert not rep.ok
         assert any("glued twice" in p for p in rep.problems)
 
+    def test_double_owner_and_wrong_level_reported_once_each(self):
+        # circle 5 is owned at levels 2 and 3; the later owner is the one
+        # c's reference is checked against
+        g = graph(
+            Piece("d", 1, 0, (), (0, 1)),
+            Piece("a", 2, 0, (0,), (5,)),
+            Piece("e", 2, 0, (1,), (6,)),
+            Piece("b", 3, 0, (6,), (5,)),
+            Piece("c", 3, 0, (5,), (7,)),
+        )
+        assert validate_exhaustion(g).problems == [
+            "circle 5 owned by both 'a' and 'b'",
+            "piece 'c' at level 3 references circle 5 at level 3",
+        ]
+
     def test_level_gap_rejected(self):
         g = graph(Piece("d", 1, 0, (), (0,)), Piece("x", 3, 0, (0,), (1,)))
         rep = validate_exhaustion(g)
