@@ -18,10 +18,11 @@ Each subcommand imports only the layers it uses, inside its handler:
 `enumerate`, `parity-audit` and `universal-report` the census (and the
 last the Hurwitz layer for its witnesses), the datum subcommands the
 Hurwitz layer and the permutations, `normalize`, `count-ends` and the
-validation of an exhaustion the exhaustion layer, and the layered-cover
-subcommands `layered`, which imports `exhaustion`; `classify` needs
-none. The census answers every cell from closed forms, so no run loads
-numpy or the census engine, which only the tests use.
+validation of an exhaustion the exhaustion layer, `build-cover` that
+layer and `layered`, and the other layered-cover subcommands `layered`
+alone; `classify` needs none. The census answers every cell from closed
+forms, so no run loads numpy or the census engine, which only the tests
+use. An input document is admitted by its size before it is opened.
 
 `main` runs with a young-generation GC threshold of 100,000 allocations
 (`_GC_THRESHOLD`) instead of the interpreter's 700, and gives its
@@ -65,6 +66,14 @@ if TYPE_CHECKING:
     from .exhaustion import ExhaustionGraph
     from .hurwitz import HurwitzData
     from .perms import Perm
+
+# input bytes per step of errors.admit, so a document of more than
+# 32,000,007 bytes is refused unread. Fitted to the slowest reader,
+# verify --restrictions of a cover written without whitespace: the
+# 570-way fan's (32.3 MB) took 4.8 s and 339 MB, 150 ns a byte, so 1.2 us
+# and 79 bytes of peak a step; the indented documents the workbench
+# writes read at 70 to 85 ns a byte (whole CLI runs, 2-core Xeon).
+_BYTES_PER_STEP = 8
 
 # allocations between two young collections, then young and middle
 # collections before an older one (the interpreter's are 700, 10, 10)
@@ -139,22 +148,22 @@ def parse_base(token: str) -> ClosedSurface:
     )
 
 
-def _digest_file(path: str) -> tuple[bytes, str]:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
-    return data, hashlib.sha256(data).hexdigest()
-
-
 def _digest_params(params: dict) -> str:
     canon = json.dumps(params, sort_keys=True).encode()
     return hashlib.sha256(canon).hexdigest()
 
 
 def _load_doc(path: str) -> tuple[dict, str]:
-    data, digest = _digest_file(path)
+    """The decoded document at path, admitted by its size before it is
+    opened, and the sha256 digest of its bytes."""
+    try:
+        size = os.stat(path).st_size
+        admit(f"reading a document of {size} bytes", size // _BYTES_PER_STEP)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from None
+    digest = hashlib.sha256(data).hexdigest()
     text = data.decode("utf-8")
     del data  # so that only the text and the parsed tree are alive together
     return jsonio.loads(text), digest

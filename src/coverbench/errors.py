@@ -81,13 +81,13 @@ class InvalidInput(WorkbenchError):
 
 @dataclass
 class ValidationReport:
-    """Outcome of a structural check.
+    """Outcome of a structural check: problems lists human-readable
+    reasons it failed, and notes informational remarks that do not
+    affect ok."""
 
-    ok is the single source of truth; problems lists human-readable
-    reasons when ok is False and is empty otherwise.  notes carry
-    informational remarks that do not affect ok.
-    """
-
-    ok: bool
     problems: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems

@@ -117,7 +117,7 @@ def total_chi(g: ExhaustionGraph) -> int:
 def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
     problems: list[str] = []
     if not g.pieces:
-        return ValidationReport(False, ["no pieces"])
+        return ValidationReport(["no pieces"])
 
     seen_ids: set[str] = set()
     for p in g.pieces:
@@ -185,7 +185,7 @@ def validate_exhaustion(g: ExhaustionGraph) -> ValidationReport:
                         f"outer circle {c} of {p.id!r} is unglued below the frontier"
                     )
 
-    return ValidationReport(not problems, problems)
+    return ValidationReport(problems)
 
 
 # --- normalization ---

@@ -121,7 +121,7 @@ def validate(datum: HurwitzData) -> ValidationReport:
     d = datum.degree
     if d < 1:
         problems.append(f"degree must be positive, got {d}")
-        return ValidationReport(False, problems)
+        return ValidationReport(problems)
 
     if datum.base.orientable:
         if len(datum.handles) != datum.base.genus:
@@ -169,7 +169,7 @@ def validate(datum: HurwitzData) -> ValidationReport:
     if not datum.meridians:
         notes.append("unbranched datum (no branch points)")
 
-    return ValidationReport(not problems, problems, notes)
+    return ValidationReport(problems, notes)
 
 
 def _labeled_perms(datum: HurwitzData):

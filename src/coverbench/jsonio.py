@@ -9,41 +9,38 @@ The builders share the objects' own tuples, which `dump`, like
 `json.dumps`, writes as arrays; the readers take JSON documents and
 accept lists only, so every kind round-trips through text. A codec that
 builds or tests a model class imports the class's module when called,
-so loading this module loads no layer but the surfaces, and a run
-reads and writes documents without the layers it does not use.
+so loading this module loads no layer but the surfaces.
+
+One rule holds at both ends: a value is of exactly its JSON type, so a
+bool is no int and a subclass is no kind. `_encode` is the one dispatch
+on a value written, and `_need` the one check of a value read.
 
 `dump(doc, write)` encodes what a report holds: a dict, list or tuple
 at top level, dicts with str keys, and lists, tuples, strs, ints, bools
-and None, each of exactly its type. It hands `write` the text of
+and None. It hands `write` the text of
 `json.dumps(doc, sort_keys=True, indent=2)` plus a newline, and raises
-TypeError for anything else: floats, subclasses and non-str keys
-included, though the stdlib encodes them. `dumps` returns what `dump`
-writes. The stdlib's C encoder runs only without an indent, so that call
-would take the pure-Python path, which keeps one small string per token
-until its final join. `dump` instead encodes whole lines, a list of
-plain ints in one join and strings through the stdlib's own escaper.
-An item that is a str, an int, None, a bool or a list of ints is
-written on its own line, with no call. A dict's keys are checked and
-sorted, and the line that opens each item built, once per key tuple and
-depth, so the records of a report, which share their keys, are sorted
-and quoted once: the 160-way fan's normalized exhaustion encodes in
-0.07 s instead of 0.10 s when each dict's lines are built for it alone,
-and its layered cover in 0.17 s instead of 0.22 s (fastest of 9, in
-process, 2-core Xeon). The lines are joined into chunks of at least
-`_CHUNK` characters, one `write` each, so the whole text is never held,
-neither joined nor line by line.
+TypeError for anything else, floats, subclasses and non-str keys
+included, though the stdlib encodes them. `dumps` returns that text.
+The stdlib's C encoder runs only without an indent; `dump` instead
+encodes whole lines, a list of plain ints in one join and strings
+through the stdlib's own escaper. Every dict's keys are checked, and
+sorted, with the line that opens each item built, once per key tuple
+and depth, so the records of a report are sorted and quoted once: the
+160-way fan's normalized exhaustion encodes in 0.07 s instead of 0.10 s
+when each dict's lines are built for it alone, and its layered cover in
+0.17 s instead of 0.22 s (fastest of 9, in process, 2-core Xeon). The
+lines are joined into chunks of at least `_CHUNK` characters, one
+`write` each, so the whole text is never held.
 
 `loads` returns the tree of `json.loads` with one int object per
 repeated value: each document's ints are decoded through a cache of its
 own, from digit string to int, which keeps the first `_SHARED` distinct
-values and goes with the parse. A layered document lists every sheet at
-every level, and without the cache every occurrence above 256 is a
-fresh int. `verify --restrictions` of the 800-level staircase document
-peaks at 47 MB with the cache and 55 MB without; its peak is now the
-file's bytes beside their decoded text, before the parse. The bound
-keeps the cost to a document of distinct values, which shares nothing,
-to about 6 MB. A document nested too deeply for the decoder is refused
-as invalid input.
+values. A layered document lists every sheet at every level, so
+`verify --restrictions` of the 800-level staircase document peaks at
+47 MB with the cache and 55 MB without, and the bound keeps the cost to
+a document of distinct values to about 6 MB. A document nested too
+deeply for the decoder is refused as invalid input. The exhaustion and
+layered readers walk their records with `_records`.
 """
 from __future__ import annotations
 
@@ -68,21 +65,18 @@ FORMAT_VERSION = 1
 # stdout each write is one system call
 _CHUNK = 1 << 18
 # lines between two measurements of what is held, so that most items of a
-# container are encoded without a call
+# container are not measured
 _LINES = 64
 
 
 class _Chunks(list):
-    """Encoded lines not yet written. _encode appends to it as to any list
-    and, after each item of a container, calls spill once `due` lines are
-    held; spill passes the lines to write, joined, once they reach _CHUNK
-    characters. A write runs past _CHUNK by at most the lines appended
-    since the last measurement, about _LINES of them, so only long lines,
-    such as a long list of ints, make it much larger. keys holds, for each
-    key tuple and depth of the dump's dicts, the keys in sorted order and
-    the line that opens each item; every dict a report holds is a literal
-    of its writer, so their number follows the report's shape, not its
-    size."""
+    """Encoded lines not yet written. _encode appends to it and, after
+    each item of a container, calls spill once `due` lines are held; spill
+    passes the lines to write, joined, once they reach _CHUNK characters,
+    so only long lines, such as a long list of ints, make a write much
+    larger. keys holds, for each key tuple and depth, the sorted keys and
+    the lines that open their items; every dict a report holds is a
+    literal of its writer, so their number follows the report's shape."""
 
     def __init__(self, write):
         super().__init__()
@@ -90,7 +84,7 @@ class _Chunks(list):
         self.seen = 0  # lines measured so far
         self.size = 0  # their characters
         self.due = _LINES
-        self.keys: dict[tuple[tuple, str], tuple[list[str], list[str]]] = {}
+        self.keys: dict[tuple[tuple, str], tuple[list[str], str, list[str]]] = {}
 
     def spill(self) -> None:
         self.size += sum(map(len, self[self.seen:]))
@@ -107,6 +101,8 @@ class _Chunks(list):
 
 
 def dump(doc: dict, write) -> None:
+    if type(doc) not in (dict, list, tuple):
+        raise TypeError(f"a report is a dict, list or tuple, not {type(doc).__name__}")
     out = _Chunks(write)
     _encode(doc, "\n", out)
     out.append("\n")
@@ -134,65 +130,55 @@ def _int_array(items, indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(_int, items)) + indent + "]"
 
 
-def _key_lines(keys: tuple, inner: str) -> tuple[list[str], list[str]]:
-    for k in keys:
-        if type(k) is not str:
-            raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+def _key_lines(keys: tuple, inner: str) -> tuple[list[str], str, list[str]]:
     order = sorted(keys)
-    quoted = [_string(k) + ": " for k in order]
-    return order, ["{" + inner + quoted[0]] + ["," + inner + q for q in quoted[1:]]
+    quoted = [inner + _string(k) + ": " for k in order]
+    return order, "{" + quoted[0], ["," + q for q in quoted[1:]]
 
 
-def _encode(o, indent: str, out: _Chunks) -> None:
-    """Append the encoding of o, a dict, list or tuple, to out. indent is
-    the newline and spaces before o's closing bracket; its items sit two
-    spaces further in."""
+def _encode(o, indent: str, out: _Chunks, line: str = "") -> None:
+    """Append o to out, by its exact type, after line, the text before o on
+    its first line. indent is the newline and spaces before o's closing
+    bracket; its items sit two spaces further in. A str, an int, None, a
+    bool, an empty container or a list of ints is written on that line."""
     t = type(o)
-    if t is dict:
-        if not o:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        # a record's lines are built once per key tuple and depth
-        known = out.keys.get(tag := (tuple(o), inner))
-        if known is None:
-            known = out.keys[tag] = _key_lines(*tag)
-        order, lines = known
-        values = map(o.__getitem__, order)
-        close = indent + "}"
-    elif t is list or t is tuple:
-        if not o:
-            out.append("[]")
-            return
-        if type(o[0]) is int and _all_ints(o):
-            out.append(_int_array(o, indent))
-            return
-        inner = indent + "  "
-        lines = chain(("[" + inner,), repeat("," + inner))
-        values = o
-        close = indent + "]"
+    if t is str:
+        out.append(line + _string(o))
+    elif t is int:
+        out.append(line + _int(o))
+    elif o is None:
+        out.append(line + "null")
+    elif (t is list or t is tuple) and (not o or type(o[0]) is int and _all_ints(o)):
+        out.append(line + (_int_array(o, indent) if o else "[]"))
+    elif t is bool:
+        out.append(line + ("true" if o else "false"))
+    elif t is dict and not o:
+        out.append(line + "{}")
     else:
-        raise TypeError(f"Object of type {t.__name__} is not a report value")
-    for line, v in zip(lines, values):
-        # by exact type: strs, ints, nulls, bools and lists of ints on their
-        # item's line; any other value is a container, or _encode refuses it
-        t = type(v)
-        if t is str:
-            out.append(line + _string(v))
-        elif t is int:
-            out.append(line + _int(v))
-        elif v is None:
-            out.append(line + "null")
-        elif (t is list or t is tuple) and (not v or type(v[0]) is int and _all_ints(v)):
-            out.append(line + (_int_array(v, inner) if v else "[]"))
-        elif t is bool:
-            out.append(line + ("true" if v else "false"))
+        inner = indent + "  "
+        if t is dict:
+            if {*map(type, o)} != {str}:
+                bad = next(k for k in o if type(k) is not str)
+                raise TypeError(f"keys must be str, not {type(bad).__name__}")
+            # a record's lines are built once per key tuple and depth
+            known = out.keys.get(tag := (tuple(o), inner))
+            if known is None:
+                known = out.keys[tag] = _key_lines(*tag)
+            order, first, rest = known
+            lines = chain((line + first,), rest)
+            values = map(o.__getitem__, order)
+            close = indent + "}"
+        elif t is list or t is tuple:
+            lines = chain((line + "[" + inner,), repeat("," + inner))
+            values = o
+            close = indent + "]"
         else:
-            out.append(line)
-            _encode(v, inner, out)
-        if len(out) >= out.due:
-            out.spill()
-    out.append(close)
+            raise TypeError(f"Object of type {t.__name__} is not a report value")
+        for item, v in zip(lines, values):
+            _encode(v, inner, out, item)
+            if len(out) >= out.due:
+                out.spill()
+        out.append(close)
 
 
 # distinct ints one document shares; their digit strings and the table
@@ -225,7 +211,7 @@ def loads(text: str) -> dict:
         raise InvalidInput(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidInput("document nested too deeply to decode") from None
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise InvalidInput("expected a JSON object at top level")
     return doc
 
@@ -235,7 +221,7 @@ KNOWN_FORMATS = ("hurwitz", "exhaustion", "layered", "report")
 
 def sniff(doc: dict) -> str:
     fmt = doc.get("format")
-    if not isinstance(fmt, str):
+    if type(fmt) is not str:
         raise InvalidInput("missing document format tag")
     if fmt not in KNOWN_FORMATS:
         raise InvalidInput(f"unknown document format {fmt!r}")
@@ -245,22 +231,42 @@ def sniff(doc: dict) -> str:
     return fmt
 
 
-def _need(doc: dict, key: str, kind: type, where: str):
-    if key not in doc:
-        raise InvalidInput(f"missing {key!r} in {where}")
-    value = doc[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidInput(f"{where}.{key} must be {kind.__name__}")
-    return value
+_REQUIRED = object()
 
 
-def _optional(doc: dict, key: str, kind: type, where: str, default):
-    return _need(doc, key, kind, where) if key in doc else default
+def _need(doc: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """doc[key], which must be of exactly the JSON type kind, so that a
+    bool is no int; default if doc has no key, which is then optional. A
+    default of None makes the kind "kind or null": a null reads as absent."""
+    value = doc.get(key, default)
+    if type(value) is kind:
+        return value
+    if value is default:
+        if default is _REQUIRED:
+            raise InvalidInput(f"missing {key!r} in {where}")
+        return default
+    null = " or null" if default is None else ""
+    raise InvalidInput(f"{where}.{key} must be {kind.__name__}{null}")
+
+
+def _expect(doc: dict, fmt: str) -> None:
+    if sniff(doc) != fmt:
+        a = "an" if fmt[0] in "aeiou" else "a"
+        raise InvalidInput(f"expected {a} {fmt} document, got {doc.get('format')!r}")
+
+
+def _records(doc: dict, fmt: str, key: str):
+    """Check that doc is a fmt document whose key is a list of objects, and
+    yield each object with its name in messages, key[i]."""
+    _expect(doc, fmt)
+    for i, record in enumerate(_need(doc, key, list, fmt)):
+        if type(record) is not dict:
+            raise InvalidInput(f"{fmt}.{key}[{i}] must be an object")
+        yield f"{key}[{i}]", record
 
 
 def _ints(value, where: str) -> tuple[int, ...]:
-    # JSON integers decode as exact ints; bools are not ints here
-    if not isinstance(value, list) or not _all_ints(value):
+    if type(value) is not list or not _all_ints(value):
         raise InvalidInput(f"{where} must be a list of integers")
     return tuple(value)
 
@@ -312,8 +318,7 @@ def hurwitz_to_json(d: HurwitzData) -> dict:
 def hurwitz_from_json(doc: dict) -> HurwitzData:
     from .hurwitz import HurwitzData
 
-    if sniff(doc) != "hurwitz":
-        raise InvalidInput(f"expected a hurwitz document, got {doc.get('format')!r}")
+    _expect(doc, "hurwitz")
     base_doc = _need(doc, "base", dict, "hurwitz")
     base = ClosedSurface(
         _need(base_doc, "orientable", bool, "hurwitz.base"),
@@ -321,8 +326,8 @@ def hurwitz_from_json(doc: dict) -> HurwitzData:
     )
     degree = _need(doc, "degree", int, "hurwitz")
     handles = []
-    for i, pair in enumerate(_optional(doc, "handles", list, "hurwitz", [])):
-        if not isinstance(pair, list) or len(pair) != 2:
+    for i, pair in enumerate(_need(doc, "handles", list, "hurwitz", [])):
+        if type(pair) is not list or len(pair) != 2:
             raise InvalidInput(f"hurwitz.handles[{i}] must be a pair")
         handles.append(
             (
@@ -332,11 +337,11 @@ def hurwitz_from_json(doc: dict) -> HurwitzData:
         )
     crosscaps = [
         perm_from_json(c, f"crosscaps[{i}]")
-        for i, c in enumerate(_optional(doc, "crosscaps", list, "hurwitz", []))
+        for i, c in enumerate(_need(doc, "crosscaps", list, "hurwitz", []))
     ]
     meridians = [
         perm_from_json(m, f"meridians[{i}]")
-        for i, m in enumerate(_optional(doc, "meridians", list, "hurwitz", []))
+        for i, m in enumerate(_need(doc, "meridians", list, "hurwitz", []))
     ]
     return HurwitzData(base, degree, tuple(handles), tuple(crosscaps), tuple(meridians))
 
@@ -370,29 +375,20 @@ def exhaustion_to_json(g: ExhaustionGraph) -> dict:
 def exhaustion_from_json(doc: dict) -> ExhaustionGraph:
     from .exhaustion import ExhaustionGraph, NormalizedExhaustion, Piece
 
-    if sniff(doc) != "exhaustion":
-        raise InvalidInput(f"expected an exhaustion document, got {doc.get('format')!r}")
-    raw = _need(doc, "pieces", list, "exhaustion")
-    pieces = []
-    for i, pd in enumerate(raw):
-        if not isinstance(pd, dict):
-            raise InvalidInput(f"exhaustion.pieces[{i}] must be an object")
-        where = f"pieces[{i}]"
-        pieces.append(
-            Piece(
-                _need(pd, "id", str, where),
-                _need(pd, "level", int, where),
-                _need(pd, "genus", int, where),
-                _ints(_need(pd, "inner", list, where), f"{where}.inner"),
-                _ints(_need(pd, "outer", list, where), f"{where}.outer"),
-                _optional(pd, "orientable", bool, where, True),
-            )
+    pieces = tuple(
+        Piece(
+            _need(pd, "id", str, where),
+            _need(pd, "level", int, where),
+            _need(pd, "genus", int, where),
+            _ints(_need(pd, "inner", list, where), f"{where}.inner"),
+            _ints(_need(pd, "outer", list, where), f"{where}.outer"),
+            _need(pd, "orientable", bool, where, True),
         )
+        for where, pd in _records(doc, "exhaustion", "pieces")
+    )
     if "stable_depth" in doc:
-        return NormalizedExhaustion(
-            tuple(pieces), stable_depth=_need(doc, "stable_depth", int, "exhaustion")
-        )
-    return ExhaustionGraph(tuple(pieces))
+        return NormalizedExhaustion(pieces, stable_depth=_need(doc, "stable_depth", int, "exhaustion"))
+    return ExhaustionGraph(pieces)
 
 
 # --- layered covers ---
@@ -426,25 +422,16 @@ def layered_to_json(c: LayeredCover) -> dict:
 def layered_from_json(doc: dict) -> LayeredCover:
     from .layered import Block, LayeredCover
 
-    if sniff(doc) != "layered":
-        raise InvalidInput(f"expected a layered document, got {doc.get('format')!r}")
     blocks = []
-    for i, bd in enumerate(_need(doc, "blocks", list, "layered")):
-        if not isinstance(bd, dict):
-            raise InvalidInput(f"layered.blocks[{i}] must be an object")
-        where = f"blocks[{i}]"
+    for where, bd in _records(doc, "layered", "blocks"):
         inbound = bd.get("inbound")
         outbound = []
         for j, entry in enumerate(_need(bd, "outbound", list, where)):
-            if not isinstance(entry, list) or len(entry) != 2 or type(entry[0]) is not int:
+            if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int:
                 raise InvalidInput(f"{where}.outbound[{j}] must be [circle, cycle]")
             outbound.append((entry[0], _ints(entry[1], f"{where}.outbound[{j}][1]")))
-        parent = bd.get("parent")
-        if parent is not None and not isinstance(parent, str):
-            raise InvalidInput(f"{where}.parent must be str or null")
-        parent_circle = bd.get("parent_circle")
-        if parent_circle is not None and type(parent_circle) is not int:
-            raise InvalidInput(f"{where}.parent_circle must be int or null")
+        parent = _need(bd, "parent", str, where, None)
+        parent_circle = _need(bd, "parent_circle", int, where, None)
         blocks.append(
             Block(
                 piece=_need(bd, "piece", str, where),

@@ -36,6 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import (
     DepthExceeded,
@@ -45,12 +46,9 @@ from .errors import (
     UnverifiedInput,
     admit,
 )
-from .exhaustion import (
-    ExhaustionGraph,
-    is_normalized_through,
-    piece_shape,
-    validate_exhaustion,
-)
+
+if TYPE_CHECKING:
+    from .exhaustion import ExhaustionGraph
 
 BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 
@@ -233,6 +231,8 @@ def _pants_meridians(
 def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
     """Degree 2k cover of the plane truncated at level J, where k - 1
     is the number of two-legged pieces through level J."""
+    from .exhaustion import is_normalized_through, piece_shape, validate_exhaustion
+
     if J < 1:
         raise ValueError(f"need J >= 1, got {J}")
     bad = [p.id for p in e.pieces if not p.orientable]

@@ -920,6 +920,214 @@ def test_torus_datum_round_trips_and_a_bad_handle_exits_2(tmp_path):
     assert (rc, out, err) == (2, "", "error: hurwitz.handles[0] must be a pair\n")
 
 
+# --- every reader check has its one error line ---
+
+
+def _reader_documents():
+    """A valid document of each kind, as decoded text, with the subcommand
+    that reads it."""
+    torus = HurwitzData(TORUS, 3, ((Perm((1, 2, 0)), Perm((2, 0, 1))),), (), ())
+    normal = normalize(sample_graph())
+    docs = {
+        "hurwitz": (jsonio.hurwitz_to_json(torus), "total-space"),
+        "exhaustion": (jsonio.exhaustion_to_json(normal), "normalize"),
+        "layered": (jsonio.layered_to_json(staircase(2)), "verify"),
+    }
+    return {kind: (json.loads(jsonio.dumps(doc)), command) for kind, (doc, command) in docs.items()}
+
+
+_READER_DOCUMENTS = _reader_documents()
+_GONE = object()
+
+
+def _at(*path, to=_GONE):
+    """A mutation that sets the value at path to `to`, or deletes it."""
+
+    def mutate(doc):
+        *head, key = path
+        for k in head:
+            doc = doc[k]
+        if to is _GONE:
+            del doc[key]
+        else:
+            doc[key] = to
+
+    return mutate
+
+
+# name: (document kind, mutation, the error line); a mutation that returns
+# a value replaces the document with it
+READER_ERRORS = {
+    # loads and sniff
+    "top-level-array": ("hurwitz", lambda doc: [doc], "expected a JSON object at top level"),
+    "no-format": ("hurwitz", _at("format"), "missing document format tag"),
+    "format-not-str": ("hurwitz", _at("format", to=1), "missing document format tag"),
+    "unknown-format": ("hurwitz", _at("format", to="cover"), "unknown document format 'cover'"),
+    "version": ("hurwitz", _at("version", to=2), "unsupported document version 2"),
+    # hurwitz
+    "hurwitz-format": ("hurwitz", _at("format", to="layered"), "expected a hurwitz document, got 'layered'"),
+    "base-missing": ("hurwitz", _at("base"), "missing 'base' in hurwitz"),
+    "base-not-object": ("hurwitz", _at("base", to=[]), "hurwitz.base must be dict"),
+    "orientable-missing": ("hurwitz", _at("base", "orientable"), "missing 'orientable' in hurwitz.base"),
+    "orientable-int": ("hurwitz", _at("base", "orientable", to=1), "hurwitz.base.orientable must be bool"),
+    "genus-missing": ("hurwitz", _at("base", "genus"), "missing 'genus' in hurwitz.base"),
+    "genus-bool": ("hurwitz", _at("base", "genus", to=True), "hurwitz.base.genus must be int"),
+    "degree-missing": ("hurwitz", _at("degree"), "missing 'degree' in hurwitz"),
+    "degree-str": ("hurwitz", _at("degree", to="3"), "hurwitz.degree must be int"),
+    "degree-float": ("hurwitz", _at("degree", to=3.0), "hurwitz.degree must be int"),
+    "handles-null": ("hurwitz", _at("handles", to=None), "hurwitz.handles must be list"),
+    "handle-single": ("hurwitz", _at("handles", 0, 1), "hurwitz.handles[0] must be a pair"),
+    "handle-object": ("hurwitz", _at("handles", 0, to={}), "hurwitz.handles[0] must be a pair"),
+    "handle-perm-float": ("hurwitz", _at("handles", 0, 1, 2, to=1.5), "handles[0][1] must be a list of integers"),
+    "crosscaps-object": ("hurwitz", _at("crosscaps", to={}), "hurwitz.crosscaps must be list"),
+    "meridians-str": ("hurwitz", _at("meridians", to="x"), "hurwitz.meridians must be list"),
+    "meridian-bool": ("hurwitz", _at("meridians", to=[[0, True, 2]]), "meridians[0] must be a list of integers"),
+    "meridian-not-a-list": ("hurwitz", _at("meridians", to=[3]), "meridians[0] must be a list of integers"),
+    "crosscap-not-a-bijection": (
+        "hurwitz",
+        _at("crosscaps", to=[[0, 0, 1]]),
+        "crosscaps[0]: not a bijection of range(3): (0, 0, 1)",
+    ),
+    # exhaustion
+    "exhaustion-format": (
+        "exhaustion",
+        _at("format", to="layered"),
+        "expected an exhaustion document, got 'layered'",
+    ),
+    "pieces-missing": ("exhaustion", _at("pieces"), "missing 'pieces' in exhaustion"),
+    "pieces-object": ("exhaustion", _at("pieces", to={}), "exhaustion.pieces must be list"),
+    "piece-not-object": ("exhaustion", _at("pieces", 1, to=[]), "exhaustion.pieces[1] must be an object"),
+    "piece-id-missing": ("exhaustion", _at("pieces", 1, "id"), "missing 'id' in pieces[1]"),
+    "piece-level-missing": ("exhaustion", _at("pieces", 1, "level"), "missing 'level' in pieces[1]"),
+    "piece-genus-missing": ("exhaustion", _at("pieces", 1, "genus"), "missing 'genus' in pieces[1]"),
+    "piece-inner-missing": ("exhaustion", _at("pieces", 1, "inner"), "missing 'inner' in pieces[1]"),
+    "piece-outer-missing": ("exhaustion", _at("pieces", 1, "outer"), "missing 'outer' in pieces[1]"),
+    "piece-id-int": ("exhaustion", _at("pieces", 1, "id", to=5), "pieces[1].id must be str"),
+    "piece-level-bool": ("exhaustion", _at("pieces", 1, "level", to=True), "pieces[1].level must be int"),
+    "piece-genus-str": ("exhaustion", _at("pieces", 1, "genus", to="0"), "pieces[1].genus must be int"),
+    "piece-inner-int": ("exhaustion", _at("pieces", 1, "inner", to=2), "pieces[1].inner must be list"),
+    "piece-outer-object": ("exhaustion", _at("pieces", 1, "outer", to={}), "pieces[1].outer must be list"),
+    "piece-inner-bools": (
+        "exhaustion",
+        _at("pieces", 1, "inner", to=[True]),
+        "pieces[1].inner must be a list of integers",
+    ),
+    "piece-outer-lists": (
+        "exhaustion",
+        _at("pieces", 1, "outer", to=[[1]]),
+        "pieces[1].outer must be a list of integers",
+    ),
+    "piece-orientable-str": (
+        "exhaustion",
+        _at("pieces", 1, "orientable", to="no"),
+        "pieces[1].orientable must be bool",
+    ),
+    "piece-orientable-null": (
+        "exhaustion",
+        _at("pieces", 1, "orientable", to=None),
+        "pieces[1].orientable must be bool",
+    ),
+    "stable-depth-str": ("exhaustion", _at("stable_depth", to="2"), "exhaustion.stable_depth must be int"),
+    "stable-depth-null": ("exhaustion", _at("stable_depth", to=None), "exhaustion.stable_depth must be int"),
+    # layered
+    "layered-format": ("layered", _at("format", to="hurwitz"), "expected a layered document, got 'hurwitz'"),
+    "blocks-missing": ("layered", _at("blocks"), "missing 'blocks' in layered"),
+    "blocks-str": ("layered", _at("blocks", to="x"), "layered.blocks must be list"),
+    "block-not-object": ("layered", _at("blocks", 1, to=5), "layered.blocks[1] must be an object"),
+    "outbound-missing": ("layered", _at("blocks", 1, "outbound"), "missing 'outbound' in blocks[1]"),
+    "outbound-object": ("layered", _at("blocks", 1, "outbound", to={}), "blocks[1].outbound must be list"),
+    "outbound-entry-int": (
+        "layered",
+        _at("blocks", 1, "outbound", 0, to=5),
+        "blocks[1].outbound[0] must be [circle, cycle]",
+    ),
+    "outbound-entry-short": (
+        "layered",
+        _at("blocks", 1, "outbound", 0, 1),
+        "blocks[1].outbound[0] must be [circle, cycle]",
+    ),
+    "outbound-entry-long": (
+        "layered",
+        _at("blocks", 1, "outbound", 0, to=[2, [0, 2, 1], 0]),
+        "blocks[1].outbound[0] must be [circle, cycle]",
+    ),
+    "outbound-circle-bool": (
+        "layered",
+        _at("blocks", 1, "outbound", 0, 0, to=True),
+        "blocks[1].outbound[0] must be [circle, cycle]",
+    ),
+    "outbound-cycle-int": (
+        "layered",
+        _at("blocks", 1, "outbound", 0, 1, to=5),
+        "blocks[1].outbound[0][1] must be a list of integers",
+    ),
+    "parent-int": ("layered", _at("blocks", 1, "parent", to=5), "blocks[1].parent must be str or null"),
+    "parent-list": ("layered", _at("blocks", 1, "parent", to=[]), "blocks[1].parent must be str or null"),
+    "parent-circle-str": (
+        "layered",
+        _at("blocks", 1, "parent_circle", to="1"),
+        "blocks[1].parent_circle must be int or null",
+    ),
+    "parent-circle-bool": (
+        "layered",
+        _at("blocks", 1, "parent_circle", to=True),
+        "blocks[1].parent_circle must be int or null",
+    ),
+    "block-piece-missing": ("layered", _at("blocks", 1, "piece"), "missing 'piece' in blocks[1]"),
+    "block-level-missing": ("layered", _at("blocks", 1, "level"), "missing 'level' in blocks[1]"),
+    "block-kind-missing": ("layered", _at("blocks", 1, "kind"), "missing 'kind' in blocks[1]"),
+    "block-sheets-missing": ("layered", _at("blocks", 1, "sheets"), "missing 'sheets' in blocks[1]"),
+    "block-caps-missing": ("layered", _at("blocks", 1, "caps"), "missing 'caps' in blocks[1]"),
+    "block-meridians-missing": ("layered", _at("blocks", 1, "meridians"), "missing 'meridians' in blocks[1]"),
+    "block-labels-missing": ("layered", _at("blocks", 1, "labels"), "missing 'labels' in blocks[1]"),
+    "block-piece-int": ("layered", _at("blocks", 1, "piece", to=1), "blocks[1].piece must be str"),
+    "block-level-str": ("layered", _at("blocks", 1, "level", to="2"), "blocks[1].level must be int"),
+    "block-kind-null": ("layered", _at("blocks", 1, "kind", to=None), "blocks[1].kind must be str"),
+    "block-sheets-str": ("layered", _at("blocks", 1, "sheets", to="x"), "blocks[1].sheets must be list"),
+    "block-caps-object": ("layered", _at("blocks", 1, "caps", to={}), "blocks[1].caps must be list"),
+    "block-meridians-int": ("layered", _at("blocks", 1, "meridians", to=0), "blocks[1].meridians must be list"),
+    "block-labels-str": ("layered", _at("blocks", 1, "labels", to="x"), "blocks[1].labels must be list"),
+    "block-sheets-strs": (
+        "layered",
+        _at("blocks", 1, "sheets", to=[0, "1"]),
+        "blocks[1].sheets must be a list of integers",
+    ),
+    "block-caps-bools": ("layered", _at("blocks", 1, "caps", to=[True]), "blocks[1].caps must be a list of integers"),
+    "inbound-str": ("layered", _at("blocks", 1, "inbound", to="x"), "blocks[1].inbound must be a list of integers"),
+    "inbound-float": (
+        "layered",
+        _at("blocks", 1, "inbound", to=[0, 1.5]),
+        "blocks[1].inbound must be a list of integers",
+    ),
+    "meridian-item-bool": (
+        "layered",
+        _at("blocks", 1, "meridians", 0, 1, to=True),
+        "blocks[1].meridians[0] must be a list of integers",
+    ),
+    "label-item-int": (
+        "layered",
+        _at("blocks", 1, "labels", 0, to=5),
+        "blocks[1].labels[0] must be a list of integers",
+    ),
+    "depth-missing": ("layered", _at("depth"), "missing 'depth' in layered"),
+    "depth-str": ("layered", _at("depth", to="2"), "layered.depth must be int"),
+    "degree-missing-layered": ("layered", _at("degree"), "missing 'degree' in layered"),
+    "degree-bool-layered": ("layered", _at("degree", to=True), "layered.degree must be int"),
+    "depth-over-blocks": ("layered", _at("depth", to=3), "layered.depth 3 exceeds the 2 blocks"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_ERRORS))
+def test_each_reader_check_exits_2_with_its_line(tmp_path, name):
+    kind, mutate, line = READER_ERRORS[name]
+    valid, command = _READER_DOCUMENTS[kind]
+    doc = copy.deepcopy(valid)
+    replaced = mutate(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc if replaced is None else replaced))
+    assert run_cli([command, "--input", str(path)]) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize(
     "changes, problems",
     [
@@ -1234,8 +1442,8 @@ _FRONT = {"coverbench", "coverbench.cli", "coverbench.errors", "coverbench.jsoni
         (["enumerate", "--base", "rp2", "--degree", "4", "--branch-points", "4", "--all"], {"census", "characters"}),
         (["parity-audit", "--dmax", "4", "--bmax", "6"], {"census", "characters"}),
         (["normalize", "--input", "exhaustion.json"], {"exhaustion"}),
-        (["verify", "--restrictions", "--input", "layered.json"], {"exhaustion", "layered"}),
-        (["staircase", "--levels", "4", "--verify"], {"exhaustion", "layered"}),
+        (["verify", "--restrictions", "--input", "layered.json"], {"layered"}),
+        (["staircase", "--levels", "4", "--verify"], {"layered"}),
         (
             ["total-space", "--base", "rp2", "--degree", "3", "--crosscaps", "(0 1 2)", "--meridians", "(0 1 2)"],
             {"hurwitz", "perms"},

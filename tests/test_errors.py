@@ -1,14 +1,16 @@
 """The one admission rule: errors.admit against the step budget."""
 from __future__ import annotations
 
+import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from coverbench import characters, exhaustion, hurwitz, jsonio, layered
+from coverbench import characters, cli, exhaustion, hurwitz, jsonio, layered
 from coverbench.errors import STEP_BUDGET, LimitExceeded, admit
-from coverbench.exhaustion import ExhaustionGraph, Piece
+from coverbench.exhaustion import ExhaustionGraph, Piece, normalize
 from coverbench.surfaces import SPHERE
 from oracles import run_measured
 
@@ -37,6 +39,11 @@ def test_the_step_budget_bounds_memory(tmp_path):
     path = tmp_path / "fan.json"
     path.write_text(jsonio.dumps(jsonio.exhaustion_to_json(fan)))
     sweep = exhaustion._Normalizer(fan)
+    # a cover written without whitespace, the most values per byte
+    normal = normalize(ExhaustionGraph((Piece("f", 1, 0, (), tuple(range(1, 151))),)))
+    cover = json.loads(jsonio.dumps(jsonio.layered_to_json(layered.build_cover(normal, normal.stable_depth))))
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(cover, separators=(",", ":")))
     runs = [
         (["classify", "--chi", "-2", "--orientable", "true"], None),
         (["construct", "--family", "cyclic-rp2", "--crosscaps", "300000"], hurwitz.pass_steps(3, 300000)),
@@ -53,6 +60,10 @@ def test_the_step_budget_bounds_memory(tmp_path):
             ["enumerate", "--base", "s2", "--degree", "6", "--branch-points", "400", "--all"],
             sum(characters.sums_cost(SPHERE, 6, 400, False)),
         ),
+        (
+            ["verify", "--restrictions", "--input", str(cover_path)],
+            os.path.getsize(cover_path) // cli._BYTES_PER_STEP,
+        ),
     ]
 
     def peak(run):
@@ -65,3 +76,28 @@ def test_the_step_budget_bounds_memory(tmp_path):
         floor, *peaks = pool.map(peak, runs)
     per_step = {argv[0]: (p - floor) / steps for (argv, steps), p in zip(runs[1:], peaks)}
     assert max(per_step.values()) < 128, per_step
+
+
+_EDGE = (STEP_BUDGET + 1) * cli._BYTES_PER_STEP  # the fewest bytes refused
+
+
+@pytest.mark.parametrize(
+    ("size", "refused"),
+    [(110_726_809, True), (_EDGE, True), (_EDGE - 1, False)],
+    ids=["ladder-1000x500", "one-step-over", "at-the-budget"],
+)
+def test_a_document_is_priced_by_its_bytes_before_it_is_read(tmp_path, size, refused):
+    # sparse files, one of the 1000 x 500 ladder document's size: the size
+    # comes from the file system, so a refused document is never read and
+    # its run peaks near the interpreter's 20 MB
+    path = tmp_path / "doc.json"
+    with open(path, "wb") as fh:
+        fh.truncate(size)
+    child, peak = run_measured(
+        [sys.executable, "-m", "coverbench.cli", "normalize", "--input", str(path)], timeout=60
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    budget_line = f"error: reading a document of {size} bytes would take more than the budget of 4000000 steps\n"
+    assert (child.stderr == budget_line) == refused, child.stderr
+    if refused:
+        assert peak < 64 << 20
