@@ -226,7 +226,7 @@ def sniff(doc: dict) -> str:
     if fmt not in KNOWN_FORMATS:
         raise InvalidInput(f"unknown document format {fmt!r}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidInput(f"unsupported document version {version!r}")
     return fmt
 

@@ -19,7 +19,10 @@ consequences of counting lifted cells, so verify_layered re-derives
 them from the raw block data rather than trusting the constructors: it
 keeps its own boundary product of each block, the inbound cycle then
 the meridians, and checks the block's claimed outbound cycles against
-it instead of decomposing it.
+it instead of decomposing it. One walk reads each block once and does
+every check that needs that block alone against one set of its sheets;
+only the gluing checks that need every circle's owner, and the checks
+by level, make passes of their own.
 
 Both checkers read one level index, built on first use and cached on
 the cover: the blocks of each level in document order, the first level
@@ -55,11 +58,17 @@ BLOCK_KINDS = ("disk", "annulus", "pants", "staircase")
 # Prices for errors.admit per unit of the report, known before the cover
 # is built, fitted to the wall time of whole CLI runs, 0.9-1.1 us a step
 # at the edge (2-core Xeon, Python 3.11). A run at the edge peaks at 16
-# to 32 bytes a step above the interpreter, as measured below.
+# to 59 bytes a step above the interpreter, as measured below.
 # Per branch point of build-cover: 129 report bytes, 4.0-4.6 us and 147
 # to 117 bytes of peak from 500,001 to 2,000,001 branch points (74 to
 # 234 MB, 2.0 to 8.3 s); 28.5 bytes a step at 999,999.
 _BRANCH_STEPS = 4
+# Per block of build-cover, one per piece through the level asked for:
+# 25-27 us and 1,620 to 1,720 bytes of peak; at the edge a genus-0 chain
+# of 142,857 levels (11.8 MB) takes 3.8-4.1 s and 255 MB, 58.5 bytes a
+# step, and the 533-way fan's normal form (141,779 blocks, 25.7 MB)
+# 3.6-3.8 s and 240 MB, 55 bytes a step.
+_BLOCK_STEPS = 28
 # Per squared level of a staircase run, each level listing all its sheets:
 # 28 report bytes and 0.36-0.39 us, and as much again for --verify;
 # 11 to 15 bytes of peak from 2,000 to 4,000 levels; 31.6 bytes a step at
@@ -130,10 +139,6 @@ class LayeredCover:
         return tuple(self.blocks[k] for k in self.index.levels.get(j, ()))
 
     @property
-    def pants_count(self) -> int:
-        return sum(1 for b in self.blocks if b.kind == "pants")
-
-    @property
     def branch_count(self) -> int:
         return sum(len(b.meridians) for b in self.blocks)
 
@@ -165,26 +170,24 @@ class ComposedReport:
 # --- permutation words on small sheet sets ---
 
 
-def _within(sheets, inbound, meridians) -> bool:
-    own = set(sheets)
-    if inbound and (len(set(inbound)) != len(inbound) or not own.issuperset(inbound)):
-        return False
-    return all(len(t) == 2 and own.issuperset(t) for t in meridians)
-
-
 def _relation_problem(b: Block) -> str | None:
     """Why the boundary product of b, its inbound cycle first and then
     its meridians left to right, is not exactly its outbound cycles
     covering all its sheets; None when it is."""
-    if not _within(b.sheets, b.inbound, b.meridians):
+    own = set(b.sheets)
+    inbound = b.inbound or ()
+    if (
+        len(set(inbound)) != len(inbound)
+        or not own.issuperset(inbound)
+        or not all(len(t) == 2 and own.issuperset(t) for t in b.meridians)
+    ):
         return "inbound cycle or a meridian is not a cycle on its sheets"
     # applying (a c) before a product swaps its images of a and c, so the
     # meridians are taken right to left, and then the inbound cycle
     perm = dict(zip(b.sheets, b.sheets))
     for a, c in reversed(b.meridians):
         perm[a], perm[c] = perm[c], perm[a]
-    if b.inbound:
-        perm.update(zip(b.inbound, [perm[s] for s in b.inbound[1:] + b.inbound[:1]]))
+    perm.update(zip(inbound, tuple(map(perm.get, inbound[1:] + inbound[:1]))))
     moved = sum(map(operator.ne, perm, perm.values()))
     # each claimed cycle must be one of the product's, listed from its
     # least sheet; distinct ones are then disjoint, so they are all of
@@ -243,11 +246,14 @@ def build_cover(e: ExhaustionGraph, J: int) -> LayeredCover:
         raise InvalidInput("; ".join(report.problems))
     if not is_normalized_through(e, J):
         raise NotNormalized(f"exhaustion is not in normal shape through level {J}")
-    # the disk's one, 2g per annulus and 2g + 3 per pants
-    branch_points = 1 + sum(
-        2 * p.genus + 3 * (piece_shape(p) == "b") for p in e.pieces if 2 <= p.level <= J
+    # a block per piece; the disk's one branch point, 2g per annulus and
+    # 2g + 3 per pants
+    later = [p for p in e.pieces if 2 <= p.level <= J]
+    branch_points = 1 + sum(2 * p.genus + 3 * (piece_shape(p) == "b") for p in later)
+    admit(
+        f"the cover through level {J} with {branch_points} branch points",
+        _BRANCH_STEPS * branch_points + _BLOCK_STEPS * (1 + len(later)),
     )
-    admit(f"the cover through level {J} with {branch_points} branch points", _BRANCH_STEPS * branch_points)
 
     blocks: list[Block] = []
     feeds: dict[int, tuple[str, tuple[int, ...]]] = {}
@@ -322,58 +328,92 @@ def staircase(J: int, passes: int = 1) -> LayeredCover:
 # --- verification ---
 
 
-def _block_chi(b: Block) -> int:
-    # level 1 covers a disk (chi 1), later levels cover annuli (chi 0);
-    # inward caps are disks glued back on
-    if b.level == 1:
-        return len(b.sheets) - len(b.meridians)
-    return len(b.caps) - len(b.meridians)
-
-
 def verify_layered(c: LayeredCover) -> LayeredReport:
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(name: str, passed: bool, detail: str) -> None:
-        checks.append((name, passed, detail))
-
     index = c.index
+    levels = index.levels.keys()
     problems: list[str] = []
     if not c.blocks:
         problems.append("no blocks")
-    levels = index.levels.keys()
     if levels and not (min(levels) == 1 and max(levels) == len(levels) == c.depth):
         problems.append("levels not contiguous from 1")
     if c.depth != max(levels, default=0):
         problems.append("depth field disagrees with deepest block")
-    roots = c.at_level(1)
-    if len(roots) != 1:
-        problems.append(f"expected one level-1 block, found {len(roots)}")
-    by_piece = {}
+    roots = len(index.levels.get(1, ()))
+    if roots != 1:
+        problems.append(f"expected one level-1 block, found {roots}")
+
+    # one walk does every check that reads a single block, against one
+    # set of its sheets; each check keeps its own messages in block order
+    glue: list[str] = []
+    simple: list[str] = []
+    trans: list[str] = []
+    chi: list[str] = []
+    by_piece: dict[str, Block] = {}
+    out_owner: dict[int, tuple[Block, tuple[int, ...]]] = {}
+    seen_labels: set[tuple[int, int]] = set()
+    part: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while part[x] != x:
+            part[x] = part[part[x]]
+            x = part[x]
+        return x
+
+    total = branches = pants = caps_above = 0
     for b in c.blocks:
-        if b.piece in by_piece:
-            problems.append(f"two blocks over piece {b.piece!r}")
-        by_piece[b.piece] = b
+        own = set(b.sheets)
+        name, m = b.piece, len(b.meridians)
+        if name in by_piece:
+            problems.append(f"two blocks over piece {name!r}")
+        by_piece[name] = b
         if b.kind not in BLOCK_KINDS:
             problems.append(f"unknown block kind {b.kind!r}")
-        if len(set(b.sheets)) != len(b.sheets):
-            problems.append(f"block {b.piece!r} repeats sheets")
-        if not set(b.caps) <= set(b.sheets):
-            problems.append(f"block {b.piece!r} caps outside its sheets")
-        if b.inbound is not None and not set(b.inbound) <= set(b.sheets) - set(b.caps):
-            problems.append(f"block {b.piece!r} inbound cycle leaves its open sheets")
-        if len(b.labels) != len(b.meridians):
-            problems.append(f"block {b.piece!r} labels out of step with meridians")
+        if len(own) != len(b.sheets):
+            problems.append(f"block {name!r} repeats sheets")
+        if not own.issuperset(b.caps):
+            problems.append(f"block {name!r} caps outside its sheets")
+        if b.inbound is not None and not own.difference(b.caps).issuperset(b.inbound):
+            problems.append(f"block {name!r} inbound cycle leaves its open sheets")
+        if len(b.labels) != m:
+            problems.append(f"block {name!r} labels out of step with meridians")
         if (b.level == 1) != (b.parent is None):
-            problems.append(f"block {b.piece!r} parent link wrong for its level")
-    add("structure", not problems, "; ".join(problems) or "block shapes consistent")
-
-    glue: list[str] = []
-    out_owner: dict[int, tuple[Block, tuple[int, ...]]] = {}
-    for b in c.blocks:
+            problems.append(f"block {name!r} parent link wrong for its level")
         for circle, cyc in b.outbound:
             if circle in out_owner:
                 glue.append(f"circle {circle} emitted twice")
             out_owner[circle] = (b, cyc)
+        for t in b.meridians:
+            if len(t) != 2 or t[0] == t[1] or not own.issuperset(t):
+                simple.append(f"block {name!r} has a non-transposition meridian")
+                break
+        for lab in b.labels:
+            if lab in seen_labels:
+                simple.append(f"branch label {lab} reused")
+            seen_labels.add(lab)
+        if b.kind == "pants":
+            pants += 1
+            if not all(len(t) == 2 and own.issuperset(t) for t in b.meridians):
+                trans.append(f"pants block {name!r} meridians leave its sheets")
+            else:
+                part = dict(zip(b.sheets, b.sheets))
+                for x, y in b.meridians:
+                    part[find(x)] = find(y)
+                if len({find(s) for s in b.sheets}) != 1:
+                    trans.append(f"pants block {name!r} meridians not transitive")
+            if m < 3 or m % 2 != 1:
+                chi.append(f"pants block {name!r} branch count not 2g + 3")
+        elif b.kind == "annulus" and m % 2 != 0:
+            chi.append(f"annulus block {name!r} has odd branch count")
+        elif b.kind == "disk" and (len(b.sheets) != 2 or m != 1):
+            chi.append(f"disk block {name!r} is not the two-sheeted branched disk")
+        # level 1 covers a disk (chi 1), later levels cover annuli (chi 0);
+        # inward caps are disks glued back on
+        total += (len(b.sheets) if b.level == 1 else len(b.caps)) - m
+        branches += m
+        if b.level > c.depth:
+            caps_above += len(b.caps)
+
+    # what needs every owner, or the levels in order, keeps its own pass
     consumed: dict[int, str] = {}
     for b in c.blocks:
         if b.level == 1:
@@ -401,53 +441,10 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
         for b in c.at_level(j):
             if any(index.first_level.get(s, j) < j for s in b.caps):
                 glue.append(f"block {b.piece!r} caps reuse lower sheets")
-    add("gluing", not glue, "; ".join(glue) or "inbound cycles match parent gluings")
-
-    rel = [
-        f"block {b.piece!r} {problem}"
-        for b, problem in zip(c.blocks, index.relations)
-        if problem is not None
-    ]
-    add("relations", not rel, "; ".join(rel) or "boundary products match outbound cycles")
-
-    simple: list[str] = []
-    seen_labels: set[tuple[int, int]] = set()
-    for b in c.blocks:
-        for t in b.meridians:
-            if len(t) != 2 or t[0] == t[1] or not set(t) <= set(b.sheets):
-                simple.append(f"block {b.piece!r} has a non-transposition meridian")
-                break
-        for lab in b.labels:
-            if lab in seen_labels:
-                simple.append(f"branch label {lab} reused")
-            seen_labels.add(lab)
-    add("simple-branching", not simple, "; ".join(simple) or "all meridians simple, labels distinct")
-
-    trans: list[str] = []
-    for b in c.blocks:
-        if b.kind != "pants":
-            continue
-        if not _within(b.sheets, None, b.meridians):
-            trans.append(f"pants block {b.piece!r} meridians leave its sheets")
-            continue
-        part = {s: s for s in b.sheets}
-
-        def find(x: int) -> int:
-            while part[x] != x:
-                part[x] = part[part[x]]
-                x = part[x]
-            return x
-
-        for a, bb in b.meridians:
-            part[find(a)] = find(bb)
-        if len({find(s) for s in b.sheets}) != 1:
-            trans.append(f"pants block {b.piece!r} meridians not transitive")
-    add("pants-transitivity", not trans, "; ".join(trans) or "pants meridians transitive")
 
     # the fiber over stage j is the sheets of level j plus the caps of
     # every deeper block: a suffix sum over the levels, deepest first
     fiber: list[str] = []
-    caps_above = sum(len(b.caps) for b in c.blocks if b.level > c.depth)
     counts = []
     for j in range(c.depth, 0, -1):
         level = c.at_level(j)
@@ -456,32 +453,30 @@ def verify_layered(c: LayeredCover) -> LayeredReport:
     for j, count in reversed(counts):
         if count != c.degree:
             fiber.append(f"fiber count over stage {j} is {count}, not {c.degree}")
-    add("fiber-count", not fiber, "; ".join(fiber) or f"fiber count {c.degree} at every stage")
 
-    chi: list[str] = []
-    for b in c.blocks:
-        if b.kind == "annulus" and len(b.meridians) % 2 != 0:
-            chi.append(f"annulus block {b.piece!r} has odd branch count")
-        if b.kind == "pants" and (len(b.meridians) < 3 or len(b.meridians) % 2 != 1):
-            chi.append(f"pants block {b.piece!r} branch count not 2g + 3")
-        if b.kind == "disk" and (len(b.sheets) != 2 or len(b.meridians) != 1):
-            chi.append(f"disk block {b.piece!r} is not the two-sheeted branched disk")
-    total = sum(_block_chi(b) for b in c.blocks)
-    expected = c.degree - c.branch_count
+    rel = [
+        f"block {b.piece!r} {problem}"
+        for b, problem in zip(c.blocks, index.relations)
+        if problem is not None
+    ]
+    expected = c.degree - branches
     if total != expected:
         chi.append(f"blockwise chi {total} disagrees with degree - branching {expected}")
-    add("chi", not chi, "; ".join(chi) or f"chi of stage {c.depth} is {total} both ways")
-
-    ends = 1 + c.pants_count
-    add(
-        "ends-bound",
-        ends <= c.degree,
-        f"{ends} ends within degree {c.degree}"
-        if ends <= c.degree
-        else f"{ends} ends exceeds degree {c.degree}",
-    )
-
-    return LayeredReport(tuple(checks))
+    ends = 1 + pants
+    return LayeredReport((
+        ("structure", not problems, "; ".join(problems) or "block shapes consistent"),
+        ("gluing", not glue, "; ".join(glue) or "inbound cycles match parent gluings"),
+        ("relations", not rel, "; ".join(rel) or "boundary products match outbound cycles"),
+        ("simple-branching", not simple, "; ".join(simple) or "all meridians simple, labels distinct"),
+        ("pants-transitivity", not trans, "; ".join(trans) or "pants meridians transitive"),
+        ("fiber-count", not fiber, "; ".join(fiber) or f"fiber count {c.degree} at every stage"),
+        ("chi", not chi, "; ".join(chi) or f"chi of stage {c.depth} is {total} both ways"),
+        (
+            "ends-bound",
+            ends <= c.degree,
+            f"{ends} ends within degree {c.degree}" if ends <= c.degree else f"{ends} ends exceeds degree {c.degree}",
+        ),
+    ))
 
 
 def restriction_compatibility(c: LayeredCover, i: int) -> bool:

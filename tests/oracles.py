@@ -72,6 +72,13 @@ def frontier_circles(g: ExhaustionGraph) -> tuple[int, ...]:
     return tuple(sorted(c for p in g.pieces for c in p.outer if c not in referenced))
 
 
+def genus0_chain(levels: int) -> ExhaustionGraph:
+    """A disk under levels - 1 genus-0 annuli, in normal shape: its cover
+    has a block per level and one branch point in all."""
+    rest = tuple(Piece(f"c{j}", j, 0, (j - 1,), (j,)) for j in range(2, levels + 1))
+    return ExhaustionGraph((Piece("c1", 1, 0, (), (1,)),) + rest)
+
+
 def stdlib_dumps(doc) -> str:
     """A report as the stdlib encodes it; jsonio.dumps must match it byte
     for byte."""
@@ -772,7 +779,7 @@ def quadratic_verify_layered(c: LayeredCover) -> tuple[tuple[str, bool, str], ..
         chi.append(f"blockwise chi {total} disagrees with degree - branching {expected}")
     add("chi", not chi, "; ".join(chi) or f"chi of stage {c.depth} is {total} both ways")
 
-    ends = 1 + c.pants_count
+    ends = 1 + sum(1 for b in c.blocks if b.kind == "pants")
     add(
         "ends-bound",
         ends <= c.degree,

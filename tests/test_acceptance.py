@@ -218,7 +218,7 @@ class TestAcceptance:
             depth = graph.stable_depth
             covers.append((build_cover(graph, depth), count_ends(graph, depth).ends))
         ok = all(
-            ends <= cover.degree and 1 + cover.pants_count <= cover.degree
+            ends <= cover.degree and 1 + sum(b.kind == "pants" for b in cover.blocks) <= cover.degree
             for cover, ends in covers
         )
         verdict(

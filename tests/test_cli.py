@@ -32,7 +32,7 @@ from coverbench.surfaces import (
     ClosedSurface,
     euler_characteristic,
 )
-from oracles import all_connected_count, run_measured, stdlib_dumps
+from oracles import all_connected_count, genus0_chain, run_measured, stdlib_dumps
 
 
 def run_cli(argv):
@@ -964,6 +964,8 @@ READER_ERRORS = {
     "format-not-str": ("hurwitz", _at("format", to=1), "missing document format tag"),
     "unknown-format": ("hurwitz", _at("format", to="cover"), "unknown document format 'cover'"),
     "version": ("hurwitz", _at("version", to=2), "unsupported document version 2"),
+    "version-bool": ("hurwitz", _at("version", to=True), "unsupported document version True"),
+    "version-float": ("hurwitz", _at("version", to=1.0), "unsupported document version 1.0"),
     # hurwitz
     "hurwitz-format": ("hurwitz", _at("format", to="layered"), "expected a hurwitz document, got 'layered'"),
     "base-missing": ("hurwitz", _at("base"), "missing 'base' in hurwitz"),
@@ -1692,6 +1694,20 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
 
 
 _STEPS = "would take more than the budget of 4000000 steps"
+
+
+def test_build_cover_is_priced_by_its_blocks(tmp_path):
+    # a genus-0 chain has one branch point at any length, so a price by
+    # branch points alone admitted the cover of a 420,000-level chain
+    # (31.5 MB), which took 12.5 s and 757 MB; at 28 steps a block the
+    # first chain refused has 142,858 levels (142,857 take about 4 s)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(jsonio.exhaustion_to_json(genus0_chain(142_858)), separators=(",", ":")))
+    assert run_cli(["build-cover", "--input", str(path), "--levels", "142858"]) == (
+        2,
+        "",
+        f"error: the cover through level 142858 with 1 branch points {_STEPS}\n",
+    )
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from coverbench import characters, cli, exhaustion, hurwitz, jsonio, layered
 from coverbench.errors import STEP_BUDGET, LimitExceeded, admit
 from coverbench.exhaustion import ExhaustionGraph, Piece, normalize
 from coverbench.surfaces import SPHERE
-from oracles import run_measured
+from oracles import genus0_chain, run_measured
 
 
 def test_admit_lets_a_run_at_the_budget_through():
@@ -44,6 +44,9 @@ def test_the_step_budget_bounds_memory(tmp_path):
     cover = json.loads(jsonio.dumps(jsonio.layered_to_json(layered.build_cover(normal, normal.stable_depth))))
     cover_path = tmp_path / "cover.json"
     cover_path.write_text(json.dumps(cover, separators=(",", ":")))
+    # a cover of many blocks and one branch point, priced by its blocks
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(jsonio.dumps(jsonio.exhaustion_to_json(genus0_chain(20_000))))
     runs = [
         (["classify", "--chi", "-2", "--orientable", "true"], None),
         (["construct", "--family", "cyclic-rp2", "--crosscaps", "300000"], hurwitz.pass_steps(3, 300000)),
@@ -54,6 +57,10 @@ def test_the_step_budget_bounds_memory(tmp_path):
         (
             ["stabilize", "--base", "s2", "--degree", "2", "--meridians", "(0 1);(0 1)", "--times", "700"],
             hurwitz.stabilize_steps(2, 2, 700),
+        ),
+        (
+            ["build-cover", "--input", str(chain_path), "--levels", "20000"],
+            layered._BRANCH_STEPS + layered._BLOCK_STEPS * 20_000,
         ),
         (["staircase", "--levels", "1500", "--verify"], 2 * 1500**2 // layered._SQUARED_LEVELS_PER_STEP),
         (

@@ -337,8 +337,9 @@ class TestPipeline:
             assert rep.ok, (seed, rep.failures)
             ec = count_ends(n, J)
             assert c.degree == 2 * ec.ends, seed
-            assert 1 + c.pants_count == ec.ends, seed
-            assert 1 + c.pants_count <= c.degree, seed
+            pants = sum(b.kind == "pants" for b in c.blocks)
+            assert 1 + pants == ec.ends, seed
+            assert 1 + pants <= c.degree, seed
 
     def test_chi_agreement_with_exhaustion(self):
         # blockwise chi equals degree - branching; independently, the
@@ -370,10 +371,11 @@ def _lower_sheet(c, b, rng):
 
 def _mutate(c, rng):
     """One structural corruption of the kinds a hand-edited document
-    carries. Never repeats a sheet inside one block."""
+    carries, or its blocks out of level order. Never repeats a sheet
+    inside one block."""
     blocks = list(c.blocks)
     kind = rng.choice(
-        ["cap", "cap-rename", "sheet", "drop", "duplicate", "shift", "inbound", "meridian", "depth"]
+        ["cap", "cap-rename", "sheet", "drop", "duplicate", "shift", "inbound", "meridian", "depth", "shuffle"]
     )
     k = rng.randrange(len(blocks))
     b = blocks[k]
@@ -421,6 +423,8 @@ def _mutate(c, rng):
         blocks[k] = replace(b, meridians=tuple(ms))
     elif kind == "depth":
         return replace(c, depth=c.depth + rng.choice((-2, -1, 1, 2)))
+    elif kind == "shuffle":
+        rng.shuffle(blocks)
     return replace(c, blocks=tuple(blocks))
 
 
