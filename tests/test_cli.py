@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -1130,6 +1131,101 @@ def test_each_reader_check_exits_2_with_its_line(tmp_path, name):
     assert run_cli([command, "--input", str(path)]) == (2, "", f"error: {line}\n")
 
 
+def _read(doc, typed: bool) -> str:
+    """The repr of what the exhaustion or layered reader makes of doc, or
+    its InvalidInput line; unless typed, every record is read field by
+    field."""
+    read = jsonio.layered_from_json if doc.get("format") == "layered" else jsonio.exhaustion_from_json
+    with pytest.MonkeyPatch.context() as mp:
+        if not typed:
+            mp.setattr(jsonio, "_typed", lambda records, fields: None)
+        try:
+            return repr(read(doc))
+        except InvalidInput as exc:
+            return f"error: {exc}"
+
+
+def _small_fan_documents() -> dict[str, dict]:
+    normal = normalize(ExhaustionGraph((Piece("f", 1, 0, (), tuple(range(1, 7))),)))
+    docs = {"exhaustion": jsonio.exhaustion_to_json(normal)}
+    docs["layered"] = jsonio.layered_to_json(build_cover(normal, normal.stable_depth))
+    return {kind: json.loads(jsonio.dumps(doc)) for kind, doc in docs.items()}
+
+
+# values a hand-edited record may hold, in a field or in place of an item
+_FIELD_VALUES = [
+    _GONE, None, True, False, 0, 7, -1, 1.5, "x", {}, [], [0, 1], [True], [1.5], ["a"],
+    [[0, 1]], [[0]], [[0, 1], 5], [[0, [0, 1]]], [[0, [True]]], [[True, [0, 1]]], [[0, [0, 1], 2]],
+]
+
+
+def _mutated_records(doc: dict, rng) -> dict:
+    """doc with one record changed: a field set, deleted or added, an
+    item of a list field replaced, or the record replaced."""
+    doc = copy.deepcopy(doc)
+    records = doc["pieces" if doc["format"] == "exhaustion" else "blocks"]
+    k = rng.randrange(len(records))
+    value = rng.choice(_FIELD_VALUES)
+    if rng.random() < 0.05:
+        records[k] = [] if value is _GONE else value
+        return doc
+    key = rng.choice([*records[k], "orientable", "inbound", "parent"])
+    held = records[k].get(key)
+    if type(held) is list and held and rng.random() < 0.5:
+        _at(rng.randrange(len(held)), to=value)(held)
+    elif value is _GONE:
+        records[k].pop(key, None)
+    else:
+        records[k][key] = value
+    return doc
+
+
+# a record's optional fields absent and null, a bool in an int field and
+# a malformed outbound entry, on the second record of each document
+_READ_CASES = {
+    "inbound-absent": ("layered", _at("blocks", 1, "inbound")),
+    "inbound-null": ("layered", _at("blocks", 1, "inbound", to=None)),
+    "parent-absent": ("layered", _at("blocks", 1, "parent")),
+    "parent-null": ("layered", _at("blocks", 1, "parent", to=None)),
+    "parent-circle-absent": ("layered", _at("blocks", 1, "parent_circle")),
+    "parent-circle-null": ("layered", _at("blocks", 1, "parent_circle", to=None)),
+    "level-bool": ("layered", _at("blocks", 1, "level", to=False)),
+    "sheet-bool": ("layered", _at("blocks", 1, "sheets", 0, to=True)),
+    "outbound-entry-triple": ("layered", _at("blocks", 1, "outbound", 0, to=[1, [0, 1], 2])),
+    "outbound-entry-str": ("layered", _at("blocks", 1, "outbound", 0, to="x")),
+    "orientable-absent": ("exhaustion", _at("pieces", 1, "orientable")),
+    "genus-bool": ("exhaustion", _at("pieces", 1, "genus", to=True)),
+    **{
+        name: (kind, mutate)
+        for name, (kind, mutate, _) in READER_ERRORS.items()
+        if kind in ("exhaustion", "layered")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_CASES))
+def test_the_typed_read_agrees_with_the_field_by_field_read(name):
+    kind, mutate = _READ_CASES[name]
+    doc = copy.deepcopy(_READER_DOCUMENTS[kind][0])
+    replaced = mutate(doc)
+    doc = doc if replaced is None else replaced
+    assert _read(doc, typed=True) == _read(doc, typed=False)
+
+
+def test_the_typed_read_agrees_on_mutated_fan_documents():
+    rng = random.Random(20261022)
+    outcomes = set()
+    for kind, valid in _small_fan_documents().items():
+        assert _read(valid, typed=True) == _read(valid, typed=False)
+        for _ in range(400):
+            doc = _mutated_records(valid, rng)
+            got = _read(doc, typed=True)
+            assert got == _read(doc, typed=False)
+            outcomes.add((kind, got.startswith("error: ")))
+    # both readers both read and refuse documents of each kind
+    assert outcomes == {(kind, refused) for kind in ("exhaustion", "layered") for refused in (False, True)}
+
+
 @pytest.mark.parametrize(
     "changes, problems",
     [
@@ -1687,7 +1783,7 @@ def test_build_cover_refuses_a_genus_too_large_to_build(tmp_path, genus):
     )
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == (
-        f"error: the cover through level 2 with {2 * genus + 1} branch points "
+        f"error: the cover through level 2 with 2 blocks and {2 * genus + 1} branch points "
         "would take more than the budget of 4000000 steps\n"
     )
     assert peak < 100 << 20
@@ -1706,7 +1802,7 @@ def test_build_cover_is_priced_by_its_blocks(tmp_path):
     assert run_cli(["build-cover", "--input", str(path), "--levels", "142858"]) == (
         2,
         "",
-        f"error: the cover through level 142858 with 1 branch points {_STEPS}\n",
+        f"error: the cover through level 142858 with 142858 blocks and 1 branch points {_STEPS}\n",
     )
 
 

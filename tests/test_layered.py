@@ -465,6 +465,38 @@ def test_level_index_is_built_once_and_shared():
     assert c.at_level(3) == (c.blocks[2],) and c.at_level(9) == ()
 
 
+# one field of an annulus of a genus-1 chain, each a change that its
+# verdict sees
+_ANNULUS_CHANGES = {
+    "sheets": lambda b: replace(b, sheets=b.sheets + (2,)),
+    "inbound": lambda b: replace(b, inbound=b.inbound[:1]),
+    "meridian": lambda b: replace(b, meridians=((0, 2),) + b.meridians[1:]),
+    "outbound": lambda b: replace(b, outbound=((b.outbound[0][0], b.outbound[0][1][::-1]),)),
+}
+
+
+@pytest.mark.parametrize("position", [1, 6, 11])
+@pytest.mark.parametrize("field", sorted(_ANNULUS_CHANGES))
+def test_a_changed_annulus_takes_no_verdict_of_the_others(field, position):
+    # the index checks a block of few sheets once per shape; the eleven
+    # annuli share one, and the changed one, first, among or after them,
+    # must get its own
+    c = build_cover(chain(12, genus=1), 12)
+    blocks = list(c.blocks)
+    annuli = blocks[1:]
+    assert {(b.kind, b.sheets, b.inbound, b.meridians, b.outbound[0][1]) for b in annuli} == {
+        ("annulus", (0, 1), (0, 1), ((0, 1), (0, 1)), (0, 1))
+    }
+    blocks[position] = _ANNULUS_CHANGES[field](blocks[position])
+    c = replace(c, blocks=tuple(blocks))
+    assert c.index.relations == tuple(map(_quadratic_relation, blocks))
+    assert c.index.relations[position] is not None
+    assert verify_layered(c).checks == quadratic_verify_layered(c)
+    for i in range(-1, c.depth + 3):
+        got = _outcome(restriction_compatibility, c, i)
+        assert got == _outcome(quadratic_restriction_compatibility, c, i), i
+
+
 def test_staircase_800_restriction_sweep_is_linear():
     c = staircase(800)
     assert verify_layered(c).ok
