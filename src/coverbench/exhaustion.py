@@ -43,11 +43,13 @@ from operator import attrgetter
 from .errors import InvalidInput, NotNormalized, ValidationReport, admit
 
 
-# A piece is a slotted record, built once and never changed. Its callers
-# pass ints and tuples, and jsonio type-checks a document's: a frozen
-# dataclass that copied its circle lists into tuples took 2.6 us to build,
-# this one 0.5 us (2-core Xeon, Python 3.11), and normalize builds one per
-# piece it writes.
+# A piece is a slotted record, built once and never changed: a changed
+# piece is a new one, made by dataclasses.replace, since a graph caches
+# its levels. Its callers pass ints and tuples, and jsonio type-checks a
+# document's: a frozen dataclass that copied its circle lists into tuples
+# took 2.6 us to build, this one 0.5 us (2-core Xeon, Python 3.11), and
+# normalize builds one per piece it writes. Unfrozen, it has no hash, so
+# neither has a graph.
 @dataclass(slots=True)
 class Piece:
     id: str

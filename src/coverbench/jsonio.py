@@ -31,7 +31,8 @@ and sorted into a `%` template, once per key tuple and depth. A value
 of at most `_LINES` lines is built as one text; a longer one is written
 item by item, and a list of records, dicts over one key tuple, a batch
 at a time by column: each field's values of one kind are rendered by
-one map, and each row by its template. A batch holds as many rows as
+one map, the items of its short lists as one column, a field of several
+kinds as a column of each, and each row by its template. A batch holds as many rows as
 `_BATCH` characters took in the last one. The 160-way fan's normalized
 exhaustion encodes in 0.03 s instead of 0.09 s, its layered cover in
 0.08 s instead of 0.19 s, and the 800-level staircase in 0.09 s instead
@@ -58,9 +59,9 @@ s instead of 0.11 s, and its normal form in 0.01 s instead of 0.05 s.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, compress, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _string
-from operator import itemgetter
+from operator import is_, itemgetter
 from types import NoneType
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -283,10 +284,11 @@ def _records_of(o, indent: str, out: _Chunks, line: str) -> None:
 def _rows(batch, indent: str, out: _Chunks) -> list[str] | None:
     """The text of each dict of batch as an item after the first of a
     list, its closing bracket after indent, in about _LINES lines a dict;
-    None unless every item is a dict over the first one's keys, all of
-    them str, and at most _LINES of them."""
+    None unless every item is a dict over the first one's keys, each of
+    them exactly a str, and at most _LINES of them. A str subclass equals
+    its str, so every dict's keys are typed, not only the first's."""
     head = batch[0]
-    if not head or {*map(type, batch)} != {dict}:
+    if not head or {*map(type, batch)} != {dict} or {*map(type, chain.from_iterable(batch))} != {str}:
         return None
     keys = _keys(head, indent, out)
     if len(keys.order) > _LINES or {*map(len, batch)} != {len(keys.order)}:
@@ -301,31 +303,29 @@ def _rows(batch, indent: str, out: _Chunks) -> list[str] | None:
 
 
 def _column(values: list, indent: str, out: _Chunks):
-    """The text of each of values, as _text writes it, by one map over
-    values of one scalar kind, through the columns of the items of lists
-    of at most _LINES items, and else value by value. Each value but an
-    int takes one of out.lines, so the items of a list of ints take none."""
+    """The text of each of values, as _text writes it: by one map over
+    values of one scalar kind, through the column of the items of lists
+    of at most _LINES items, and else value by value. Values of several
+    kinds are written as a column of each kind. Each value but an int
+    takes one of out.lines, so the items of a list of ints take none."""
     kinds = {*map(type, values)}
-    if kinds == {int}:
+    if len(kinds) != 1:
+        order = list(map(type, values))
+        texts = {kind: iter(_column(list(compress(values, map(is_, order, repeat(kind)))), indent, out)) for kind in kinds}
+        return list(map(next, map(texts.__getitem__, order)))
+    (kind,) = kinds
+    if kind is int:
         return map(out.digits.__getitem__, values)
-    if NoneType in kinds and kinds != {NoneType}:
-        texts = iter(_column([v for v in values if v is not None], indent, out))
-        return ["null" if v is None else next(texts) for v in values]
     out.take(len(values))
-    if kinds == {str}:
+    if kind is str:
         return map(_string, values)
-    if kinds <= {NoneType, bool}:
+    if kind is NoneType or kind is bool:
         return map(_WORDS.__getitem__, values)
-    if kinds <= {list, tuple}:
+    if kind is list or kind is tuple:
         lengths = list(map(len, values))
-        longest = max(lengths)
-        if longest <= _LINES:
+        if max(lengths) <= _LINES:
             inner = indent + "  "
             head, sep, tail = "[" + inner, "," + inner, indent + "]"
-            if min(lengths) == longest > 0:
-                # lists of one length, such as pairs: a column per place
-                template = head + sep.join(["%s"] * longest) + tail
-                return map(template.__mod__, zip(*[_column(list(c), inner, out) for c in zip(*values)]))
             items = iter(_column(list(chain.from_iterable(values)), inner, out))
             return [head + sep.join(islice(items, n)) + tail if n else "[]" for n in lengths]
     return [_text(v, indent, out) for v in values]

@@ -30,11 +30,10 @@ at which each sheet appears, and each block's relation verdict (whether
 each claimed outbound cycle, listed from its least sheet, is a cycle of
 the boundary product, and together they cover every sheet the product
 moves and every sheet of the block). A verdict reads only those four
-fields, so blocks of a few sheets are checked once per distinct shape:
-the 160-way fan's normal form has 12,721 blocks and 475 shapes.
-verify_layered is then linear in the size of the cover, and restriction_compatibility(c, i)
-touches only levels i and i + 1, so a sweep over every level is linear
-as well.
+fields, so it is made once per distinct shape: the 160-way fan's normal
+form has 12,721 blocks and 475 shapes. verify_layered is then linear in
+the size of the cover, and restriction_compatibility(c, i) touches only
+levels i and i + 1, so a sweep over every level is linear as well.
 """
 from __future__ import annotations
 
@@ -82,9 +81,12 @@ _SQUARED_LEVELS_PER_STEP = 3
 _LEVEL_STEPS = 4
 
 
-# A block is a slotted record, built once and never changed: a frozen
-# dataclass took 1.9 us to build, this one 0.3 us (2-core Xeon, Python
-# 3.11), and the fan's cover has 12,721 blocks to build and to read.
+# A block is a slotted record, built once and never changed: a changed
+# block is a new one, made by dataclasses.replace, in a new cover, since a
+# cover caches its index. A frozen dataclass took 1.9 us to build, this
+# one 0.3 us (2-core Xeon, Python 3.11), and the fan's cover has 12,721
+# blocks to build and to read. Unfrozen, it has no hash, so neither has a
+# cover.
 @dataclass(slots=True)
 class Block:
     piece: str
@@ -113,11 +115,6 @@ class LevelIndex:
     """Per block: why its boundary product fails, or None when it holds."""
 
 
-# blocks of at most this many sheets share one relation verdict per
-# shape; every block that build_cover writes has two or four
-_SHAPED_SHEETS = 4
-
-
 @dataclass(frozen=True)
 class LayeredCover:
     depth: int
@@ -126,6 +123,8 @@ class LayeredCover:
 
     @cached_property
     def index(self) -> LevelIndex:
+        """Built on first use from the blocks, which are never changed
+        after, and kept; its verdicts are shared by blocks of one shape."""
         levels: dict[int, list[int]] = {}
         for k, b in enumerate(self.blocks):
             levels.setdefault(b.level, []).append(k)
@@ -182,18 +181,12 @@ class ComposedReport:
 
 def _relations(blocks: tuple[Block, ...]) -> tuple[str | None, ...]:
     """_relation_problem of each of blocks. A verdict reads only a block's
-    sheets, inbound cycle, meridians and outbound cycles, so a block of at
-    most _SHAPED_SHEETS sheets is checked once per shape: in a normal form
-    each end's annulus repeats at every later level. A block of more
-    sheets, as each of a staircase's, is checked alone: no two of the
-    staircase's share a shape, and hashing one grows with its sheets as
-    its check does."""
+    sheets, inbound cycle, meridians and outbound cycles, so it is made
+    once per shape: in a normal form each end's annulus repeats at every
+    later level."""
     verdicts: dict[tuple, str | None] = {}
     relations = []
     for b in blocks:
-        if len(b.sheets) > _SHAPED_SHEETS:
-            relations.append(_relation_problem(b))
-            continue
         shape = (b.sheets, b.inbound, b.meridians, tuple([cyc for _, cyc in b.outbound]))
         try:
             verdict = verdicts[shape]

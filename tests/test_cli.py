@@ -434,6 +434,11 @@ _NO_REPORT_HOLDS = [
     {True: 1},
     {"x": {1: 2}},
     [{None: 1}],
+    # records past the first, in the first batch and in a later one, of
+    # a list long enough to be written by column
+    [{"a": 0}, {_Str("a"): 1}] + [{"a": i} for i in range(100)],
+    [{"a": i} for i in range(100)] + [{_Str("a"): 0}],
+    [{"a": {"b": i}} for i in range(100)] + [{"a": {_Str("b"): 0}}],
     "report",
     7,
     None,

@@ -23,6 +23,7 @@ from coverbench.exhaustion import (
 )
 from coverbench.layered import (
     Block,
+    LayeredCover,
     _pants_meridians,
     _relation_problem,
     build_cover,
@@ -468,7 +469,7 @@ def test_level_index_is_built_once_and_shared():
 # one field of an annulus of a genus-1 chain, each a change that its
 # verdict sees
 _ANNULUS_CHANGES = {
-    "sheets": lambda b: replace(b, sheets=b.sheets + (2,)),
+    "sheets": lambda b: replace(b, sheets=b.sheets + (max(b.sheets) + 1,)),
     "inbound": lambda b: replace(b, inbound=b.inbound[:1]),
     "meridian": lambda b: replace(b, meridians=((0, 2),) + b.meridians[1:]),
     "outbound": lambda b: replace(b, outbound=((b.outbound[0][0], b.outbound[0][1][::-1]),)),
@@ -495,6 +496,32 @@ def test_a_changed_annulus_takes_no_verdict_of_the_others(field, position):
     for i in range(-1, c.depth + 3):
         got = _outcome(restriction_compatibility, c, i)
         assert got == _outcome(quadratic_restriction_compatibility, c, i), i
+
+
+@pytest.mark.parametrize("field", sorted(_ANNULUS_CHANGES))
+def test_a_changed_staircase_block_takes_no_verdict_of_its_copies(field):
+    # blocks of many sheets go through the same memo as annuli
+    top = staircase(12).blocks[-1]
+    blocks = (top,) * 3 + (_ANNULUS_CHANGES[field](top),) + (top,) * 3
+    c = LayeredCover(12, 13, blocks)
+    assert c.index.relations == tuple(map(_quadratic_relation, blocks))
+    assert c.index.relations[3] is not None
+    assert c.index.relations.count(None) == 6
+
+
+def test_a_changed_block_is_a_new_block_in_a_new_cover():
+    # a cover caches its index, verdicts shared by shape; a block is
+    # changed by replace, which leaves the old cover and its index be
+    c = build_cover(chain(6, genus=1), 6)
+    before = c.index.relations
+    assert before == (None,) * len(c.blocks)
+    changed = replace(c.blocks[3], inbound=c.blocks[3].inbound[:1])
+    d = replace(c, blocks=c.blocks[:3] + (changed,) + c.blocks[4:])
+    assert c.blocks[3] is not changed and c.blocks[3].inbound == (0, 1)
+    assert c.index.relations is before
+    assert d.index.relations == tuple(map(_quadratic_relation, d.blocks))
+    assert d.index.relations[3] is not None
+    assert verify_layered(c).ok and not verify_layered(d).ok
 
 
 def test_staircase_800_restriction_sweep_is_linear():
