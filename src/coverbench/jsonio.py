@@ -25,18 +25,18 @@ TypeError for anything else, floats, subclasses and non-str keys
 included, though the stdlib encodes them. `dumps` returns that text.
 The stdlib's C encoder runs only without an indent; `dump` instead
 builds whole lines, a list of plain ints in one join, strings through
-the stdlib's own escaper and each int's digits once per report, through
-a cache of the first `_SHARED` values. Every dict's keys are checked,
-and sorted into a `%` template, once per key tuple and depth. A value
-of at most `_LINES` lines is built as one text; a longer one is written
-item by item, and a list of records, dicts over one key tuple, a batch
-at a time by column: each field's values of one kind are rendered by
-one map, the items of its short lists as one column, a field of several
-kinds as a column of each, and each row by its template. A batch holds as many rows as
-`_BATCH` characters took in the last one. The 160-way fan's normalized
-exhaustion encodes in 0.03 s instead of 0.09 s, its layered cover in
-0.08 s instead of 0.19 s, and the 800-level staircase in 0.09 s instead
-of 0.16 s (fastest of 9, in process, 2-core Xeon). The lines are
+the stdlib's own escaper and the digits of each int below 1024 from a
+table made at import. Every dict's keys are checked, and sorted into a
+`%` template, once per key tuple and depth. A value of at most `_LINES`
+lines is built as one text; a longer one is written item by item, and
+a list of records, dicts over one key tuple, a batch at a time by
+column: each field's values of one kind are rendered by one map, the
+items of its short lists as one column, a field of several kinds as a
+column of each, and each row by its template. A batch holds as many
+rows as `_BATCH` characters took in the last one. The 160-way fan's
+normalized exhaustion encodes in 0.03 s instead of 0.09 s, its layered
+cover in 0.08 s instead of 0.19 s, and the 800-level staircase in 0.09
+s instead of 0.16 s (fastest of 9, in process, 2-core Xeon). The lines are
 joined into chunks of at least `_CHUNK` characters, one `write` each,
 so the whole text is never held.
 
@@ -109,8 +109,8 @@ class _Chunks(list):
     so only long lines, such as a long list of ints, make a write much
     larger. keys holds a _Keys for each key tuple and depth; every dict a
     report holds is a literal of its writer, so their number follows the
-    report's shape. digits holds the text of the ints written, and rows
-    the number of records in the next batch of a list of records."""
+    report's shape. rows holds the number of records in the next batch
+    of a list of records."""
 
     def __init__(self, write):
         super().__init__()
@@ -119,7 +119,6 @@ class _Chunks(list):
         self.size = 0  # their characters
         self.due = _LINES
         self.keys: dict[tuple[tuple, str], _Keys] = {}
-        self.digits = _Digits()
         self.rows = _LINES
         self.lines = 0  # of the text being built; see take
 
@@ -196,7 +195,7 @@ def _text(o, indent: str, out: _Chunks) -> str:
     if t is str:
         return _string(o)
     if t is int:
-        return out.digits[o]
+        return _DIGITS[o]
     if o is None or t is bool:
         return _WORDS[o]
     if t is list or t is tuple:
@@ -206,7 +205,7 @@ def _text(o, indent: str, out: _Chunks) -> str:
         # most lists that are not all ints hold lists, so the first item
         # is tested before them all
         if type(o[0]) is int and _are(o, {int}):
-            items = map(out.digits.__getitem__, o)
+            items = map(_DIGITS.__getitem__, o)
         else:
             out.take(len(o))
             items = [_text(v, inner, out) for v in o]
@@ -315,7 +314,7 @@ def _column(values: list, indent: str, out: _Chunks):
         return list(map(next, map(texts.__getitem__, order)))
     (kind,) = kinds
     if kind is int:
-        return map(out.digits.__getitem__, values)
+        return map(_DIGITS.__getitem__, values)
     out.take(len(values))
     if kind is str:
         return map(_string, values)
@@ -355,19 +354,18 @@ class _Full(dict):
 
 
 class _Digits(dict):
-    """Int to digit string for one report, the inverse of _Ints: each
-    value's text is made once. Once _SHARED values are held the instance
-    becomes an _AllDigits, whose __missing__ is int.__repr__ itself."""
+    """Int to digit string: a held value's text is looked up in C, and
+    any other is made by int.__repr__ itself."""
 
-    def __missing__(self, value: int) -> str:
-        digits = self[value] = _int(value)
-        if len(self) >= _SHARED:
-            self.__class__ = _AllDigits
-        return digits
-
-
-class _AllDigits(dict):
     __missing__ = staticmethod(_int)
+
+
+# The ints a report repeats are small, as sheets, levels and genera, so
+# the text of each int below 1024 is made once, at import (0.2 ms). A
+# cache per report wrote no faster and, freed after each report, left a
+# process that writes reports and then reads large documents 6-10 MB
+# larger, since the allocator kept the space it had held.
+_DIGITS = _Digits(zip(range(1 << 10), map(_int, range(1 << 10))))
 
 
 def loads(text: str) -> dict:
