@@ -36,9 +36,9 @@ column of each, and each row by its template. A batch holds as many
 rows as `_BATCH` characters took in the last one. The 160-way fan's
 normalized exhaustion encodes in 0.03 s instead of 0.09 s, its layered
 cover in 0.08 s instead of 0.19 s, and the 800-level staircase in 0.09
-s instead of 0.16 s (fastest of 9, in process, 2-core Xeon). The lines are
-joined into chunks of at least `_CHUNK` characters, one `write` each,
-so the whole text is never held.
+s instead of 0.16 s (fastest of 9, in process, 2-core Xeon). The lines
+are joined into chunks of at least `_CHUNK` characters, one `write`
+each, so the whole text is never held.
 
 `loads` returns the tree of `json.loads` with one int object per
 repeated value: each document's ints are decoded through a cache of its

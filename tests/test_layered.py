@@ -479,9 +479,9 @@ _ANNULUS_CHANGES = {
 @pytest.mark.parametrize("position", [1, 6, 11])
 @pytest.mark.parametrize("field", sorted(_ANNULUS_CHANGES))
 def test_a_changed_annulus_takes_no_verdict_of_the_others(field, position):
-    # the index checks a block of few sheets once per shape; the eleven
-    # annuli share one, and the changed one, first, among or after them,
-    # must get its own
+    # the index checks each block shape once; the eleven annuli share
+    # one, and the changed one, first, among or after them, must get its
+    # own
     c = build_cover(chain(12, genus=1), 12)
     blocks = list(c.blocks)
     annuli = blocks[1:]
